@@ -53,7 +53,7 @@ from .pipeline import (
     generate_instance,
     resolve,
 )
-from .routes import CoveringRoute, JointRoute, RouteSet, covering_routes, covers, joint_covers
+from .routes import CoveringRoute, JointRoute, RouteSet, covering_routes
 
 __all__ = [
     "AlarmSystem",
@@ -82,7 +82,6 @@ __all__ = [
     "coverage_set",
     "coverage_sets",
     "covering_routes",
-    "covers",
     "cycle_min_cover",
     "enumerate_placements",
     "evaluate_profile",
@@ -90,7 +89,6 @@ __all__ = [
     "fc_sro",
     "generate_instance",
     "greedy_cover",
-    "joint_covers",
     "local_search_improve",
     "lp_solve",
     "min_cover",

@@ -5,8 +5,7 @@ Subcommands: ``gen`` (instance generation), ``mincover``, ``routes``, ``sro``
 (batch over sizes and seeds with an aggregate CSV).  Exit codes: 0 success,
 2 invalid input, 3 an exact computation timed out and an incumbent was
 written.  All randomness flows from ``--seed``; result files are byte
-reproducible for a fixed seed in single-worker mode, wall-clock timing lives
-in CSV sidecars.
+reproducible for a fixed seed, wall-clock timing lives in CSV sidecars.
 """
 
 from __future__ import annotations
@@ -204,7 +203,6 @@ def _resolve_config(args) -> ResolutionConfig:
         resources_per_position=args.resources_per_position,
         fc_mode=args.fc_mode,
         pc_restarts=args.restarts,
-        workers=args.workers,
     )
 
 
@@ -218,7 +216,6 @@ def _config_echo(config: ResolutionConfig) -> dict:
         "resources_per_position": config.resources_per_position,
         "fc_mode": config.fc_mode,
         "pc_restarts": config.pc_restarts,
-        "workers": config.workers,
     }
 
 
@@ -395,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resources-per-position", type=int, default=1)
     p.add_argument("--fc-mode", default="exact", choices=["exact", "heuristic"])
     p.add_argument("--restarts", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--beam-width", type=int, default=100_000)
 
     p = sub.add_parser("bench", help="batch runs over sizes and seeds")

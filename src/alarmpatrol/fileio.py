@@ -43,8 +43,7 @@ def make_manifest(
 ) -> dict[str, Any]:
     """Reproducibility record carried by every output file.
 
-    Contains no timestamps: identical manifest plus single-worker mode must
-    imply identical outputs.
+    Contains no timestamps: identical manifests must imply identical outputs.
     """
     input_hash = None
     if input_path is not None:

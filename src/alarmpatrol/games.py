@@ -13,7 +13,7 @@ from typing import Any, Hashable, Sequence
 
 import numpy as np
 
-from .lp import LinearProgram, LinearProgramSolution, lp_solve  # noqa: F401
+from .lp import LinearProgram, lp_solve
 
 PROB_CLIP = 1e-9
 VALUE_TOL = 1e-6

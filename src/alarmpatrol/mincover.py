@@ -351,11 +351,7 @@ def min_cover(
     incumbent is already at least as good as greedy + local search).
     """
     if method == "auto":
-        if _is_tree(setting):
-            return MinCoverResult(tree_min_cover(setting), True, "tree")
-        if _is_cycle(setting):
-            return MinCoverResult(cycle_min_cover(setting), True, "cycle")
-        return exact_cover(to_set_cover(setting, dist), time_budget)
+        method = "tree" if _is_tree(setting) else "cycle" if _is_cycle(setting) else "exact"
     if method == "tree":
         return MinCoverResult(tree_min_cover(setting), True, "tree")
     if method == "cycle":

@@ -3,7 +3,7 @@
 Vertices carry opaque string ids in the file format and are mapped to dense
 integer indices internally; all structures keep the id list so results can be
 reported in the original vocabulary.  Every type here is immutable after
-construction and safe to share across workers.
+construction.
 """
 
 from __future__ import annotations

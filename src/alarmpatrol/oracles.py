@@ -16,6 +16,13 @@ expected utility:
   constant-sum game LP with a best-response search (branch and bound, or an
   LP relaxation with sampling in heuristic mode).
 
+All three read coverage from ``RouteSet.cover``, the boolean route-by-target
+matrix each route set carries, so the route sets must be built for the
+signal's support.  NC's games and FC's restricted game pay 1 where a row
+covers a target and 1 - pi_t where it does not; PC's response LPs use the
+matrices as 0/1 indicators; the FC best response packs their columns into
+bitmasks.
+
 Multiple signals are handled by solving one independent response game per
 signal and aggregating with the attacker committing to a target before the
 signal realizes.
@@ -69,16 +76,10 @@ class OracleResult:
     joint: MixedStrategy | None = None
 
 
-def _payoff_matrix(
-    covered: Sequence[frozenset[int]], targets: Sequence[int], value: Mapping[int, float]
-) -> np.ndarray:
-    """Defender utility 1 - (1 - I(r,t)) * pi(t) for each action/target pair."""
-    U = np.ones((len(covered), len(targets)))
-    for i, cov in enumerate(covered):
-        for j, t in enumerate(targets):
-            if t not in cov:
-                U[i, j] -= value[t]
-    return U
+def _columns(rs: RouteSet, targets: Sequence[int]) -> list[int]:
+    """Columns of ``rs.cover`` holding ``targets``, which must be in its support."""
+    col = {t: j for j, t in enumerate(rs.targets)}
+    return [col[t] for t in targets]
 
 
 def _marginal_coverage(strategy: MixedStrategy, t: int) -> float:
@@ -127,14 +128,17 @@ def nc_sro(
     t0 = time.perf_counter()
     strategies: list[MixedStrategy] = []
     for rs in route_sets:
-        restricted = [t for t in support if dist[rs.start][t] <= setting.deadline[t]]
-        if not restricted:
+        cols = [
+            j for j, t in enumerate(rs.targets) if dist[rs.start][t] <= setting.deadline[t]
+        ]
+        if not cols:
             strategies.append(MixedStrategy.pure(rs.routes[0]))
             continue
+        pi = np.array([setting.value[rs.targets[j]] for j in cols])
         game = MatrixGame(
-            _payoff_matrix([r.covered for r in rs.routes], restricted, setting.value),
+            np.where(rs.cover[:, cols], 1.0, 1.0 - pi),
             row_actions=tuple(rs.routes),
-            col_actions=tuple(restricted),
+            col_actions=tuple(rs.targets[j] for j in cols),
         )
         row, _, _ = solve_zero_sum(game)
         strategies.append(row)
@@ -177,7 +181,6 @@ def best_response_ilp(
     targets = sorted(t for t in attacker.probs if attacker.probs[t] > 0.0)
     w = [attacker.prob(t) * setting.value[t] for t in targets]
     total_w = sum(w)
-    bit = {t: i for i, t in enumerate(targets)}
 
     if mode == "heuristic":
         if rng is None:
@@ -192,13 +195,9 @@ def best_response_ilp(
     masks: list[list[int]] = []
     orders: list[list[int]] = []
     for rs in route_sets:
-        ms = []
-        for r in rs.routes:
-            m = 0
-            for t in r.covered:
-                if t in bit:
-                    m |= 1 << bit[t]
-            ms.append(m)
+        # Bit k of a route's mask says whether it covers targets[k].
+        packed = np.packbits(rs.cover[:, _columns(rs, targets)], axis=1, bitorder="little")
+        ms = [int.from_bytes(row.tobytes(), "little") for row in packed]
         masks.append(ms)
         orders.append(
             sorted(range(len(ms)), key=lambda i: (-_weight_bits(w, ms[i]), i))
@@ -266,42 +265,24 @@ def _relaxed_best_response(
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     n_x = int(offsets[-1])
     n_t = len(targets)
-    n_vars = n_x + n_t
 
-    c = np.zeros(n_vars)
+    c = np.zeros(n_x + n_t)
     c[n_x:] = w
 
-    rows_ub = []
-    b_ub = []
-    for j, t in enumerate(targets):
-        row = np.zeros(n_vars)
-        for i, rs in enumerate(route_sets):
-            for k, r in enumerate(rs.routes):
-                if t in r.covered:
-                    row[offsets[i] + k] = -1.0
-        row[n_x + j] = 1.0
-        rows_ub.append(row)
-        b_ub.append(0.0)
-    for j in range(n_t):
-        row = np.zeros(n_vars)
-        row[n_x + j] = 1.0
-        rows_ub.append(row)
-        b_ub.append(1.0)
+    # y_t - sum of the routes covering t <= 0, then y_t <= 1.
+    neg_cover = np.hstack(
+        [np.where(rs.cover[:, _columns(rs, targets)].T, -1.0, 0.0) for rs in route_sets]
+    )
+    eye = np.eye(n_t)
+    A_ub = np.vstack([np.hstack([neg_cover, eye]), np.hstack([np.zeros((n_t, n_x)), eye])])
+    b_ub = np.concatenate([np.zeros(n_t), np.ones(n_t)])
 
-    rows_eq = []
+    A_eq = np.zeros((len(route_sets), n_x + n_t))
     for i in range(len(route_sets)):
-        row = np.zeros(n_vars)
-        row[offsets[i] : offsets[i + 1]] = 1.0
-        rows_eq.append(row)
+        A_eq[i, offsets[i] : offsets[i + 1]] = 1.0
 
     sol = lp_solve(
-        LinearProgram(
-            c=c,
-            A_ub=np.array(rows_ub),
-            b_ub=np.array(b_ub),
-            A_eq=np.array(rows_eq),
-            b_eq=np.ones(len(rows_eq)),
-        )
+        LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(len(route_sets)))
     )
     if sol.status != "optimal":
         raise ArithmeticError(f"best-response relaxation status {sol.status}")
@@ -345,6 +326,10 @@ def fc_sro(
     relaxation plus sampling and stops once the relaxed response is pure and
     inside the current equilibrium support (or after ``heuristic_cap``
     rounds, since sampling can cycle).
+
+    ``diagnostics.optimal`` is True only for a converged exact run over
+    complete route sets; over incomplete ones
+    ``diagnostics.extra["not_optimal"]`` is "incomplete routes".
     """
     t0 = time.perf_counter()
     if mode not in ("exact", "heuristic"):
@@ -358,11 +343,26 @@ def fc_sro(
         )
         return OracleResult("FC", 1.0, diag, joint=MixedStrategy.pure(jr))
 
+    # One payoff row per joint route: its coverage is the OR of the chosen
+    # routes' rows of the route-set matrices.
+    pi = np.array([setting.value[t] for t in targets])
+    index = [{r: i for i, r in enumerate(rs.routes)} for rs in route_sets]
+    rows: list[JointRoute] = []
+    row_set: set[JointRoute] = set()
+    payoff: list[np.ndarray] = []
+
+    def add_row(jr: JointRoute) -> None:
+        covered = np.logical_or.reduce(
+            [rs.cover[ix[r]] for rs, ix, r in zip(route_sets, index, jr.routes)]
+        )
+        rows.append(jr)
+        row_set.add(jr)
+        payoff.append(np.where(covered, 1.0, 1.0 - pi))
+
     if initial:
-        rows: list[JointRoute] = []
         for jr in initial:
-            if jr not in rows:
-                rows.append(jr)
+            if jr not in row_set:
+                add_row(jr)
     else:
         nc = nc_sro(route_sets, setting, dist, support)
         picks = []
@@ -370,8 +370,7 @@ def fc_sro(
             picks.append(
                 max(rs.routes, key=lambda r: (sigma.prob(r), -rs.routes.index(r)))
             )
-        rows = [JointRoute(tuple(picks))]
-    row_set = set(rows)
+        add_row(JointRoute(tuple(picks)))
 
     rng = stream(seed, "fc-heuristic")
     trace: list[float] = []
@@ -385,9 +384,7 @@ def fc_sro(
     while True:
         iterations += 1
         game = MatrixGame(
-            _payoff_matrix([jr.covered for jr in rows], targets, setting.value),
-            row_actions=tuple(rows),
-            col_actions=tuple(targets),
+            np.array(payoff), row_actions=tuple(rows), col_actions=tuple(targets)
         )
         row_strategy, attacker, value = solve_zero_sum(game)
         trace.append(value)
@@ -405,8 +402,7 @@ def fc_sro(
             if br in row_set:
                 optimal = True
                 break
-            rows.append(br)
-            row_set.add(br)
+            add_row(br)
         else:
             w = [attacker.prob(t) * setting.value[t] for t in targets]
             xs, _, frac_obj = _relaxed_best_response(route_sets, targets, w)
@@ -435,11 +431,14 @@ def fc_sro(
                     break
                 jr = pure
             if jr not in row_set:
-                rows.append(jr)
-                row_set.add(jr)
+                add_row(jr)
             if iterations >= heuristic_cap:
                 break
 
+    extra: dict = {"heuristic_log": log} if log else {}
+    if optimal and not all(rs.complete for rs in route_sets):
+        optimal = False
+        extra["not_optimal"] = "incomplete routes"
     diag = OracleDiagnostics(
         iterations=iterations,
         routes_generated=len(rows),
@@ -447,7 +446,7 @@ def fc_sro(
         optimal=optimal,
         timed_out=timed_out,
         trace=tuple(trace),
-        extra={"heuristic_log": log} if log else {},
+        extra=extra,
     )
     return OracleResult("FC", value, diag, joint=row_strategy)
 
@@ -602,14 +601,7 @@ def pc_sro(
     targets = sorted(support)
     m = len(route_sets)
     pi = np.array([setting.value[t] for t in targets])
-    indicators = []
-    for rs in route_sets:
-        I = np.zeros((len(rs.routes), len(targets)))
-        for i, r in enumerate(rs.routes):
-            for j, t in enumerate(targets):
-                if t in r.covered:
-                    I[i, j] = 1.0
-        indicators.append(I)
+    indicators = [rs.cover.astype(float) for rs in route_sets]
 
     def value_of(profile: list[np.ndarray]) -> float:
         if not targets:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -23,9 +22,11 @@ import numpy as np
 from .mincover import (
     CoveringPlacement,
     MinCoverResult,
+    _bits,
     min_cover,
     overlap_metrics,
     OverlapMetrics,
+    to_set_cover,
 )
 from .model import AlarmSystem, PatrollingSetting, all_pairs_distances, build_alarm, build_setting
 from .oracles import SignalResponse, respond
@@ -108,21 +109,12 @@ def enumerate_placements(
     n = setting.n
     if not 0 < m <= n:
         raise ValueError(f"cannot place {m} distinct resources on {n} vertices")
-    bit = {t: i for i, t in enumerate(setting.targets)}
-    full = (1 << len(bit)) - 1
-    masks = []
-    for v in range(n):
-        mask = 0
-        row = dist[v]
-        for t in setting.targets:
-            if row[t] <= setting.deadline[t]:
-                mask |= 1 << bit[t]
-        masks.append(mask)
+    _, masks, full = _bits(to_set_cover(setting, dist))
 
     def covering(positions: tuple[int, ...]) -> bool:
         got = 0
         for p in positions:
-            got |= masks[p]
+            got |= masks.get(p, 0)
         return got == full
 
     if initial is None:
@@ -215,7 +207,6 @@ class ResolutionConfig:
     resources_per_position: int = 1
     fc_mode: str = "exact"
     pc_restarts: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.time_budget <= 0:
@@ -314,20 +305,12 @@ def resolve(
         metrics = overlap_metrics(placement, setting, dist)
         values: dict[str, float] = {}
 
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = {
-                    scheme: pool.submit(run_oracle, scheme, resources)
-                    for scheme in config.oracles
-                }
-                responses = {s: f.result() for s, f in futures.items()}
-        else:
-            responses = {}
-            for scheme in config.oracles:
-                if time.monotonic() >= deadline:
-                    exhausted = False
-                    break
-                responses[scheme] = run_oracle(scheme, resources)
+        responses: dict[str, SignalResponse] = {}
+        for scheme in config.oracles:
+            if time.monotonic() >= deadline:
+                exhausted = False
+                break
+            responses[scheme] = run_oracle(scheme, resources)
 
         for scheme in config.oracles:
             resp = responses.get(scheme)

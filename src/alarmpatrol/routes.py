@@ -4,6 +4,10 @@ A covering route visits targets of the active signal's support, each by its
 deadline, starting from the resource's placement vertex.  Only the set of
 visited targets matters to the response games, so route generation keeps one
 best representative (minimal completion time) per maximal covered set.
+
+Every route set carries its coverage once, as a read-only boolean matrix with
+one row per route and one column per support target; the oracles derive
+their payoff matrices, LP coefficients and best-response bitmasks from it.
 """
 
 from __future__ import annotations
@@ -53,20 +57,24 @@ class RouteSet:
     """Routes available to one resource under one signal.
 
     ``complete`` is False when the beam-limited search had to drop states and
-    the set may be missing maximal routes.
+    the set may be missing maximal routes.  ``targets`` is the sorted signal
+    support and ``cover[i, j]`` says whether ``routes[i]`` covers
+    ``targets[j]``; the matrix is built here and is read-only.
     """
 
     routes: tuple[CoveringRoute, ...]
     start: int
     complete: bool
+    targets: tuple[int, ...] = field(compare=False)
+    cover: np.ndarray = field(init=False, compare=False, repr=False)
 
-
-def covers(route: CoveringRoute, t: int) -> bool:
-    return t in route.covered
-
-
-def joint_covers(jr: JointRoute, t: int) -> bool:
-    return t in jr.covered
+    def __post_init__(self) -> None:
+        col = {t: j for j, t in enumerate(self.targets)}
+        cover = np.zeros((len(self.routes), len(self.targets)), dtype=bool)
+        for i, r in enumerate(self.routes):
+            cover[i, [col[t] for t in r.visits]] = True
+        cover.flags.writeable = False
+        object.__setattr__(self, "cover", cover)
 
 
 def covering_routes(
@@ -95,6 +103,7 @@ def covering_routes(
     D = dist.tolist()
     dl = setting.deadline
     support_set = set(support)
+    targets = tuple(sorted(support_set))
     d_start = D[start]
     reach = sorted(t for t in support_set if d_start[t] <= dl[t])
     k = len(reach)
@@ -104,7 +113,7 @@ def covering_routes(
     else:
         sentinel = CoveringRoute(start, (), ())
     if k == 0:
-        return RouteSet(routes=(sentinel,), start=start, complete=True)
+        return RouteSet((sentinel,), start, True, targets)
 
     d_rows = [D[t] for t in reach]
     dl_local = [dl[t] for t in reach]
@@ -166,4 +175,4 @@ def covering_routes(
     routes.sort(key=lambda r: r.visits)
 
     out = [sentinel] + [r for r in routes if r.visits != sentinel.visits]
-    return RouteSet(routes=tuple(out), start=start, complete=complete)
+    return RouteSet(tuple(out), start, complete, targets)

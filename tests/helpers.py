@@ -359,6 +359,19 @@ def grid_team_maxmin(route_sets, setting, support, step: int = 1000) -> float:
     return best
 
 
+def payoff_matrix(covered, targets, value) -> np.ndarray:
+    """Defender utility 1 - (1 - I(r,t)) * pi(t) for each action/target pair.
+
+    Built from the actions' covered sets, independently of ``RouteSet.cover``.
+    """
+    U = np.ones((len(covered), len(targets)))
+    for i, cov in enumerate(covered):
+        for j, t in enumerate(targets):
+            if t not in cov:
+                U[i, j] -= value[t]
+    return U
+
+
 def routes_for(setting, dist, positions, support):
     from alarmpatrol import covering_routes
 

@@ -338,7 +338,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         _run_cli_twice(
             lambda out: [
                 "resolve", "--instance", instance, "--oracles", "fc,pc,nc",
-                "--budget", "60s", "--seed", "9", "--workers", "1", "--out", out,
+                "--budget", "60s", "--seed", "9", "--out", out,
             ],
             base / "rs_a",
             base / "rs_b",

@@ -10,6 +10,7 @@ from alarmpatrol import (
     all_pairs_distances,
     best_response_ilp,
     build_alarm,
+    covering_routes,
     evaluate_profile,
     exact_cover,
     fc_sro,
@@ -19,7 +20,7 @@ from alarmpatrol import (
     solve_zero_sum,
     to_set_cover,
 )
-from alarmpatrol.oracles import SEARCH_MAX_ROUTES, _payoff_matrix, uncovered_probability
+from alarmpatrol.oracles import SEARCH_MAX_ROUTES, uncovered_probability
 from alarmpatrol.routes import CoveringRoute
 from alarmpatrol.seeding import stream
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     grid_team_maxmin,
     joint_enumeration_value,
     make_setting,
+    payoff_matrix,
     random_setting,
     routes_for,
     single_signal,
@@ -95,7 +97,7 @@ def test_nc_single_resource_matches_plain_game():
         result = nc_sro(sets, s, d, s.targets)
         # Oracle value over the full support equals the plain zero-sum value
         # over all support targets (uncoverable columns only cap the value).
-        U = _payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
+        U = payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
         _, _, v = solve_zero_sum(MatrixGame(U))
         assert result.value == pytest.approx(v, abs=1e-7)
 
@@ -114,7 +116,7 @@ def test_nc_disjoint_clusters_take_the_minimum():
     result = nc_sro(sets, s, d, s.targets)
     values = []
     for rs, cluster in zip(sets, ({0, 1, 2}, {5, 6, 7})):
-        U = _payoff_matrix([r.covered for r in rs.routes], sorted(cluster), s.value)
+        U = payoff_matrix([r.covered for r in rs.routes], sorted(cluster), s.value)
         values.append(solve_zero_sum(MatrixGame(U))[2])
     assert result.value == pytest.approx(min(values), abs=1e-7)
 
@@ -176,7 +178,7 @@ def test_fc_single_resource_reduces_to_zero_sum():
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [rng.randrange(s.n)], s.targets)
         result = fc_sro(sets, s, d, s.targets)
-        U = _payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
+        U = payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
         _, _, v = solve_zero_sum(MatrixGame(U))
         assert result.value == pytest.approx(v, abs=1e-7)
 
@@ -199,6 +201,22 @@ def test_fc_exact_matches_joint_enumeration():
         assert result.diagnostics.optimal
         assert result.value == pytest.approx(expected, abs=1e-6)
         assert result.diagnostics.routes_generated <= n_joints
+
+
+def test_fc_not_optimal_over_incomplete_routes():
+    # With no exact levels and a one-state beam, every route set that could
+    # chain two targets drops states; FC's value is then exact only over the
+    # routes it was given, so it must not claim optimality.
+    s = make_setting(5, [(0, 1), (1, 2), (2, 3), (3, 4)], deadline=3)
+    d = all_pairs_distances(s)
+    sets = tuple(
+        covering_routes(s, d, p, s.targets, beam_width=1, exact_limit=0) for p in (1, 3)
+    )
+    assert not any(rs.complete for rs in sets)
+    result = fc_sro(sets, s, d, s.targets)
+    assert not result.diagnostics.timed_out
+    assert not result.diagnostics.optimal
+    assert result.diagnostics.extra["not_optimal"] == "incomplete routes"
 
 
 def test_fc_trace_is_monotone():

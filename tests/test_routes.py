@@ -1,4 +1,10 @@
-from alarmpatrol import JointRoute, all_pairs_distances, covering_routes, covers, joint_covers
+from alarmpatrol import (
+    GeneratorParams,
+    JointRoute,
+    all_pairs_distances,
+    covering_routes,
+    generate_instance,
+)
 from alarmpatrol.routes import CoveringRoute
 from alarmpatrol.seeding import stream
 from helpers import brute_route_cover_sets, make_setting, maximal_sets, random_setting
@@ -49,10 +55,10 @@ def test_start_on_target_includes_singleton():
 def test_covers_predicates():
     r12 = CoveringRoute(0, (1, 2), (1, 2))
     empty = CoveringRoute(0, (), ())
-    assert covers(r12, 2) and not covers(r12, 3)
-    assert not covers(empty, 1)
+    assert 2 in r12.covered and 3 not in r12.covered
+    assert 1 not in empty.covered
     jr = JointRoute((CoveringRoute(0, (1,), (1,)), CoveringRoute(3, (2,), (1,))))
-    assert joint_covers(jr, 2) and joint_covers(jr, 1) and not joint_covers(jr, 0)
+    assert 2 in jr.covered and 1 in jr.covered and 0 not in jr.covered
 
 
 def _route_invariants(rs, setting, dist, support):
@@ -91,6 +97,32 @@ def test_matches_permutation_search():
         # Completeness: every feasible covered set is inside some returned one.
         for c in feasible:
             assert any(c <= g for g in got | {frozenset()})
+
+
+def _cover_matches_routes(rs, support):
+    assert rs.targets == tuple(sorted(set(support)))
+    assert rs.cover.shape == (len(rs.routes), len(rs.targets))
+    assert rs.cover.dtype == bool
+    assert rs.cover.flags.writeable is False
+    for i, r in enumerate(rs.routes):
+        for j, t in enumerate(rs.targets):
+            assert rs.cover[i, j] == (t in r.covered)
+
+
+def test_cover_matrix_matches_covered_sets():
+    for trial in range(20):
+        rng = stream(24, "cover", trial)
+        s = random_setting(9, rng, deadlines=(1, 2, 3), target_fraction=0.7)
+        d = all_pairs_distances(s)
+        support = tuple(t for t in s.targets if rng.random() < 0.8) or s.targets
+        start = rng.randrange(s.n)
+        _cover_matches_routes(covering_routes(s, d, start, support), support)
+    for n, seed in ((20, 14), (40, 7)):
+        s, alarm = generate_instance(GeneratorParams(n_targets=n, seed=seed))
+        d = all_pairs_distances(s)
+        support = alarm.signal_support("s0")
+        for start in (0, n // 2, n - 1):
+            _cover_matches_routes(covering_routes(s, d, start, support), support)
 
 
 def test_deterministic_output():
