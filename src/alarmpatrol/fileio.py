@@ -202,6 +202,10 @@ def oracle_payload(
         },
         "route_sets": [route_set_payload(rs, setting) for rs in route_sets],
     }
+    # Why the value is not certified, and PC's team-maxmin search, when present.
+    for key in ("not_optimal", "search"):
+        if key in result.diagnostics.extra:
+            payload["diagnostics"][key] = result.diagnostics.extra[key]
     if result.joint is not None:
         entries = []
         for jr, p in result.joint.probs.items():

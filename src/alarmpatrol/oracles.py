@@ -12,9 +12,10 @@ expected utility:
   two resources at micro scale a spatial branch and bound over one
   resource's strategy simplex then certifies or improves it to the global
   team maxmin.
-* FC: exact maxmin over joint routes via row generation, alternating a
-  constant-sum game LP with a best-response search (branch and bound, or an
-  LP relaxation with sampling in heuristic mode).
+* FC: maxmin over joint routes via row generation, alternating a
+  constant-sum game LP with a best response: a branch and bound for the exact
+  maxmin, or, in heuristic mode, the best of m greedy joint routes (a lower
+  bound, never certified).
 
 All three read coverage from ``RouteSet.cover``, the boolean route-by-target
 matrix each route set carries, so the route sets must be built for the
@@ -44,6 +45,7 @@ from .routes import CoveringRoute, JointRoute, RouteSet, covering_routes
 from .seeding import stream
 
 CONVERGENCE_EPS = 1e-7
+PC_MAX_ITERATIONS = 200  # alternating-LP rounds per PC run
 # The PC team-maxmin search runs for two resources when the smaller route set
 # has at most SEARCH_MAX_ROUTES routes; it closes once no box's upper bound
 # exceeds the best value found by more than SEARCH_GAP, and gives up
@@ -160,6 +162,23 @@ def _weight_bits(w: Sequence[float], mask: int) -> float:
     return total
 
 
+def _greedy(
+    masks: Sequence[Sequence[int]], w: Sequence[float], first: int
+) -> tuple[list[int], float]:
+    """Greedy joint route (one route index per resource) and its weight.
+
+    From resource ``first`` round to the one before it, each resource takes
+    the route adding the most weight, lowest index on ties.
+    """
+    choice = [0] * len(masks)
+    cur = 0
+    for i in [*range(first, len(masks)), *range(first)]:
+        ms = masks[i]
+        choice[i] = min(range(len(ms)), key=lambda j: (-_weight_bits(w, ms[j] & ~cur), j))
+        cur |= ms[choice[i]]
+    return choice, _weight_bits(w, cur)
+
+
 def best_response_ilp(
     route_sets: Sequence[RouteSet],
     attacker: MixedStrategy,
@@ -167,60 +186,50 @@ def best_response_ilp(
     mode: str = "exact",
     *,
     deadline: float | None = None,
-    rng=None,
 ) -> tuple[JointRoute, float, bool]:
     """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t).
 
-    Exact mode runs a depth-first branch and bound over per-resource route
-    choices with a greedy incumbent and suffix-union upper bounds; the
-    subproblem is NP-hard in general so it honors ``deadline`` and may return
-    a non-optimal incumbent (flagged False).  Heuristic mode solves the LP
-    relaxation and samples one route per resource from the fractional
-    solution.
+    Both modes start from the greedy joint route ``_greedy(masks, w, 0)``:
+    each resource in turn takes the route adding the most attacker weight,
+    lowest index on ties.  Exact mode uses it as the incumbent of a
+    depth-first branch and bound over per-resource route choices with
+    suffix-union upper bounds; the subproblem is NP-hard in general, so it
+    honors ``deadline`` and may return a non-optimal incumbent (flagged
+    False).  Heuristic mode runs no search: it reruns the greedy starting
+    from each other resource and returns the heaviest of these m joint
+    routes, flagged False.
     """
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown best-response mode {mode!r}")
     targets = sorted(t for t in attacker.probs if attacker.probs[t] > 0.0)
     w = [attacker.prob(t) * setting.value[t] for t in targets]
     total_w = sum(w)
 
-    if mode == "heuristic":
-        if rng is None:
-            rng = stream(0, "best-response")
-        xs, _, objective = _relaxed_best_response(route_sets, targets, w)
-        choice = [_sample_index(x, rng) for x in xs]
-        jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, choice)))
-        return jr, objective, False
-    if mode != "exact":
-        raise ValueError(f"unknown best-response mode {mode!r}")
-
     masks: list[list[int]] = []
-    orders: list[list[int]] = []
     for rs in route_sets:
         # Bit k of a route's mask says whether it covers targets[k].
         packed = np.packbits(rs.cover[:, _columns(rs, targets)], axis=1, bitorder="little")
-        ms = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        masks.append(ms)
-        orders.append(
-            sorted(range(len(ms)), key=lambda i: (-_weight_bits(w, ms[i]), i))
-        )
+        masks.append([int.from_bytes(row.tobytes(), "little") for row in packed])
     n_res = len(route_sets)
+
+    best_choice, best_w = _greedy(masks, w, 0)
+    if mode == "heuristic":
+        for first in range(1, n_res):
+            choice, choice_w = _greedy(masks, w, first)
+            if choice_w > best_w + 1e-12:
+                best_choice, best_w = choice, choice_w
+        jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
+        return jr, 1.0 - total_w + best_w, False
+
+    orders = [
+        sorted(range(len(ms)), key=lambda i: (-_weight_bits(w, ms[i]), i)) for ms in masks
+    ]
     suffix = [0] * (n_res + 1)
     for i in range(n_res - 1, -1, -1):
         union = 0
         for m in masks[i]:
             union |= m
         suffix[i] = suffix[i + 1] | union
-
-    # Greedy incumbent: each resource takes the best marginal route in turn.
-    choice = []
-    cur = 0
-    for i in range(n_res):
-        best_j = min(
-            orders[i], key=lambda j: (-_weight_bits(w, masks[i][j] & ~cur), j)
-        )
-        choice.append(best_j)
-        cur |= masks[i][best_j]
-    best_choice = list(choice)
-    best_w = _weight_bits(w, cur)
 
     nodes = 0
     timed_out = False
@@ -252,57 +261,6 @@ def best_response_ilp(
     return jr, objective, not timed_out
 
 
-def _relaxed_best_response(
-    route_sets: Sequence[RouteSet], targets: Sequence[int], w: Sequence[float]
-) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """LP relaxation of the best-response program (x in [0,1]).
-
-    Relaxing the protection indicators y is always valid; this additionally
-    relaxes the route-selection variables and returns them per resource along
-    with the relaxed objective.
-    """
-    sizes = [len(rs.routes) for rs in route_sets]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n_x = int(offsets[-1])
-    n_t = len(targets)
-
-    c = np.zeros(n_x + n_t)
-    c[n_x:] = w
-
-    # y_t - sum of the routes covering t <= 0, then y_t <= 1.
-    neg_cover = np.hstack(
-        [np.where(rs.cover[:, _columns(rs, targets)].T, -1.0, 0.0) for rs in route_sets]
-    )
-    eye = np.eye(n_t)
-    A_ub = np.vstack([np.hstack([neg_cover, eye]), np.hstack([np.zeros((n_t, n_x)), eye])])
-    b_ub = np.concatenate([np.zeros(n_t), np.ones(n_t)])
-
-    A_eq = np.zeros((len(route_sets), n_x + n_t))
-    for i in range(len(route_sets)):
-        A_eq[i, offsets[i] : offsets[i + 1]] = 1.0
-
-    sol = lp_solve(
-        LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(len(route_sets)))
-    )
-    if sol.status != "optimal":
-        raise ArithmeticError(f"best-response relaxation status {sol.status}")
-    xs = [sol.x[offsets[i] : offsets[i + 1]] for i in range(len(route_sets))]
-    y = sol.x[n_x:]
-    objective = 1.0 - float(sum(w)) + float(sol.objective)
-    return xs, y, objective
-
-
-def _sample_index(probs: np.ndarray, rng) -> int:
-    total = float(probs.sum())
-    u = rng.random() * total
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += float(p)
-        if u <= acc:
-            return i
-    return len(probs) - 1
-
-
 def fc_sro(
     route_sets: Sequence[RouteSet],
     setting: PatrollingSetting,
@@ -310,26 +268,22 @@ def fc_sro(
     support: Sequence[int],
     *,
     mode: str = "exact",
-    initial: Sequence[JointRoute] | None = None,
-    seed: int = 0,
     deadline: float | None = None,
-    heuristic_cap: int = 100,
 ) -> OracleResult:
     """Full coordination: maxmin over joint covering routes by row generation.
 
-    Starting from an initial joint route (by default the most likely route of
-    each resource's NC strategy), alternately solves the constant-sum game
-    restricted to the current joint-route set and a best response against the
-    attacker's minmax strategy; stops when the best response is already a row.
-    In exact mode the converged value is the exact FC maxmin over the full
-    joint space.  Heuristic mode replaces the exact best response with the LP
-    relaxation plus sampling and stops once the relaxed response is pure and
-    inside the current equilibrium support (or after ``heuristic_cap``
-    rounds, since sampling can cycle).
+    Starting from the joint route of each resource's most likely NC route,
+    alternately solves the constant-sum game restricted to the current
+    joint-route set and a best response (``best_response_ilp`` in ``mode``)
+    against the attacker's minmax strategy; stops when the best response is
+    already a row.  Each round adds a new joint route, so both modes
+    terminate.  In exact mode the converged value is the exact FC maxmin
+    over the full joint space; heuristic mode's greedy response only yields
+    a lower bound on it.
 
     ``diagnostics.optimal`` is True only for a converged exact run over
-    complete route sets; over incomplete ones
-    ``diagnostics.extra["not_optimal"]`` is "incomplete routes".
+    complete route sets; otherwise ``diagnostics.extra["not_optimal"]`` is
+    "heuristic mode" or "incomplete routes", or ``timed_out`` is set.
     """
     t0 = time.perf_counter()
     if mode not in ("exact", "heuristic"):
@@ -359,22 +313,14 @@ def fc_sro(
         row_set.add(jr)
         payoff.append(np.where(covered, 1.0, 1.0 - pi))
 
-    if initial:
-        for jr in initial:
-            if jr not in row_set:
-                add_row(jr)
-    else:
-        nc = nc_sro(route_sets, setting, dist, support)
-        picks = []
-        for rs, sigma in zip(route_sets, nc.per_resource):
-            picks.append(
-                max(rs.routes, key=lambda r: (sigma.prob(r), -rs.routes.index(r)))
-            )
-        add_row(JointRoute(tuple(picks)))
+    nc = nc_sro(route_sets, setting, dist, support)
+    picks = [
+        max(rs.routes, key=lambda r: (sigma.prob(r), -rs.routes.index(r)))
+        for rs, sigma in zip(route_sets, nc.per_resource)
+    ]
+    add_row(JointRoute(tuple(picks)))
 
-    rng = stream(seed, "fc-heuristic")
     trace: list[float] = []
-    log: list[dict] = []
     optimal = False
     timed_out = False
     iterations = 0
@@ -391,52 +337,21 @@ def fc_sro(
         if deadline is not None and time.monotonic() > deadline:
             timed_out = True
             break
+        br, _, certified = best_response_ilp(
+            route_sets, attacker, setting, mode, deadline=deadline
+        )
+        if mode == "exact" and not certified:
+            timed_out = True
+            break
+        if br in row_set:
+            optimal = certified
+            break
+        add_row(br)
 
-        if mode == "exact":
-            br, _, ok = best_response_ilp(
-                route_sets, attacker, setting, "exact", deadline=deadline
-            )
-            if not ok:
-                timed_out = True
-                break
-            if br in row_set:
-                optimal = True
-                break
-            add_row(br)
-        else:
-            w = [attacker.prob(t) * setting.value[t] for t in targets]
-            xs, _, frac_obj = _relaxed_best_response(route_sets, targets, w)
-            integral = all(
-                np.all((x < 1e-7) | (x > 1.0 - 1e-7)) for x in xs
-            )
-            sampled = [_sample_index(x, rng) for x in xs]
-            jr = JointRoute(
-                tuple(rs.routes[c] for rs, c in zip(route_sets, sampled))
-            )
-            log.append(
-                {
-                    "fractional_objective": frac_obj,
-                    "integral": integral,
-                    "sampled_in_rows": jr in row_set,
-                }
-            )
-            if integral:
-                pure = JointRoute(
-                    tuple(
-                        rs.routes[int(np.argmax(x))]
-                        for rs, x in zip(route_sets, xs)
-                    )
-                )
-                if row_strategy.prob(pure) > 0.0:
-                    break
-                jr = pure
-            if jr not in row_set:
-                add_row(jr)
-            if iterations >= heuristic_cap:
-                break
-
-    extra: dict = {"heuristic_log": log} if log else {}
-    if optimal and not all(rs.complete for rs in route_sets):
+    extra: dict = {}
+    if mode == "heuristic":
+        extra["not_optimal"] = "heuristic mode"
+    elif optimal and not all(rs.complete for rs in route_sets):
         optimal = False
         extra["not_optimal"] = "incomplete routes"
     diag = OracleDiagnostics(
@@ -572,23 +487,21 @@ def pc_sro(
     support: Sequence[int],
     *,
     restarts: int = 0,
-    initial: Sequence[MixedStrategy] | None = None,
     seed: int = 0,
-    max_iterations: int = 200,
-    eps: float = CONVERGENCE_EPS,
 ) -> OracleResult:
     """Partial coordination: team maxmin of independently randomizing resources.
 
     Fixing all strategies but one makes the team program linear in the free
     resource; each round solves those m LPs and commits the resource with the
     largest improvement, which makes the value trace non-strictly monotone.
-    Starts from the NC solution by default and optionally repeats from random
-    strategy profiles, keeping the best run.  That run stops at a fixed point,
+    Starts from the NC solution and optionally repeats from random strategy
+    profiles, keeping the best run.  That run stops at a fixed point,
     which may be local.  For two resources whose smaller route set has at
     most SEARCH_MAX_ROUTES routes, ``_team_search`` then branches and bounds
     from the best run to the global team maxmin; its profile replaces the
     run's, and its value ends the trace, only when it is better by more than
-    ``eps``, so a certified value is within SEARCH_GAP + eps of the optimum.
+    CONVERGENCE_EPS, so a certified value is within SEARCH_GAP +
+    CONVERGENCE_EPS of the optimum.
 
     ``diagnostics.optimal`` is True only for one resource (a single LP is
     global) or when the search closed its bound gap, and never over
@@ -615,7 +528,7 @@ def pc_sro(
         val = value_of(profile)
         hist = [val]
         converged = False
-        for _ in range(max_iterations):
+        for _ in range(PC_MAX_ITERATIONS):
             if not targets:
                 converged = True
                 break
@@ -630,7 +543,7 @@ def pc_sro(
                 weights = pi * uncov_others
                 x_new, v = _response_lp(indicators[i], weights)
                 cand = 1.0 - v
-                if cand > best_val + eps:
+                if cand > best_val + CONVERGENCE_EPS:
                     best_i, best_val, best_x = i, cand, x_new
             if best_i < 0:
                 converged = True
@@ -640,17 +553,11 @@ def pc_sro(
             hist.append(val)
         return profile, val, hist, converged
 
-    if initial is not None:
-        start = [
-            np.array([sigma.prob(r) for r in rs.routes])
-            for rs, sigma in zip(route_sets, initial)
-        ]
-    else:
-        nc = nc_sro(route_sets, setting, dist, support)
-        start = [
-            np.array([sigma.prob(r) for r in rs.routes])
-            for rs, sigma in zip(route_sets, nc.per_resource)
-        ]
+    nc = nc_sro(route_sets, setting, dist, support)
+    start = [
+        np.array([sigma.prob(r) for r in rs.routes])
+        for rs, sigma in zip(route_sets, nc.per_resource)
+    ]
 
     profiles = [start] + [
         [_random_simplex(len(rs.routes), stream(seed, "pc-restart", k, i)) for i, rs in enumerate(route_sets)]
@@ -672,7 +579,7 @@ def pc_sro(
         found, found_val, nodes, upper, optimal = _team_search(
             indicators, pi, best_profile, best_val
         )
-        if found_val > best_val + eps:
+        if found_val > best_val + CONVERGENCE_EPS:
             best_profile, best_val = found, value_of(found)
             best_hist = best_hist + [best_val]
         extra["search"] = {
@@ -798,7 +705,6 @@ def respond(
                 dist,
                 support,
                 mode=fc_mode,
-                seed=seed,
                 deadline=deadline,
             )
     value = aggregate_value(setting, alarm, per_signal)

@@ -32,6 +32,11 @@ from .model import AlarmSystem, PatrollingSetting, all_pairs_distances, build_al
 from .oracles import SignalResponse, respond
 from .seeding import stream
 
+# enumerate_placements: random perturbations tried once the swap neighborhood
+# dries up, and the largest number of combinations its systematic scan visits.
+PERTURB_ATTEMPTS = 200
+SYSTEMATIC_CAP = 2_000_000
+
 
 class BudgetTooSmall(RuntimeError):
     """The time budget expired before the placement step could finish."""
@@ -95,8 +100,6 @@ def enumerate_placements(
     *,
     initial: CoveringPlacement | None = None,
     seed: int = 0,
-    perturb_attempts: int = 200,
-    systematic_cap: int = 2_000_000,
 ) -> Iterator[CoveringPlacement]:
     """Yield distinct covering placements of exactly ``m`` positions.
 
@@ -139,7 +142,7 @@ def enumerate_placements(
     yield CoveringPlacement(first)
 
     sweep = None
-    if math.comb(n, m) <= systematic_cap:
+    if math.comb(n, m) <= SYSTEMATIC_CAP:
         sweep = itertools.combinations(range(n), m)
 
     while True:
@@ -159,7 +162,7 @@ def enumerate_placements(
                     yield CoveringPlacement(cand)
 
         found = False
-        for _ in range(perturb_attempts):
+        for _ in range(PERTURB_ATTEMPTS):
             base = order[rng.randrange(len(order))]
             cand = list(base)
             for _ in range(2):
@@ -200,7 +203,6 @@ class ResolutionConfig:
     time_budget: float = 3600.0
     oracles: tuple[str, ...] = ("FC", "PC", "NC")
     mincover_method: str = "auto"
-    mincover_budget: float | None = None
     beam_width: int = 100_000
     seed: int = 0
     max_placements: int | None = None
@@ -264,10 +266,9 @@ def resolve(
     budget = config.time_budget
     dist = all_pairs_distances(setting)
 
-    mc_budget = config.mincover_budget
-    if mc_budget is None:
-        mc_budget = min(budget / 4.0, 30.0)
-    mc = min_cover(setting, dist, config.mincover_method, time_budget=mc_budget)
+    mc = min_cover(
+        setting, dist, config.mincover_method, time_budget=min(budget / 4.0, 30.0)
+    )
     if time.monotonic() - t0 >= budget:
         raise BudgetTooSmall("time budget exhausted during the placement step")
 

@@ -196,7 +196,7 @@ def test_criterion_6_coordination_ordering():
                 sets = tuple(rs for rs in base for _ in range(k))
                 nc = nc_sro(sets, s, dist, support)
                 pc = pc_sro(sets, s, dist, support, seed=seed)
-                fc = fc_sro(sets, s, dist, support, seed=seed)
+                fc = fc_sro(sets, s, dist, support)
                 assert fc.diagnostics.optimal
                 assert fc.value >= pc.value - 1e-6, (seed, k)
                 assert pc.value >= nc.value - 1e-6, (seed, k)

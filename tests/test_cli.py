@@ -102,6 +102,28 @@ def test_routes_and_sro(tmp_path):
     assert abs(sum(e["p"] for e in strategy) - 1.0) < 1e-9
 
 
+def test_sro_result_says_why_not_optimal(tmp_path):
+    def diagnostics(n_targets, seed, placement, *options):
+        out = tmp_path / f"t{n_targets}_s{seed}"
+        assert run(["gen", "--targets", str(n_targets), "--seed", str(seed), "--out", str(out)]) == 0
+        assert run([
+            "sro", "--instance", str(out / "instance.json"), "--placement", placement,
+            "--out", str(out), *options,
+        ]) == 0
+        return json.loads((out / "result.json").read_text())["signals"]["s0"]["diagnostics"]
+
+    fc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "fc", "--beam-width", "5")
+    assert fc["optimal"] is False and fc["not_optimal"] == "incomplete routes"
+    fc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "fc", "--fc-mode", "heuristic")
+    assert fc["optimal"] is False and fc["not_optimal"] == "heuristic mode"
+    nc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "nc")
+    assert nc["optimal"] is True and "not_optimal" not in nc and "search" not in nc
+    # v14 has 3 covering routes, so PC runs its two-resource search.
+    pc = diagnostics(20, 14, "v4,v14", "--oracle", "pc")
+    assert pc["optimal"] is True and "not_optimal" not in pc
+    assert set(pc["search"]) == {"nodes", "upper_bound", "gap"}
+
+
 def test_sro_requires_placement(tmp_path, capsys):
     assert run(["gen", "--targets", "6", "--seed", "3", "--out", str(tmp_path)]) == 0
     code = run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",

@@ -21,7 +21,7 @@ from alarmpatrol import (
     to_set_cover,
 )
 from alarmpatrol.oracles import SEARCH_MAX_ROUTES, uncovered_probability
-from alarmpatrol.routes import CoveringRoute
+from alarmpatrol.routes import CoveringRoute, RouteSet
 from alarmpatrol.seeding import stream
 from helpers import (
     brute_best_response_value,
@@ -158,6 +158,23 @@ def test_best_response_matches_brute_force():
         assert obj == pytest.approx(brute_best_response_value(sets, attacker, s), abs=1e-9)
 
 
+def test_best_response_heuristic_restarts_greedy_from_each_resource():
+    # Greedy from resource 0 takes its {0, 1} route, which resource 1 can only
+    # repeat; the pass starting from resource 1 finds the exact response.
+    s = make_setting(3, [(0, 1), (1, 2)])
+    sets = (
+        RouteSet((_r(0, 0, 1), _r(0, 2)), 0, True, (0, 1, 2)),
+        RouteSet((_r(1, 0, 1),), 1, True, (0, 1, 2)),
+    )
+    attacker = MixedStrategy({0: 0.3, 1: 0.3, 2: 0.4})
+    exact_jr, exact_obj, ok = best_response_ilp(sets, attacker, s)
+    jr, obj, certified = best_response_ilp(sets, attacker, s, "heuristic")
+    assert ok and not certified
+    assert exact_obj == pytest.approx(1.0)
+    assert obj == pytest.approx(exact_obj)
+    assert jr == exact_jr
+
+
 # -- FC ------------------------------------------------------------------------
 
 
@@ -172,15 +189,18 @@ def test_fc_full_protection_is_pure():
 
 
 def test_fc_single_resource_reduces_to_zero_sum():
+    # With one resource the greedy best response is the exact one, so
+    # heuristic mode also reaches the zero-sum value.
     for trial in range(8):
         rng = stream(43, "fc1", trial)
         s = random_setting(8, rng, deadlines=(1, 2))
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [rng.randrange(s.n)], s.targets)
-        result = fc_sro(sets, s, d, s.targets)
         U = payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
         _, _, v = solve_zero_sum(MatrixGame(U))
-        assert result.value == pytest.approx(v, abs=1e-7)
+        for mode in ("exact", "heuristic"):
+            result = fc_sro(sets, s, d, s.targets, mode=mode)
+            assert result.value == pytest.approx(v, abs=1e-7), mode
 
 
 def test_fc_exact_matches_joint_enumeration():
@@ -236,11 +256,11 @@ def test_fc_heuristic_terminates_below_exact():
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [0, s.n - 1], s.targets)
         exact = fc_sro(sets, s, d, s.targets, mode="exact")
-        heur = fc_sro(sets, s, d, s.targets, mode="heuristic", seed=trial)
+        heur = fc_sro(sets, s, d, s.targets, mode="heuristic")
         assert heur.value <= exact.value + 1e-6
         assert 1.0 - max(s.value.values()) - 1e-9 <= heur.value <= 1.0 + 1e-9
         assert not heur.diagnostics.optimal
-        assert heur.diagnostics.extra["heuristic_log"]
+        assert heur.diagnostics.extra["not_optimal"] == "heuristic mode"
 
 
 # -- PC ------------------------------------------------------------------------
