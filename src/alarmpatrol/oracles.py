@@ -13,9 +13,10 @@ expected utility:
   resource's strategy simplex then certifies or improves it to the global
   team maxmin.
 * FC: maxmin over joint routes via row generation, alternating a
-  constant-sum game LP with a best response: a branch and bound for the exact
-  maxmin, or, in heuristic mode, the best of m greedy joint routes (a lower
-  bound, never certified).
+  constant-sum game LP with a best response: for the exact maxmin, a branch
+  and bound pruned by the union of the remaining routes and by the sum of
+  each remaining resource's best marginal route; in heuristic mode, the best
+  of m greedy joint routes (a lower bound, never certified).
 
 All three read coverage from ``RouteSet.cover``, the boolean route-by-target
 matrix each route set carries, so the route sets must be built for the
@@ -192,12 +193,14 @@ def best_response_ilp(
     Both modes start from the greedy joint route ``_greedy(masks, w, 0)``:
     each resource in turn takes the route adding the most attacker weight,
     lowest index on ties.  Exact mode uses it as the incumbent of a
-    depth-first branch and bound over per-resource route choices with
-    suffix-union upper bounds; the subproblem is NP-hard in general, so it
-    honors ``deadline`` and may return a non-optimal incumbent (flagged
-    False).  Heuristic mode runs no search: it reruns the greedy starting
-    from each other resource and returns the heaviest of these m joint
-    routes, flagged False.
+    depth-first branch and bound over per-resource route choices, pruned by
+    the uncovered weight of the union of all remaining routes and by the sum
+    of each remaining resource's best uncovered route weight; the search
+    order and strict improvement fix which optimum is returned.  The
+    subproblem is NP-hard in general, so it honors ``deadline`` and may
+    return a non-optimal incumbent (flagged False).  Heuristic mode runs no
+    search: it reruns the greedy starting from each other resource and
+    returns the heaviest of these m joint routes, flagged False.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown best-response mode {mode!r}")
@@ -248,6 +251,12 @@ def best_response_ilp(
                 best_choice = list(picked)
             return
         if cur_w + _weight_bits(w, suffix[i] & ~cur_mask) <= best_w + 1e-12:
+            return
+        # Summed in the order a leaf sums its gains, so never below any leaf.
+        bound = cur_w
+        for ms in masks[i:]:
+            bound += max(_weight_bits(w, m & ~cur_mask) for m in ms)
+        if bound <= best_w + 1e-12:
             return
         for j in orders[i]:
             picked.append(j)
@@ -315,7 +324,7 @@ def fc_sro(
 
     nc = nc_sro(route_sets, setting, dist, support)
     picks = [
-        max(rs.routes, key=lambda r: (sigma.prob(r), -rs.routes.index(r)))
+        rs.routes[max(range(len(rs.routes)), key=lambda i: (sigma.prob(rs.routes[i]), -i))]
         for rs, sigma in zip(route_sets, nc.per_resource)
     ]
     add_row(JointRoute(tuple(picks)))

@@ -1,8 +1,10 @@
 import math
+import time
 
 import pytest
 
 from alarmpatrol import (
+    GeneratorParams,
     JointRoute,
     MatrixGame,
     MixedStrategy,
@@ -14,6 +16,8 @@ from alarmpatrol import (
     evaluate_profile,
     exact_cover,
     fc_sro,
+    generate_instance,
+    min_cover,
     nc_sro,
     pc_sro,
     respond,
@@ -158,6 +162,35 @@ def test_best_response_matches_brute_force():
         assert obj == pytest.approx(brute_best_response_value(sets, attacker, s), abs=1e-9)
 
 
+def test_best_response_matches_brute_force_many_resources():
+    # The brute-force checks above stop at m <= 3.  With 4-6 resources over
+    # overlapping random covers, a best-marginal bound that skipped the
+    # resources past the third would pass those and fail here.
+    for trial in range(40):
+        rng = stream(44, "brmany", trial)
+        n = 12
+        s = make_setting(n, [(i, i + 1) for i in range(n - 1)],
+                         targets={t: (rng.uniform(0.05, 1.0), 1) for t in range(n)})
+        sets = tuple(
+            RouteSet(
+                tuple(_r(k, *rng.sample(range(n), rng.randrange(1, 6)))
+                      for _ in range(rng.randrange(1, 5))),
+                k, True, tuple(range(n)),
+            )
+            for k in range(rng.randrange(4, 7))
+        )
+        weights = [rng.random() if rng.random() < 0.8 else 0.0 for _ in range(n)]
+        weights[0] += 0.01
+        attacker = MixedStrategy.from_weights(list(range(n)), weights)
+        jr, obj, ok = best_response_ilp(sets, attacker, s)
+        assert ok
+        brute = brute_best_response_value(sets, attacker, s)
+        assert abs(obj - brute) <= 1e-12
+        assert obj == pytest.approx(1.0 - sum(
+            attacker.prob(t) * s.value[t] for t in range(n) if t not in jr.covered
+        ), abs=1e-12)
+
+
 def test_best_response_heuristic_restarts_greedy_from_each_resource():
     # Greedy from resource 0 takes its {0, 1} route, which resource 1 can only
     # repeat; the pass starting from resource 1 finds the exact response.
@@ -237,6 +270,20 @@ def test_fc_not_optimal_over_incomplete_routes():
     assert not result.diagnostics.timed_out
     assert not result.diagnostics.optimal
     assert result.diagnostics.extra["not_optimal"] == "incomplete routes"
+
+
+def test_fc_exact_finishes_at_deadline_2():
+    # Seven resources with 8-19 routes each: the suffix-union bound alone
+    # lets the exact best response run past a 30-s budget here.
+    s, _ = generate_instance(GeneratorParams(n_targets=60, seed=1, deadline=2))
+    d = all_pairs_distances(s)
+    placement = min_cover(s, d, "exact").placement.positions
+    assert len(placement) == 7
+    sets = routes_for(s, d, placement, s.targets)
+    result = fc_sro(sets, s, d, s.targets, deadline=time.monotonic() + 30.0)
+    assert not result.diagnostics.timed_out
+    assert result.diagnostics.optimal
+    assert result.value == pytest.approx(0.5332551214373358, abs=1e-9)
 
 
 def test_fc_trace_is_monotone():
