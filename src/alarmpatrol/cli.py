@@ -4,8 +4,10 @@ Subcommands: ``gen`` (instance generation), ``mincover``, ``routes``, ``sro``
 (one oracle on one placement), ``resolve`` (full pipeline) and ``bench``
 (batch over sizes and seeds with an aggregate CSV).  Exit codes: 0 success,
 2 invalid input, 3 an exact computation timed out and an incumbent was
-written.  All randomness flows from ``--seed``; result files are byte
-reproducible for a fixed seed, wall-clock timing lives in CSV sidecars.
+written, 4 a numerical failure (pivot limit, non-optimal LP status or a
+failed game-value certificate).  All randomness flows from ``--seed``; result
+files are byte reproducible for a fixed seed, wall-clock timing lives in CSV
+sidecars.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .routes import covering_routes
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_TIMEOUT = 3
+EXIT_NUMERIC = 4
 
 
 def parse_duration(text: str) -> float:
@@ -429,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelError, fileio.FileFormatError, BudgetTooSmall, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Constant-sum matrix games solved by linear programming.
 
 The defender picks a row, the attacker a column; the payoff matrix stores the
-defender utility and the attacker receives one minus it.  Both players' maxmin
-strategies come from a pair of LPs whose values must agree by duality, which
-doubles as an internal numerical check.
+defender utility and the attacker receives one minus it.  One LP per game gives
+both players' strategies: the defender's maxmin is its primal, the attacker's
+minmax its duals.  Each pair is checked as a certificate of the game value.
 """
 
 from __future__ import annotations
@@ -71,8 +71,10 @@ def solve_zero_sum(game: MatrixGame) -> tuple[MixedStrategy, MixedStrategy, floa
 
     The row player maximizes the minimal column payoff; the column strategy is
     the attacker minmax distribution (the one row generation best-responds
-    to).  Payoffs are shifted to be non-negative so the value variable can be
-    kept sign-constrained.
+    to), read from the duals of the per-column constraints.  Payoffs are
+    shifted to be non-negative so the value variable can be kept
+    sign-constrained.  Raises ArithmeticError unless each strategy guarantees
+    the value within ``VALUE_TOL`` against every reply.
     """
     U = game.payoff
     n_rows, n_cols = U.shape
@@ -90,26 +92,18 @@ def solve_zero_sum(game: MatrixGame) -> tuple[MixedStrategy, MixedStrategy, floa
     if row_sol.status != "optimal":
         raise ArithmeticError(f"row LP ended with status {row_sol.status}")
 
-    # minimize u  s.t.  sum_t U[r,t] y_t - u <= 0 per row, sum y = 1
-    A_ub = np.hstack([Us, -np.ones((n_rows, 1))])
-    A_eq = np.hstack([np.ones((1, n_cols)), np.zeros((1, 1))])
-    c = np.zeros(n_cols + 1)
-    c[-1] = -1.0
-    col_sol = lp_solve(
-        LinearProgram(c=c, A_ub=A_ub, b_ub=np.zeros(n_rows), A_eq=A_eq, b_eq=np.ones(1))
-    )
-    if col_sol.status != "optimal":
-        raise ArithmeticError(f"column LP ended with status {col_sol.status}")
-
     value = float(row_sol.x[-1]) + shift
-    value_col = -float(col_sol.objective) + shift
-    if abs(value - value_col) > VALUE_TOL:
-        raise ArithmeticError(
-            f"LP duality gap {abs(value - value_col)} exceeds {VALUE_TOL}"
-        )
+    x = row_sol.x[:n_rows]
+    y = np.maximum(row_sol.duals, 0.0)
+    if y.sum() <= 0.0:
+        raise ArithmeticError("row LP has no positive dual weight")
+    y = y / y.sum()
+    gap = max(float((U @ y).max()) - value, value - float((x @ U).min()))
+    if gap > VALUE_TOL:
+        raise ArithmeticError(f"strategies miss the game value by {gap} > {VALUE_TOL}")
 
     row_actions = game.row_actions or tuple(range(n_rows))
     col_actions = game.col_actions or tuple(range(n_cols))
-    row = MixedStrategy.from_weights(row_actions, row_sol.x[:n_rows])
-    col = MixedStrategy.from_weights(col_actions, col_sol.x[:n_cols])
+    row = MixedStrategy.from_weights(row_actions, x)
+    col = MixedStrategy.from_weights(col_actions, y)
     return row, col, value

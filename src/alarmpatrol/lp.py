@@ -1,10 +1,11 @@
 """Dense two-phase simplex over numpy tableaus.
 
 Solves  maximize c @ x  subject to  A_ub @ x <= b_ub,  A_eq @ x = b_eq,
-x >= 0.  Pivoting is Dantzig's rule with lowest-index tie-breaks, falling back
-to Bland's rule after a run of degenerate pivots, so repeated solves of the
-same program agree bit for bit and cycling cannot occur.  Instances here are
-small and dense; there is no sparse path.
+x >= 0, and returns the optimal duals of the ``A_ub`` rows with the primal.
+Pivoting is Dantzig's rule with lowest-index tie-breaks, falling back to
+Bland's rule after a run of degenerate pivots, so repeated solves of the same
+program agree bit for bit and cycling cannot occur.  Instances here are small
+and dense; there is no sparse path.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class LinearProgramSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
+    duals: np.ndarray | None = None  # of the A_ub rows, >= -PIVOT_TOL
 
 
 def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
@@ -141,7 +143,11 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
     for i in range(state.T.shape[0]):
         if state.basis[i] < n:
             x[state.basis[i]] = state.T[i, -1]
-    return LinearProgramSolution(status="optimal", x=x, objective=float(c @ x))
+    # Dual of inequality row i is minus the final reduced cost of its slack
+    # column; a row negated for its rhs also negated its slack, so the sign
+    # works out the same.
+    duals = -r2[n : n + m1]
+    return LinearProgramSolution(status="optimal", x=x, objective=float(c @ x), duals=duals)
 
 
 class _SimplexState:

@@ -32,9 +32,8 @@ from .model import AlarmSystem, PatrollingSetting, all_pairs_distances, build_al
 from .oracles import SignalResponse, respond
 from .seeding import stream
 
-# enumerate_placements: random perturbations tried once the swap neighborhood
-# dries up, and the largest number of combinations its systematic scan visits.
-PERTURB_ATTEMPTS = 200
+# The largest number of combinations enumerate_placements' systematic sweep
+# visits; above it the sweep is skipped and exhaustion is not guaranteed.
 SYSTEMATIC_CAP = 2_000_000
 
 
@@ -99,15 +98,14 @@ def enumerate_placements(
     m: int,
     *,
     initial: CoveringPlacement | None = None,
-    seed: int = 0,
 ) -> Iterator[CoveringPlacement]:
     """Yield distinct covering placements of exactly ``m`` positions.
 
     Sweeps the swap neighborhood (exchange one placed vertex for an unplaced
-    one, keeping coverage) breadth-first, restarts from randomly perturbed
-    incumbents when it dries up, and finally falls back to a systematic scan
-    of the remaining vertex combinations when their number is tractable; only
-    then is true exhaustion guaranteed.  Never repeats a placement.
+    one, keeping coverage) breadth-first; when it dries up, a systematic sweep
+    of the vertex combinations yields the next unseen covering one and the
+    swap search resumes from it.  The sweep runs only when ``_sweeps(n, m)``,
+    and only then is true exhaustion guaranteed.  Never repeats a placement.
     """
     n = setting.n
     if not 0 < m <= n:
@@ -135,16 +133,11 @@ def enumerate_placements(
     if not covering(first):
         raise ValueError("no covering placement of the requested size found")
 
-    rng = stream(seed, "enumerate")
     visited: set[tuple[int, ...]] = {first}
-    order: list[tuple[int, ...]] = [first]
     queue: list[tuple[int, ...]] = [first]
     yield CoveringPlacement(first)
 
-    sweep = None
-    if math.comb(n, m) <= SYSTEMATIC_CAP:
-        sweep = itertools.combinations(range(n), m)
-
+    sweep = itertools.combinations(range(n), m) if _sweeps(n, m) else ()
     while True:
         while queue:
             base = queue.pop(0)
@@ -157,43 +150,22 @@ def enumerate_placements(
                     if cand in visited or not covering(cand):
                         continue
                     visited.add(cand)
-                    order.append(cand)
                     queue.append(cand)
                     yield CoveringPlacement(cand)
 
-        found = False
-        for _ in range(PERTURB_ATTEMPTS):
-            base = order[rng.randrange(len(order))]
-            cand = list(base)
-            for _ in range(2):
-                out_i = rng.randrange(m)
-                repl = rng.randrange(n)
-                if repl not in cand:
-                    cand[out_i] = repl
-            tup = tuple(sorted(set(cand)))
-            if len(tup) == m and tup not in visited and covering(tup):
-                visited.add(tup)
-                order.append(tup)
-                queue.append(tup)
-                yield CoveringPlacement(tup)
-                found = True
+        for combo in sweep:
+            if combo not in visited and covering(combo):
+                visited.add(combo)
+                queue.append(combo)
+                yield CoveringPlacement(combo)
                 break
-        if found:
-            continue
-
-        if sweep is not None:
-            for combo in sweep:
-                if combo not in visited and covering(combo):
-                    visited.add(combo)
-                    order.append(combo)
-                    queue.append(combo)
-                    yield CoveringPlacement(combo)
-                    found = True
-                    break
-            else:
-                return
-        if not found:
+        else:
             return
+
+
+def _sweeps(n: int, m: int) -> bool:
+    """Whether enumerate_placements sweeps all C(n, m) combinations."""
+    return math.comb(n, m) <= SYSTEMATIC_CAP
 
 
 @dataclass(frozen=True)
@@ -294,8 +266,8 @@ def resolve(
             deadline=deadline,
         )
 
-    gen = enumerate_placements(setting, dist, m, initial=mc.placement, seed=config.seed)
-    exhausted = True
+    gen = enumerate_placements(setting, dist, m, initial=mc.placement)
+    exhausted = _sweeps(setting.n, m)
     for idx, placement in enumerate(gen):
         if time.monotonic() >= deadline or (
             config.max_placements is not None and idx >= config.max_placements

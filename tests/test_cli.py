@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from alarmpatrol.cli import aggregate_bench, main, parse_duration
+from alarmpatrol import oracles
+from alarmpatrol.cli import EXIT_NUMERIC, aggregate_bench, main, parse_duration
 from alarmpatrol.fileio import (
     instance_to_payload,
     load_instance,
@@ -129,6 +130,20 @@ def test_sro_requires_placement(tmp_path, capsys):
     code = run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",
                 "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def fail(game):
+        raise ArithmeticError("simplex pivot limit exceeded")
+
+    monkeypatch.setattr(oracles, "solve_zero_sum", fail)
+    assert run(["gen", "--targets", "6", "--seed", "3", "--out", str(tmp_path)]) == 0
+    code = run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",
+                "--placement", "v0", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERIC == 4
+    err = capsys.readouterr().err
+    assert err.strip() == "error: numerical failure: simplex pivot limit exceeded"
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_resolve_outputs_and_monotone_trace(tmp_path):

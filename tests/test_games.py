@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from alarmpatrol import MatrixGame, MixedStrategy, solve_zero_sum
+from alarmpatrol import MatrixGame, MixedStrategy, games, lp_solve, solve_zero_sum
 from helpers import support_enumeration_value
 
 
@@ -42,6 +44,27 @@ def test_duality_gap_small():
         # Guarantees of the two strategies straddle the value.
         assert (x @ U).min() >= value - 1e-7
         assert (U @ y).max() <= value + 1e-7
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"duals": np.array([1.0, 0.0, 0.0])},
+        {"duals": np.zeros(3)},
+        {"duals": np.ones(3)},
+        {"x": np.array([1.0, 0.0, 0.5])},
+    ],
+)
+def test_corrupted_solution_fails_the_certificate(monkeypatch, changes):
+    # The maxmin of this game is (1/2, 1/2) and the minmax (1/2, 1/2, 0), with
+    # value 1/2; each corrupted strategy lets the other player beat the value,
+    # or carries no weight at all.
+    def corrupt(lp):
+        return dataclasses.replace(lp_solve(lp), **changes)
+
+    monkeypatch.setattr(games, "lp_solve", corrupt)
+    with pytest.raises(ArithmeticError):
+        solve_zero_sum(MatrixGame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])))
 
 
 def test_scaling_payoffs():

@@ -11,6 +11,7 @@ from alarmpatrol import (
     resolve,
     respond,
 )
+from alarmpatrol import pipeline
 from alarmpatrol.fileio import report_payload
 from alarmpatrol.mincover import CoveringPlacement
 from alarmpatrol.pipeline import BudgetTooSmall
@@ -74,7 +75,7 @@ def test_enumerate_matches_exhaustive_and_never_repeats():
         expected = brute_covering_placements(s, d, m)
         if not expected:
             continue
-        got = [p.positions for p in enumerate_placements(s, d, m, seed=trial)]
+        got = [p.positions for p in enumerate_placements(s, d, m)]
         assert len(got) == len(set(got))
         assert set(got) <= expected
         assert set(got) == expected  # systematic sweep guarantees exhaustion here
@@ -115,6 +116,17 @@ def test_resolve_path5_fc_matches_exhaustive_placements():
     )
     assert report.best["FC"].value == pytest.approx(best, abs=1e-9)
     assert report.placements_evaluated == len(brute_covering_placements(s, d, 2))
+
+
+def test_resolve_not_exhausted_without_sweep(monkeypatch):
+    # Without the systematic sweep the swap search finds 6 of the 8 covering
+    # placements of size 2 on this instance, so exhaustion is not proven.
+    monkeypatch.setattr(pipeline, "SYSTEMATIC_CAP", 0)
+    s, alarm = generate_instance(GeneratorParams(n_targets=30, seed=1))
+    report = resolve(s, alarm, ResolutionConfig(time_budget=60.0, oracles=("NC",)))
+    assert report.m == 2
+    assert report.placements_evaluated == 6
+    assert report.exhausted is False
 
 
 def test_resolve_incumbent_trace_monotone():
