@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -85,6 +86,14 @@ def instance_to_payload(setting: PatrollingSetting, alarm: AlarmSystem) -> dict[
     }
 
 
+def _is_finite_number(x: Any) -> bool:
+    """Whether ``x`` is a finite JSON number; bools and strings are not numbers."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def parse_instance(payload: Mapping[str, Any]) -> tuple[PatrollingSetting, AlarmSystem]:
     if not isinstance(payload, Mapping):
         raise FileFormatError("instance document must be a JSON object")
@@ -117,7 +126,14 @@ def parse_instance(payload: Mapping[str, Any]) -> tuple[PatrollingSetting, Alarm
             raise FileFormatError(
                 "key 'targets' entries must have exactly id, value and deadline"
             )
-        triples.append((entry["id"], entry["value"], entry["deadline"]))
+        tid, value, deadline = entry["id"], entry["value"], entry["deadline"]
+        if not isinstance(tid, str):
+            raise FileFormatError("key 'id' of a target must be a string vertex id")
+        if not _is_finite_number(value):
+            raise FileFormatError(f"key 'value' of target {tid!r} must be a finite number")
+        if isinstance(deadline, bool) or not isinstance(deadline, int):
+            raise FileFormatError(f"key 'deadline' of target {tid!r} must be an integer")
+        triples.append((tid, value, deadline))
 
     signals = payload["signals"]
     if not isinstance(signals, list):
@@ -126,9 +142,14 @@ def parse_instance(payload: Mapping[str, Any]) -> tuple[PatrollingSetting, Alarm
     for entry in signals:
         if not isinstance(entry, Mapping) or set(entry) != {"id", "probs"}:
             raise FileFormatError("key 'signals' entries must have exactly id and probs")
-        if not isinstance(entry["probs"], Mapping):
-            raise FileFormatError("key 'probs' must map target ids to probabilities")
-        pairs.append((entry["id"], entry["probs"]))
+        sid, probs = entry["id"], entry["probs"]
+        if not isinstance(sid, str):
+            raise FileFormatError("key 'id' of a signal must be a string")
+        if not isinstance(probs, Mapping) or not all(map(_is_finite_number, probs.values())):
+            raise FileFormatError(
+                f"key 'probs' of signal {sid!r} must map target ids to finite numbers"
+            )
+        pairs.append((sid, probs))
 
     setting = build_setting(vertices, edges, triples)
     alarm = build_alarm(setting, pairs)

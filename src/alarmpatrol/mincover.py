@@ -58,20 +58,6 @@ class CoveringPlacement:
 
 
 @dataclass(frozen=True)
-class CoverageProfile:
-    """Subtree summary used by the tree recursion.
-
-    Either the subtree is covered and ``cov`` is the distance from the parent
-    to the closest resource inside it, or it still needs a resource within
-    ``uncov`` of the parent.  Both fields infinite encodes a subtree with no
-    targets and no resources (only possible with non-target vertices).
-    """
-
-    cov: float
-    uncov: float
-
-
-@dataclass(frozen=True)
 class MinCoverResult:
     placement: CoveringPlacement
     optimal: bool

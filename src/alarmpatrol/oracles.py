@@ -18,12 +18,13 @@ expected utility:
   each remaining resource's best marginal route; in heuristic mode, the best
   of m greedy joint routes (a lower bound, never certified).
 
-All three read coverage from ``RouteSet.cover``, the boolean route-by-target
-matrix each route set carries, so the route sets must be built for the
-signal's support.  NC's games and FC's restricted game pay 1 where a row
-covers a target and 1 - pi_t where it does not; PC's response LPs use the
-matrices as 0/1 indicators; the FC best response packs their columns into
-bitmasks.
+The route sets are the oracles' only coverage input.  All route sets of one
+call are built for the same signal and so share ``targets``, the signal's
+support, which is the set of targets the attacker may choose; coverage is
+``RouteSet.cover``, the boolean route-by-target matrix each set carries.
+NC's games and FC's restricted game pay 1 where a row covers a target and
+1 - pi_t where it does not; PC's response LPs use the matrices as 0/1
+indicators; the FC best response packs their columns into bitmasks.
 
 Multiple signals are handled by solving one independent response game per
 signal and aggregating with the attacker committing to a target before the
@@ -85,8 +86,24 @@ def _columns(rs: RouteSet, targets: Sequence[int]) -> list[int]:
     return [col[t] for t in targets]
 
 
-def _marginal_coverage(strategy: MixedStrategy, t: int) -> float:
-    return sum(p for r, p in strategy.probs.items() if t in r.covered)
+def _support(route_sets: Sequence[RouteSet]) -> tuple[int, ...]:
+    """The signal support shared by one call's route sets."""
+    if len({rs.targets for rs in route_sets}) > 1:
+        raise ValueError("route sets were built for different signal supports")
+    return route_sets[0].targets
+
+
+def _uncovered(strategies: MixedStrategy | Sequence[MixedStrategy], t: int) -> float:
+    """Probability that no route drawn from ``strategies`` covers target ``t``.
+
+    Takes one joint strategy or a sequence of independent per-resource ones.
+    """
+    if isinstance(strategies, MixedStrategy):
+        strategies = (strategies,)
+    uncov = 1.0
+    for sigma in strategies:
+        uncov *= 1.0 - sum(p for r, p in sigma.probs.items() if t in r.covered)
+    return uncov
 
 
 def evaluate_profile(
@@ -99,42 +116,25 @@ def evaluate_profile(
     Accepts either one joint strategy over ``JointRoute`` actions or a
     sequence of independent per-resource strategies over ``CoveringRoute``.
     """
-    targets = sorted(support)
-    if not targets:
-        return 1.0
     worst = 0.0
-    if isinstance(strategies, MixedStrategy):
-        for t in targets:
-            uncov = 1.0 - _marginal_coverage(strategies, t)
-            worst = max(worst, setting.value[t] * uncov)
-    else:
-        for t in targets:
-            uncov = 1.0
-            for sigma in strategies:
-                uncov *= 1.0 - _marginal_coverage(sigma, t)
-            worst = max(worst, setting.value[t] * uncov)
+    for t in sorted(support):
+        worst = max(worst, setting.value[t] * _uncovered(strategies, t))
     return 1.0 - worst
 
 
-def nc_sro(
-    route_sets: Sequence[RouteSet],
-    setting: PatrollingSetting,
-    dist: np.ndarray,
-    support: Sequence[int],
-) -> OracleResult:
+def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> OracleResult:
     """Independent resources: one restricted zero-sum game per resource.
 
-    Resource i plays its maxmin on the targets it can reach by their
-    deadlines; the overall value prices the attacker's best response to the
-    product of the resulting marginals.
+    Resource i plays its maxmin on the targets its routes cover, which are
+    exactly those it can reach by their deadlines; the overall value prices
+    the attacker's best response to the product of the resulting marginals.
     """
     t0 = time.perf_counter()
+    support = _support(route_sets)
     strategies: list[MixedStrategy] = []
     for rs in route_sets:
-        cols = [
-            j for j, t in enumerate(rs.targets) if dist[rs.start][t] <= setting.deadline[t]
-        ]
-        if not cols:
+        cols = np.flatnonzero(rs.cover.any(axis=0))
+        if not cols.size:
             strategies.append(MixedStrategy.pure(rs.routes[0]))
             continue
         pi = np.array([setting.value[rs.targets[j]] for j in cols])
@@ -273,8 +273,6 @@ def best_response_ilp(
 def fc_sro(
     route_sets: Sequence[RouteSet],
     setting: PatrollingSetting,
-    dist: np.ndarray,
-    support: Sequence[int],
     *,
     mode: str = "exact",
     deadline: float | None = None,
@@ -297,7 +295,7 @@ def fc_sro(
     t0 = time.perf_counter()
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown FC mode {mode!r}")
-    targets = sorted(support)
+    targets = _support(route_sets)
     if not targets:
         # Signal with empty support: nothing to protect, nothing to attack.
         jr = JointRoute(tuple(rs.routes[0] for rs in route_sets))
@@ -322,7 +320,7 @@ def fc_sro(
         row_set.add(jr)
         payoff.append(np.where(covered, 1.0, 1.0 - pi))
 
-    nc = nc_sro(route_sets, setting, dist, support)
+    nc = nc_sro(route_sets, setting)
     picks = [
         rs.routes[max(range(len(rs.routes)), key=lambda i: (sigma.prob(rs.routes[i]), -i))]
         for rs, sigma in zip(route_sets, nc.per_resource)
@@ -339,7 +337,7 @@ def fc_sro(
     while True:
         iterations += 1
         game = MatrixGame(
-            np.array(payoff), row_actions=tuple(rows), col_actions=tuple(targets)
+            np.array(payoff), row_actions=tuple(rows), col_actions=targets
         )
         row_strategy, attacker, value = solve_zero_sum(game)
         trace.append(value)
@@ -492,8 +490,6 @@ def _team_search(
 def pc_sro(
     route_sets: Sequence[RouteSet],
     setting: PatrollingSetting,
-    dist: np.ndarray,
-    support: Sequence[int],
     *,
     restarts: int = 0,
     seed: int = 0,
@@ -520,7 +516,7 @@ def pc_sro(
     remaining gap in ``diagnostics.extra["search"]``.
     """
     t0 = time.perf_counter()
-    targets = sorted(support)
+    targets = _support(route_sets)
     m = len(route_sets)
     pi = np.array([setting.value[t] for t in targets])
     indicators = [rs.cover.astype(float) for rs in route_sets]
@@ -562,7 +558,7 @@ def pc_sro(
             hist.append(val)
         return profile, val, hist, converged
 
-    nc = nc_sro(route_sets, setting, dist, support)
+    nc = nc_sro(route_sets, setting)
     start = [
         np.array([sigma.prob(r) for r in rs.routes])
         for rs, sigma in zip(route_sets, nc.per_resource)
@@ -637,14 +633,9 @@ class SignalResponse:
 
 def uncovered_probability(result: OracleResult, t: int) -> float:
     """Probability that target ``t`` stays unprotected under an oracle's strategies."""
-    if result.joint is not None:
-        return 1.0 - sum(
-            p for jr, p in result.joint.probs.items() if t in jr.covered
-        )
-    uncov = 1.0
-    for sigma in result.per_resource:
-        uncov *= 1.0 - _marginal_coverage(sigma, t)
-    return uncov
+    return _uncovered(
+        result.joint if result.joint is not None else result.per_resource, t
+    )
 
 
 def aggregate_value(
@@ -702,20 +693,11 @@ def respond(
         sets = tuple(sets)
         rsets[s] = sets
         if scheme == "NC":
-            per_signal[s] = nc_sro(sets, setting, dist, support)
+            per_signal[s] = nc_sro(sets, setting)
         elif scheme == "PC":
-            per_signal[s] = pc_sro(
-                sets, setting, dist, support, restarts=pc_restarts, seed=seed
-            )
+            per_signal[s] = pc_sro(sets, setting, restarts=pc_restarts, seed=seed)
         else:
-            per_signal[s] = fc_sro(
-                sets,
-                setting,
-                dist,
-                support,
-                mode=fc_mode,
-                deadline=deadline,
-            )
+            per_signal[s] = fc_sro(sets, setting, mode=fc_mode, deadline=deadline)
     value = aggregate_value(setting, alarm, per_signal)
     return SignalResponse(
         scheme=scheme, value=value, per_signal=per_signal, route_sets=rsets

@@ -19,6 +19,10 @@ import numpy as np
 
 from .model import PatrollingSetting
 
+# Up to this many reachable support targets the DP is exact; beyond it the
+# per-level state set is truncated to the beam width.
+EXACT_LIMIT = 20
+
 
 @dataclass(frozen=True)
 class CoveringRoute:
@@ -84,7 +88,6 @@ def covering_routes(
     support: Iterable[int],
     *,
     beam_width: int = 100_000,
-    exact_limit: int = 20,
 ) -> RouteSet:
     """All maximal non-dominated covering routes from ``start``.
 
@@ -96,7 +99,7 @@ def covering_routes(
     the stay-at-start route is always present in addition (as the singleton
     visit when the start is itself a support target).
 
-    When more than ``exact_limit`` support targets are reachable the per-level
+    When more than ``EXACT_LIMIT`` support targets are reachable the per-level
     state set is truncated to ``beam_width`` entries and the result is flagged
     incomplete if anything was actually dropped.
     """
@@ -141,7 +144,7 @@ def covering_routes(
                 cur = nxt.get(nk)
                 if cur is None or nt < cur[0]:
                     nxt[nk] = (nt, key)
-        if k > exact_limit and len(nxt) > beam_width:
+        if k > EXACT_LIMIT and len(nxt) > beam_width:
             keep = sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))[:beam_width]
             nxt = dict(keep)
             complete = False

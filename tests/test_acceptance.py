@@ -141,7 +141,7 @@ def test_criterion_4_fc_exactness_and_economy():
             if any(len(rs.routes) > 6 for rs in sets):
                 continue
             checked += 1
-            result = fc_sro(sets, s, dist, s.targets)
+            result = fc_sro(sets, s)
             assert result.diagnostics.optimal
             expected, n_joints = joint_enumeration_value(sets, s, s.targets)
             assert abs(result.value - expected) <= 1e-6
@@ -194,9 +194,9 @@ def test_criterion_6_coordination_ordering():
             # which makes the coordination gap observable even when m=1.
             for k in (1, 2):
                 sets = tuple(rs for rs in base for _ in range(k))
-                nc = nc_sro(sets, s, dist, support)
-                pc = pc_sro(sets, s, dist, support, seed=seed)
-                fc = fc_sro(sets, s, dist, support)
+                nc = nc_sro(sets, s)
+                pc = pc_sro(sets, s, seed=seed)
+                fc = fc_sro(sets, s)
                 assert fc.diagnostics.optimal
                 assert fc.value >= pc.value - 1e-6, (seed, k)
                 assert pc.value >= nc.value - 1e-6, (seed, k)
@@ -226,7 +226,7 @@ def test_criterion_7_pc_near_grid_team_maxmin():
             if any(len(rs.routes) > 4 for rs in sets):
                 continue
             checked += 1
-            pc = pc_sro(sets, s, dist, s.targets, restarts=10, seed=trial)
+            pc = pc_sro(sets, s, restarts=10, seed=trial)
             grid = grid_team_maxmin(sets, s, s.targets, step=1000)
             gaps.append((abs(pc.value - grid), trial))
         worst, worst_trial = max(gaps)

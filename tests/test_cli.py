@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,45 @@ def test_malformed_instance_names_key(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "edgez" in err or "edges" in err
+
+    # Numbers must be finite JSON numbers (deadlines integers), not null,
+    # NaN, Infinity, bools or strings.
+    def instance(value=0.5, deadline=1, prob=1.0):
+        return {
+            "vertices": ["a", "b"],
+            "edges": [["a", "b"]],
+            "targets": [
+                {"id": "a", "value": value, "deadline": deadline},
+                {"id": "b", "value": 1.0, "deadline": 1},
+            ],
+            "signals": [{"id": "s0", "probs": {"a": prob, "b": 1.0}}],
+        }
+
+    cases = [
+        ("value", instance(value=None)),
+        ("value", instance(value=True)),
+        ("value", instance(value="1")),
+        ("value", instance(value=math.nan)),
+        ("value", instance(value=math.inf)),
+        ("value", instance(value=10**400)),
+        ("deadline", instance(deadline=None)),
+        ("deadline", instance(deadline=math.inf)),
+        ("deadline", instance(deadline=True)),
+        ("deadline", instance(deadline="2")),
+        ("deadline", instance(deadline=2.0)),
+        ("probs", instance(prob=None)),
+        ("probs", instance(prob="1")),
+        ("probs", instance(prob=False)),
+        ("probs", instance(prob=-math.inf)),
+    ]
+    for key, payload in cases:
+        bad.write_text(json.dumps(payload))
+        code = run(["mincover", "--instance", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, (key, payload, err)
+        assert f"'{key}'" in err, (key, err)
+    bad.write_text(json.dumps(instance()))
+    assert run(["mincover", "--instance", str(bad), "--out", str(tmp_path)]) == 0
 
 
 def test_missing_file_is_invalid_input(tmp_path):

@@ -13,7 +13,14 @@ from alarmpatrol import (
     to_set_cover,
     tree_min_cover,
 )
-from alarmpatrol.mincover import Infeasible, NotACycle, NotATree, is_covering
+from alarmpatrol.mincover import (
+    Infeasible,
+    NotACycle,
+    NotATree,
+    _is_cycle,
+    _is_tree,
+    is_covering,
+)
 from alarmpatrol.seeding import stream
 from helpers import (
     brute_min_cover_size,
@@ -242,6 +249,29 @@ def test_min_cover_auto_dispatch():
     assert min_cover(ring, all_pairs_distances(ring), "auto").method == "cycle"
     dense = make_setting(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     assert min_cover(dense, all_pairs_distances(dense), "auto").method == "exact"
+
+
+def test_topology_checks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    settings = [make_setting(1, []), make_setting(2, [(0, 1)])]
+    for trial in range(40):
+        rng = stream(62, "nx-topology", trial)
+        n = rng.randrange(1, 12)
+        settings.append(make_setting(n, random_tree_edges(n, rng)))
+        settings.append(random_setting(n, rng))
+        if n >= 3:
+            settings.append(cycle_setting(n))
+    kinds = set()
+    for s in settings:
+        graph = nx.Graph()
+        graph.add_nodes_from(range(s.n))
+        graph.add_edges_from(s.edges)
+        is_cycle = nx.is_connected(graph) and all(deg == 2 for _, deg in graph.degree())
+        assert _is_tree(s) == nx.is_tree(graph)
+        assert _is_cycle(s) == is_cycle
+        kinds.add((nx.is_tree(graph), is_cycle, len(s.edges) == s.n))
+    # Trees, cycles, and non-cycles with as many edges as vertices all occur.
+    assert {(True, False, False), (False, True, True), (False, False, True)} <= kinds
 
 
 def test_overlap_metrics_formula():

@@ -1,11 +1,13 @@
 import pytest
 
 from alarmpatrol import (
+    GeneratorParams,
     all_pairs_distances,
     build_alarm,
     build_setting,
     coverage_set,
     coverage_sets,
+    generate_instance,
 )
 from alarmpatrol.model import (
     BadDeadline,
@@ -18,7 +20,14 @@ from alarmpatrol.model import (
     UnknownTarget,
     UnknownVertex,
 )
-from helpers import brute_distance, make_setting, random_setting, single_signal
+from helpers import (
+    brute_distance,
+    cycle_setting,
+    make_setting,
+    random_setting,
+    random_tree_edges,
+    single_signal,
+)
 from alarmpatrol.seeding import stream
 
 
@@ -83,6 +92,29 @@ def test_distances_match_exhaustive_path_search():
                 assert d[u][v] == d[v][u] <= s.n - 1
                 for w in range(s.n):
                     assert d[u][w] <= d[u][v] + d[v][w]
+
+
+def test_distances_match_networkx():
+    nx = pytest.importorskip("networkx")
+    settings = []
+    for trial in range(20):
+        rng = stream(61, "nx-dist", trial)
+        n = rng.randrange(1, 30)
+        settings.append(random_setting(n, rng))
+        settings.append(make_setting(n, random_tree_edges(n, rng)))
+        if n >= 3:
+            settings.append(cycle_setting(n))
+    for n, seed in ((20, 14), (40, 7), (80, 3)):
+        settings.append(generate_instance(GeneratorParams(n_targets=n, seed=seed))[0])
+    for s in settings:
+        graph = nx.Graph()
+        graph.add_nodes_from(range(s.n))
+        graph.add_edges_from(s.edges)
+        expected = dict(nx.all_pairs_shortest_path_length(graph))
+        d = all_pairs_distances(s)
+        assert [[d[u][v] for v in range(s.n)] for u in range(s.n)] == [
+            [expected[u][v] for v in range(s.n)] for u in range(s.n)
+        ]
 
 
 def test_signal_supports():

@@ -21,6 +21,7 @@ from alarmpatrol import (
     nc_sro,
     pc_sro,
     respond,
+    routes,
     solve_zero_sum,
     to_set_cover,
 )
@@ -98,12 +99,21 @@ def test_nc_single_resource_matches_plain_game():
         d = all_pairs_distances(s)
         start = rng.randrange(s.n)
         sets = routes_for(s, d, [start], s.targets)
-        result = nc_sro(sets, s, d, s.targets)
+        result = nc_sro(sets, s)
         # Oracle value over the full support equals the plain zero-sum value
         # over all support targets (uncoverable columns only cap the value).
         U = payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
         _, _, v = solve_zero_sum(MatrixGame(U))
         assert result.value == pytest.approx(v, abs=1e-7)
+
+
+def test_oracles_reject_route_sets_of_different_supports():
+    s = make_setting(3, [(0, 1), (1, 2)])
+    d = all_pairs_distances(s)
+    sets = (covering_routes(s, d, 0, (0, 1)), covering_routes(s, d, 2, (1, 2)))
+    for oracle in (nc_sro, pc_sro, fc_sro):
+        with pytest.raises(ValueError, match="different signal supports"):
+            oracle(sets, s)
 
 
 def test_nc_disjoint_clusters_take_the_minimum():
@@ -117,7 +127,7 @@ def test_nc_disjoint_clusters_take_the_minimum():
     )
     d = all_pairs_distances(s)
     sets = routes_for(s, d, [0, 5], s.targets)
-    result = nc_sro(sets, s, d, s.targets)
+    result = nc_sro(sets, s)
     values = []
     for rs, cluster in zip(sets, ({0, 1, 2}, {5, 6, 7})):
         U = payoff_matrix([r.covered for r in rs.routes], sorted(cluster), s.value)
@@ -215,7 +225,7 @@ def test_fc_full_protection_is_pure():
     s = make_setting(4, [(0, 1), (1, 2), (2, 3)])
     d = all_pairs_distances(s)
     sets = routes_for(s, d, [0, 3], s.targets)
-    result = fc_sro(sets, s, d, s.targets)
+    result = fc_sro(sets, s)
     assert result.value == pytest.approx(1.0, abs=1e-9)
     assert result.diagnostics.optimal
     assert max(result.joint.probs.values()) == pytest.approx(1.0, abs=1e-9)
@@ -232,7 +242,7 @@ def test_fc_single_resource_reduces_to_zero_sum():
         U = payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
         _, _, v = solve_zero_sum(MatrixGame(U))
         for mode in ("exact", "heuristic"):
-            result = fc_sro(sets, s, d, s.targets, mode=mode)
+            result = fc_sro(sets, s, mode=mode)
             assert result.value == pytest.approx(v, abs=1e-7), mode
 
 
@@ -249,24 +259,23 @@ def test_fc_exact_matches_joint_enumeration():
         if any(len(rs.routes) > 6 for rs in sets):
             continue
         checked += 1
-        result = fc_sro(sets, s, d, s.targets)
+        result = fc_sro(sets, s)
         expected, n_joints = joint_enumeration_value(sets, s, s.targets)
         assert result.diagnostics.optimal
         assert result.value == pytest.approx(expected, abs=1e-6)
         assert result.diagnostics.routes_generated <= n_joints
 
 
-def test_fc_not_optimal_over_incomplete_routes():
+def test_fc_not_optimal_over_incomplete_routes(monkeypatch):
     # With no exact levels and a one-state beam, every route set that could
     # chain two targets drops states; FC's value is then exact only over the
     # routes it was given, so it must not claim optimality.
+    monkeypatch.setattr(routes, "EXACT_LIMIT", 0)
     s = make_setting(5, [(0, 1), (1, 2), (2, 3), (3, 4)], deadline=3)
     d = all_pairs_distances(s)
-    sets = tuple(
-        covering_routes(s, d, p, s.targets, beam_width=1, exact_limit=0) for p in (1, 3)
-    )
+    sets = tuple(covering_routes(s, d, p, s.targets, beam_width=1) for p in (1, 3))
     assert not any(rs.complete for rs in sets)
-    result = fc_sro(sets, s, d, s.targets)
+    result = fc_sro(sets, s)
     assert not result.diagnostics.timed_out
     assert not result.diagnostics.optimal
     assert result.diagnostics.extra["not_optimal"] == "incomplete routes"
@@ -280,7 +289,7 @@ def test_fc_exact_finishes_at_deadline_2():
     placement = min_cover(s, d, "exact").placement.positions
     assert len(placement) == 7
     sets = routes_for(s, d, placement, s.targets)
-    result = fc_sro(sets, s, d, s.targets, deadline=time.monotonic() + 30.0)
+    result = fc_sro(sets, s, deadline=time.monotonic() + 30.0)
     assert not result.diagnostics.timed_out
     assert result.diagnostics.optimal
     assert result.value == pytest.approx(0.5332551214373358, abs=1e-9)
@@ -291,7 +300,7 @@ def test_fc_trace_is_monotone():
     s = random_setting(9, rng, deadlines=(1, 2))
     d = all_pairs_distances(s)
     sets = routes_for(s, d, [0, s.n // 2, s.n - 1], s.targets)
-    result = fc_sro(sets, s, d, s.targets)
+    result = fc_sro(sets, s)
     trace = result.diagnostics.trace
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
@@ -302,8 +311,8 @@ def test_fc_heuristic_terminates_below_exact():
         s = random_setting(7, rng, deadlines=(1, 2))
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [0, s.n - 1], s.targets)
-        exact = fc_sro(sets, s, d, s.targets, mode="exact")
-        heur = fc_sro(sets, s, d, s.targets, mode="heuristic")
+        exact = fc_sro(sets, s, mode="exact")
+        heur = fc_sro(sets, s, mode="heuristic")
         assert heur.value <= exact.value + 1e-6
         assert 1.0 - max(s.value.values()) - 1e-9 <= heur.value <= 1.0 + 1e-9
         assert not heur.diagnostics.optimal
@@ -319,8 +328,8 @@ def test_pc_single_resource_fixed_point():
         s = random_setting(7, rng, deadlines=(1, 2))
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [rng.randrange(s.n)], s.targets)
-        result = pc_sro(sets, s, d, s.targets)
-        nc = nc_sro(sets, s, d, s.targets)
+        result = pc_sro(sets, s)
+        nc = nc_sro(sets, s)
         assert result.value == pytest.approx(nc.value, abs=1e-7)
         assert result.diagnostics.optimal
 
@@ -334,8 +343,8 @@ def test_pc_disjoint_clusters_equal_nc():
     )
     d = all_pairs_distances(s)
     sets = routes_for(s, d, [0, 5], s.targets)
-    nc = nc_sro(sets, s, d, s.targets)
-    pc = pc_sro(sets, s, d, s.targets)
+    nc = nc_sro(sets, s)
+    pc = pc_sro(sets, s)
     assert pc.value == pytest.approx(nc.value, abs=1e-7)
 
 
@@ -346,8 +355,8 @@ def test_pc_traces_monotone_and_above_nc():
         d = all_pairs_distances(s)
         starts = [rng.randrange(s.n) for _ in range(2)]
         sets = routes_for(s, d, starts, s.targets)
-        nc = nc_sro(sets, s, d, s.targets)
-        pc = pc_sro(sets, s, d, s.targets, restarts=2, seed=trial)
+        nc = nc_sro(sets, s)
+        pc = pc_sro(sets, s, restarts=2, seed=trial)
         assert pc.value >= nc.value - 1e-9
         for trace in pc.diagnostics.extra["traces"]:
             assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -369,7 +378,7 @@ def test_pc_near_grid_team_maxmin_micro():
         if any(len(rs.routes) > 4 for rs in sets):
             continue
         checked += 1
-        pc = pc_sro(sets, s, d, s.targets, restarts=3, seed=trial)
+        pc = pc_sro(sets, s, restarts=3, seed=trial)
         grid = grid_team_maxmin(sets, s, s.targets)
         assert pc.value == pytest.approx(grid, abs=1e-3)
 
@@ -381,7 +390,7 @@ def test_pc_search_certifies_team_maxmin_past_local_fixed_point():
     s = random_setting(rng.randrange(5, 9), rng, deadlines=(1, 2))
     d = all_pairs_distances(s)
     sets = routes_for(s, d, exact_cover(to_set_cover(s, d)).placement.positions, s.targets)
-    pc = pc_sro(sets, s, d, s.targets, restarts=10, seed=29)
+    pc = pc_sro(sets, s, restarts=10, seed=29)
     grid = grid_team_maxmin(sets, s, s.targets)
     assert max(t[-1] for t in pc.diagnostics.extra["traces"]) < grid - 1e-2
     assert pc.diagnostics.optimal
@@ -417,7 +426,7 @@ def _first_route_sets(label, n_resources, accept):
 )
 def test_pc_not_optimal_without_search(n_resources, accept):
     s, d, sets = _first_route_sets(f"pcnosearch{n_resources}", n_resources, accept)
-    pc = pc_sro(sets, s, d, s.targets, restarts=2, seed=1)
+    pc = pc_sro(sets, s, restarts=2, seed=1)
     assert not pc.diagnostics.optimal
     assert pc.diagnostics.extra["not_optimal"] == "local fixed point"
     assert "search" not in pc.diagnostics.extra
@@ -433,9 +442,9 @@ def test_scheme_ordering_per_signal():
         d = all_pairs_distances(s)
         starts = sorted(rng.sample(range(s.n), 2))
         sets = routes_for(s, d, starts, s.targets)
-        nc = nc_sro(sets, s, d, s.targets)
-        pc = pc_sro(sets, s, d, s.targets)
-        fc = fc_sro(sets, s, d, s.targets)
+        nc = nc_sro(sets, s)
+        pc = pc_sro(sets, s)
+        fc = fc_sro(sets, s)
         assert fc.value >= pc.value - 1e-6
         assert pc.value >= nc.value - 1e-6
         floor = 1.0 - max(s.value[t] for t in s.targets)

@@ -4,6 +4,7 @@ from alarmpatrol import (
     all_pairs_distances,
     covering_routes,
     generate_instance,
+    routes,
 )
 from alarmpatrol.routes import CoveringRoute
 from alarmpatrol.seeding import stream
@@ -149,3 +150,31 @@ def test_beam_limit_flags_incomplete():
 
     small = covering_routes(s, d, 0, tuple(range(1, 11)))
     assert small.complete
+
+
+def test_covered_targets_are_the_reachable_ones(monkeypatch):
+    # NC takes a resource's targets from the columns its routes cover.  Every
+    # reachable target enters the DP as a singleton state before the beam can
+    # drop anything, so those columns are exactly the targets reachable by
+    # their deadlines, in complete and incomplete route sets alike.
+    instances = [
+        generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
+        for n, seed, deadline in ((20, 14, None), (40, 7, None), (30, 2, 2))
+    ]
+
+    def incomplete_sets(beam_width):
+        count = 0
+        for s, alarm in instances:
+            d = all_pairs_distances(s)
+            support = alarm.signal_support("s0")
+            for start in range(0, s.n, 5):
+                rs = covering_routes(s, d, start, support, beam_width=beam_width)
+                reachable = [d[start][t] <= s.deadline[t] for t in rs.targets]
+                assert rs.cover.any(axis=0).tolist() == reachable
+                count += not rs.complete
+        return count
+
+    assert incomplete_sets(100_000) == 0
+    monkeypatch.setattr(routes, "EXACT_LIMIT", 0)
+    assert incomplete_sets(1) > 0
+    assert incomplete_sets(3) > 0
