@@ -148,10 +148,14 @@ def cmd_routes(args) -> int:
 
 def _placement_indices(args, setting) -> list[int]:
     if args.placement_file:
-        payload = json.loads(Path(args.placement_file).read_text(encoding="utf-8"))
-        ids = payload["positions"]
+        payload = fileio.read_json(args.placement_file)
+        ids = payload.get("positions") if isinstance(payload, dict) else None
+        if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+            raise fileio.FileFormatError("key 'positions' must be an array of vertex ids")
     else:
         ids = [x for x in args.placement.split(",") if x]
+    if not ids:
+        raise ValueError("the placement names no vertex")
     return [setting.index_of(v) for v in ids]
 
 

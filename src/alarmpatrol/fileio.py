@@ -31,6 +31,14 @@ def dumps(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def read_json(path: Path) -> Any:
+    """Parse a JSON file; bad syntax, UTF-8 or over-long integers name the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FileFormatError(f"invalid JSON in {path}: {exc}") from None
+
+
 def write_json(path: Path, payload: Mapping[str, Any]) -> None:
     Path(path).write_text(dumps(payload), encoding="utf-8")
 
@@ -157,11 +165,7 @@ def parse_instance(payload: Mapping[str, Any]) -> tuple[PatrollingSetting, Alarm
 
 
 def load_instance(path: Path) -> tuple[PatrollingSetting, AlarmSystem]:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"invalid JSON in {path}: {exc}") from None
-    return parse_instance(payload)
+    return parse_instance(read_json(path))
 
 
 def save_instance(
@@ -224,9 +228,10 @@ def oracle_payload(
         "route_sets": [route_set_payload(rs, setting) for rs in route_sets],
     }
     # Why the value is not certified, and PC's team-maxmin search, when present.
-    for key in ("not_optimal", "search"):
-        if key in result.diagnostics.extra:
-            payload["diagnostics"][key] = result.diagnostics.extra[key]
+    if result.diagnostics.not_optimal is not None:
+        payload["diagnostics"]["not_optimal"] = result.diagnostics.not_optimal
+    if "search" in result.diagnostics.extra:
+        payload["diagnostics"]["search"] = result.diagnostics.extra["search"]
     if result.joint is not None:
         entries = []
         for jr, p in result.joint.probs.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +36,22 @@ class NotACycle(ValueError):
 
 @dataclass(frozen=True)
 class SetCoverInstance:
-    """Universe of targets plus one candidate set per useful vertex."""
+    """Universe of targets plus one candidate set per useful vertex.
+
+    Built here: ``masks[v]`` has bit i set when ``sets[v]`` holds the i-th
+    smallest universe element (keys ascending), ``full`` every universe bit.
+    """
 
     universe: frozenset[int]
     sets: dict[int, frozenset[int]]
+    masks: dict[int, int] = field(init=False, compare=False, repr=False)
+    full: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        bit = {t: i for i, t in enumerate(sorted(self.universe))}
+        masks = {v: sum(1 << bit[t] for t in self.sets[v] if t in bit) for v in sorted(self.sets)}
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "full", (1 << len(bit)) - 1)
 
 
 @dataclass(frozen=True)
@@ -84,27 +96,13 @@ def is_covering(
     )
 
 
-def _bits(instance: SetCoverInstance) -> tuple[dict[int, int], dict[int, int], int]:
-    """Bitmask encoding of the instance: element bit map, per-vertex masks, universe."""
-    bit = {t: i for i, t in enumerate(sorted(instance.universe))}
-    masks = {}
-    for v in sorted(instance.sets):
-        m = 0
-        for t in instance.sets[v]:
-            if t in bit:
-                m |= 1 << bit[t]
-        masks[v] = m
-    full = (1 << len(bit)) - 1
-    return bit, masks, full
-
-
 def greedy_cover(instance: SetCoverInstance) -> CoveringPlacement:
     """Chvatal's rule: repeatedly take the set covering most uncovered targets.
 
     Ties break on the lowest vertex index for reproducibility.  The result is
     within H(|universe|) of the optimum.
     """
-    _, masks, full = _bits(instance)
+    masks, full = instance.masks, instance.full
     order = sorted(masks)
     chosen: list[int] = []
     uncovered = full
@@ -130,7 +128,7 @@ def local_search_improve(
     move (b) replaces a pair of positions by a single vertex whose coverage
     set contains everything only that pair was contributing.
     """
-    _, masks, full = _bits(instance)
+    masks, full = instance.masks, instance.full
     pos = sorted(set(placement.positions))
     candidates = sorted(masks)
 
@@ -186,7 +184,7 @@ def exact_cover(
     search is deterministic; on budget expiry the incumbent is returned with
     ``optimal=False``.
     """
-    _, masks, full = _bits(instance)
+    masks, full = instance.masks, instance.full
     incumbent = local_search_improve(greedy_cover(instance), instance)
     best = list(incumbent.positions)
     best_size = len(best)

@@ -24,7 +24,7 @@ support, which is the set of targets the attacker may choose; coverage is
 ``RouteSet.cover``, the boolean route-by-target matrix each set carries.
 NC's games and FC's restricted game pay 1 where a row covers a target and
 1 - pi_t where it does not; PC's response LPs use the matrices as 0/1
-indicators; the FC best response packs their columns into bitmasks.
+indicators; the FC best response reads the same coverage from ``RouteSet.masks``.
 
 Multiple signals are handled by solving one independent response game per
 signal and aggregating with the attacker committing to a target before the
@@ -60,30 +60,45 @@ BOX_TOL = 1e-12  # rounding slack when testing a box against the simplex
 
 @dataclass
 class OracleDiagnostics:
+    """How an oracle reached its value.
+
+    ``not_optimal`` is None for a certified value and otherwise says why not:
+    "timeout", "incomplete routes" (any oracle), "heuristic mode" (FC),
+    "local fixed point", "iteration cap" or "search node cap" (PC).
+    """
+
     iterations: int = 0
     routes_generated: int = 0
-    wall_time: float = 0.0
-    optimal: bool = True
-    timed_out: bool = False
+    not_optimal: str | None = None
     trace: tuple[float, ...] = ()
     extra: dict = field(default_factory=dict)
+
+    @property
+    def optimal(self) -> bool:
+        return self.not_optimal is None
+
+    @property
+    def timed_out(self) -> bool:
+        return self.not_optimal == "timeout"
+
+
+def _diagnostics(
+    route_sets: Sequence[RouteSet], not_optimal: str | None = None, **fields
+) -> OracleDiagnostics:
+    """Diagnostics of one oracle call: no value is certified over incomplete routes."""
+    if not_optimal is None and not all(rs.complete for rs in route_sets):
+        not_optimal = "incomplete routes"
+    return OracleDiagnostics(not_optimal=not_optimal, **fields)
 
 
 @dataclass
 class OracleResult:
     """Strategies plus defender value for one signal under one scheme."""
 
-    scheme: str
     value: float
     diagnostics: OracleDiagnostics
     per_resource: tuple[MixedStrategy, ...] | None = None
     joint: MixedStrategy | None = None
-
-
-def _columns(rs: RouteSet, targets: Sequence[int]) -> list[int]:
-    """Columns of ``rs.cover`` holding ``targets``, which must be in its support."""
-    col = {t: j for j, t in enumerate(rs.targets)}
-    return [col[t] for t in targets]
 
 
 def _support(route_sets: Sequence[RouteSet]) -> tuple[int, ...]:
@@ -129,7 +144,6 @@ def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> Oracle
     exactly those it can reach by their deadlines; the overall value prices
     the attacker's best response to the product of the resulting marginals.
     """
-    t0 = time.perf_counter()
     support = _support(route_sets)
     strategies: list[MixedStrategy] = []
     for rs in route_sets:
@@ -146,12 +160,9 @@ def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> Oracle
         row, _, _ = solve_zero_sum(game)
         strategies.append(row)
     value = evaluate_profile(strategies, setting, support)
-    diag = OracleDiagnostics(
-        iterations=len(route_sets),
-        routes_generated=sum(len(rs.routes) for rs in route_sets),
-        wall_time=time.perf_counter() - t0,
-    )
-    return OracleResult("NC", value, diag, per_resource=tuple(strategies))
+    n_routes = sum(len(rs.routes) for rs in route_sets)
+    diag = _diagnostics(route_sets, iterations=len(route_sets), routes_generated=n_routes)
+    return OracleResult(value, diag, per_resource=tuple(strategies))
 
 
 def _weight_bits(w: Sequence[float], mask: int) -> float:
@@ -201,18 +212,18 @@ def best_response_ilp(
     return a non-optimal incumbent (flagged False).  Heuristic mode runs no
     search: it reruns the greedy starting from each other resource and
     returns the heaviest of these m joint routes, flagged False.
+    The attacker's weight must lie on the route sets' support.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown best-response mode {mode!r}")
-    targets = sorted(t for t in attacker.probs if attacker.probs[t] > 0.0)
-    w = [attacker.prob(t) * setting.value[t] for t in targets]
+    support = _support(route_sets)
+    weight = {t: p for t, p in attacker.probs.items() if p > 0.0}
+    if not weight.keys() <= set(support):
+        raise ValueError("attacker weight outside the route sets' support")
+    w = [weight.get(t, 0.0) * setting.value[t] for t in support]
     total_w = sum(w)
-
-    masks: list[list[int]] = []
-    for rs in route_sets:
-        # Bit k of a route's mask says whether it covers targets[k].
-        packed = np.packbits(rs.cover[:, _columns(rs, targets)], axis=1, bitorder="little")
-        masks.append([int.from_bytes(row.tobytes(), "little") for row in packed])
+    live = sum(1 << j for j, t in enumerate(support) if t in weight)
+    masks = [[m & live for m in rs.masks] for rs in route_sets]
     n_res = len(route_sets)
 
     best_choice, best_w = _greedy(masks, w, 0)
@@ -289,20 +300,18 @@ def fc_sro(
     a lower bound on it.
 
     ``diagnostics.optimal`` is True only for a converged exact run over
-    complete route sets; otherwise ``diagnostics.extra["not_optimal"]`` is
-    "heuristic mode" or "incomplete routes", or ``timed_out`` is set.
+    complete route sets; otherwise ``diagnostics.not_optimal`` is "timeout"
+    (the deadline passed, in either mode), "heuristic mode" or "incomplete
+    routes".
     """
-    t0 = time.perf_counter()
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown FC mode {mode!r}")
     targets = _support(route_sets)
     if not targets:
         # Signal with empty support: nothing to protect, nothing to attack.
         jr = JointRoute(tuple(rs.routes[0] for rs in route_sets))
-        diag = OracleDiagnostics(
-            routes_generated=1, wall_time=time.perf_counter() - t0
-        )
-        return OracleResult("FC", 1.0, diag, joint=MixedStrategy.pure(jr))
+        diag = _diagnostics(route_sets, routes_generated=1)
+        return OracleResult(1.0, diag, joint=MixedStrategy.pure(jr))
 
     # One payoff row per joint route: its coverage is the OR of the chosen
     # routes' rows of the route-set matrices.
@@ -328,49 +337,34 @@ def fc_sro(
     add_row(JointRoute(tuple(picks)))
 
     trace: list[float] = []
-    optimal = False
-    timed_out = False
-    iterations = 0
+    not_optimal = "heuristic mode" if mode == "heuristic" else None
     row_strategy: MixedStrategy | None = None
     value = 0.0
 
     while True:
-        iterations += 1
         game = MatrixGame(
             np.array(payoff), row_actions=tuple(rows), col_actions=targets
         )
         row_strategy, attacker, value = solve_zero_sum(game)
         trace.append(value)
         if deadline is not None and time.monotonic() > deadline:
-            timed_out = True
+            not_optimal = "timeout"
             break
         br, _, certified = best_response_ilp(
             route_sets, attacker, setting, mode, deadline=deadline
         )
         if mode == "exact" and not certified:
-            timed_out = True
+            not_optimal = "timeout"
             break
         if br in row_set:
-            optimal = certified
             break
         add_row(br)
 
-    extra: dict = {}
-    if mode == "heuristic":
-        extra["not_optimal"] = "heuristic mode"
-    elif optimal and not all(rs.complete for rs in route_sets):
-        optimal = False
-        extra["not_optimal"] = "incomplete routes"
-    diag = OracleDiagnostics(
-        iterations=iterations,
-        routes_generated=len(rows),
-        wall_time=time.perf_counter() - t0,
-        optimal=optimal,
-        timed_out=timed_out,
+    diag = _diagnostics(
+        route_sets, not_optimal, iterations=len(trace), routes_generated=len(rows),
         trace=tuple(trace),
-        extra=extra,
     )
-    return OracleResult("FC", value, diag, joint=row_strategy)
+    return OracleResult(value, diag, joint=row_strategy)
 
 
 def _random_simplex(size: int, rng) -> np.ndarray:
@@ -510,12 +504,11 @@ def pc_sro(
 
     ``diagnostics.optimal`` is True only for one resource (a single LP is
     global) or when the search closed its bound gap, and never over
-    incomplete route sets.  Otherwise ``diagnostics.extra["not_optimal"]``
-    says why: "local fixed point", "iteration cap", "search node cap" or
-    "incomplete routes".  A search records its boxes, proven upper bound and
+    incomplete route sets.  Otherwise ``diagnostics.not_optimal`` says why:
+    "local fixed point", "iteration cap", "search node cap" or "incomplete
+    routes".  A search records its boxes, proven upper bound and
     remaining gap in ``diagnostics.extra["search"]``.
     """
-    t0 = time.perf_counter()
     targets = _support(route_sets)
     m = len(route_sets)
     pi = np.array([setting.value[t] for t in targets])
@@ -580,8 +573,9 @@ def pc_sro(
 
     iterations = len(best_hist) - 1
     extra: dict = {"traces": traces}
+    not_optimal = None
     if m == 2 and targets and min(map(len, indicators)) <= SEARCH_MAX_ROUTES:
-        found, found_val, nodes, upper, optimal = _team_search(
+        found, found_val, nodes, upper, closed = _team_search(
             indicators, pi, best_profile, best_val
         )
         if found_val > best_val + CONVERGENCE_EPS:
@@ -592,33 +586,24 @@ def pc_sro(
             "upper_bound": upper,
             "gap": max(0.0, upper - best_val),
         }
-        if not optimal:
-            extra["not_optimal"] = "search node cap"
+        if not closed:
+            not_optimal = "search node cap"
     elif m == 1 or not targets:
         # One resource: the first LP round is already the global optimum.
-        optimal = all_converged
-        if not optimal:
-            extra["not_optimal"] = "iteration cap"
+        if not all_converged:
+            not_optimal = "iteration cap"
     else:
-        optimal = False
-        extra["not_optimal"] = "local fixed point" if all_converged else "iteration cap"
-    if optimal and not all(rs.complete for rs in route_sets):
-        optimal = False
-        extra["not_optimal"] = "incomplete routes"
+        not_optimal = "local fixed point" if all_converged else "iteration cap"
 
     strategies = tuple(
         MixedStrategy.from_weights(rs.routes, x)
         for rs, x in zip(route_sets, best_profile)
     )
-    diag = OracleDiagnostics(
-        iterations=iterations,
+    diag = _diagnostics(
+        route_sets, not_optimal, iterations=iterations, trace=tuple(best_hist), extra=extra,
         routes_generated=sum(len(rs.routes) for rs in route_sets),
-        wall_time=time.perf_counter() - t0,
-        optimal=optimal,
-        trace=tuple(best_hist),
-        extra=extra,
     )
-    return OracleResult("PC", best_val, diag, per_resource=strategies)
+    return OracleResult(best_val, diag, per_resource=strategies)
 
 
 @dataclass

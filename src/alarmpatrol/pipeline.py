@@ -22,7 +22,6 @@ import numpy as np
 from .mincover import (
     CoveringPlacement,
     MinCoverResult,
-    _bits,
     min_cover,
     overlap_metrics,
     OverlapMetrics,
@@ -110,7 +109,8 @@ def enumerate_placements(
     n = setting.n
     if not 0 < m <= n:
         raise ValueError(f"cannot place {m} distinct resources on {n} vertices")
-    _, masks, full = _bits(to_set_cover(setting, dist))
+    instance = to_set_cover(setting, dist)
+    masks, full = instance.masks, instance.full
 
     def covering(positions: tuple[int, ...]) -> bool:
         got = 0

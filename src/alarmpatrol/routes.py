@@ -5,9 +5,10 @@ deadline, starting from the resource's placement vertex.  Only the set of
 visited targets matters to the response games, so route generation keeps one
 best representative (minimal completion time) per maximal covered set.
 
-Every route set carries its coverage once, as a read-only boolean matrix with
-one row per route and one column per support target; the oracles derive
-their payoff matrices, LP coefficients and best-response bitmasks from it.
+Every route set carries its coverage once, built with the set: as a
+read-only boolean matrix with one row per route and one column per support
+target, from which the oracles derive their payoff matrices and LP
+coefficients, and as one integer bitmask per route for the FC best response.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class RouteSet:
     ``complete`` is False when the beam-limited search had to drop states and
     the set may be missing maximal routes.  ``targets`` is the sorted signal
     support and ``cover[i, j]`` says whether ``routes[i]`` covers
-    ``targets[j]``; the matrix is built here and is read-only.
+    ``targets[j]``; bit j of ``masks[i]`` says the same.  Both are built
+    here, and the matrix is read-only.
     """
 
     routes: tuple[CoveringRoute, ...]
@@ -71,14 +73,19 @@ class RouteSet:
     complete: bool
     targets: tuple[int, ...] = field(compare=False)
     cover: np.ndarray = field(init=False, compare=False, repr=False)
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         col = {t: j for j, t in enumerate(self.targets)}
         cover = np.zeros((len(self.routes), len(self.targets)), dtype=bool)
+        masks = []
         for i, r in enumerate(self.routes):
-            cover[i, [col[t] for t in r.visits]] = True
+            cols = [col[t] for t in r.visits]
+            cover[i, cols] = True
+            masks.append(sum(1 << j for j in cols))
         cover.flags.writeable = False
         object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "masks", tuple(masks))
 
 
 def covering_routes(

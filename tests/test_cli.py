@@ -159,10 +159,50 @@ def test_sro_result_says_why_not_optimal(tmp_path):
     assert fc["optimal"] is False and fc["not_optimal"] == "heuristic mode"
     nc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "nc")
     assert nc["optimal"] is True and "not_optimal" not in nc and "search" not in nc
+    nc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "nc", "--beam-width", "5")
+    assert nc["optimal"] is False and nc["not_optimal"] == "incomplete routes"
     # v14 has 3 covering routes, so PC runs its two-resource search.
     pc = diagnostics(20, 14, "v4,v14", "--oracle", "pc")
     assert pc["optimal"] is True and "not_optimal" not in pc
     assert set(pc["search"]) == {"nodes", "upper_bound", "gap"}
+
+
+def test_sro_rejects_malformed_placement_file(tmp_path, capsys):
+    assert run(["gen", "--targets", "6", "--seed", "3", "--out", str(tmp_path)]) == 0
+    placement = tmp_path / "placement.json"
+    cases = [
+        ({"size": 1}, "positions"),
+        ({"positions": 3}, "positions"),
+        ({"positions": [0]}, "positions"),
+        (["v0"], "positions"),
+        ({"positions": []}, "no vertex"),
+    ]
+    texts = [(json.dumps(payload), key) for payload, key in cases]
+    texts.append(('{"positions": [', str(placement)))
+    for text, named in texts:
+        placement.write_text(text)
+        code = run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",
+                    "--placement-file", str(placement), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, (text, err)
+        assert named in err, (text, err)
+    code = run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",
+                "--placement", ",", "--out", str(tmp_path)])
+    assert code == 2 and "no vertex" in capsys.readouterr().err
+    placement.write_text(json.dumps({"positions": ["v0"]}))
+    assert run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",
+                "--placement-file", str(placement), "--out", str(tmp_path)]) == 0
+
+
+def test_huge_integer_in_instance_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text(
+        '{"vertices": ["a"], "edges": [], "signals": [{"id": "s0", "probs": {"a": 1}}],'
+        ' "targets": [{"id": "a", "value": 1, "deadline": ' + "9" * 5000 + "}]}"
+    )
+    code = run(["mincover", "--instance", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_sro_requires_placement(tmp_path, capsys):

@@ -65,6 +65,17 @@ def test_greedy_trace():
     assert greedy_cover(inst).positions == (0, 1)
 
 
+def test_set_cover_masks_follow_sorted_universe():
+    # Element 9 lies outside the universe and gets no bit.
+    inst = SetCoverInstance(
+        universe=frozenset({7, 3, 5}),
+        sets={4: frozenset({3, 9}), 1: frozenset({5, 7})},
+    )
+    assert inst.masks == {1: 0b110, 4: 0b001}
+    assert list(inst.masks) == [1, 4]
+    assert inst.full == 0b111
+
+
 def test_greedy_single_set():
     inst = SetCoverInstance(universe=frozenset({1}), sets={0: frozenset({1})})
     assert greedy_cover(inst).positions == (0,)

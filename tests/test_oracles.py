@@ -157,6 +157,17 @@ def test_best_response_separable_resources():
     assert {0, 3} <= jr.covered
 
 
+def test_best_response_rejects_attacker_weight_off_the_support():
+    s = make_setting(3, [(0, 1), (1, 2)])
+    d = all_pairs_distances(s)
+    sets = (covering_routes(s, d, 1, (0, 1)),)
+    with pytest.raises(ValueError, match="outside the route sets' support"):
+        best_response_ilp(sets, MixedStrategy({0: 0.5, 2: 0.5}), s)
+    # Zero weight off the support is no weight at all.
+    jr, obj, ok = best_response_ilp(sets, MixedStrategy({0: 1.0, 2: 0.0}), s)
+    assert ok and obj == pytest.approx(1.0) and 0 in jr.covered
+
+
 def test_best_response_matches_brute_force():
     for trial in range(15):
         rng = stream(41, "br", trial)
@@ -278,7 +289,30 @@ def test_fc_not_optimal_over_incomplete_routes(monkeypatch):
     result = fc_sro(sets, s)
     assert not result.diagnostics.timed_out
     assert not result.diagnostics.optimal
-    assert result.diagnostics.extra["not_optimal"] == "incomplete routes"
+    assert result.diagnostics.not_optimal == "incomplete routes"
+
+
+def test_nc_not_optimal_over_incomplete_routes(monkeypatch):
+    # As for FC above: NC's games over truncated route sets certify nothing.
+    monkeypatch.setattr(routes, "EXACT_LIMIT", 0)
+    s = make_setting(5, [(0, 1), (1, 2), (2, 3), (3, 4)], deadline=3)
+    d = all_pairs_distances(s)
+    sets = tuple(covering_routes(s, d, p, s.targets, beam_width=1) for p in (1, 3))
+    assert not any(rs.complete for rs in sets)
+    result = nc_sro(sets, s)
+    assert result.diagnostics.optimal is False
+    assert result.diagnostics.not_optimal == "incomplete routes"
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_fc_past_deadline_says_timeout(mode):
+    s = make_setting(5, [(0, 1), (1, 2), (2, 3), (3, 4)], deadline=1)
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, [1, 3], s.targets)
+    result = fc_sro(sets, s, mode=mode, deadline=time.monotonic() - 1.0)
+    assert result.diagnostics.timed_out
+    assert not result.diagnostics.optimal
+    assert result.diagnostics.not_optimal == "timeout"
 
 
 def test_fc_exact_finishes_at_deadline_2():
@@ -316,7 +350,7 @@ def test_fc_heuristic_terminates_below_exact():
         assert heur.value <= exact.value + 1e-6
         assert 1.0 - max(s.value.values()) - 1e-9 <= heur.value <= 1.0 + 1e-9
         assert not heur.diagnostics.optimal
-        assert heur.diagnostics.extra["not_optimal"] == "heuristic mode"
+        assert heur.diagnostics.not_optimal == "heuristic mode"
 
 
 # -- PC ------------------------------------------------------------------------
@@ -394,7 +428,7 @@ def test_pc_search_certifies_team_maxmin_past_local_fixed_point():
     grid = grid_team_maxmin(sets, s, s.targets)
     assert max(t[-1] for t in pc.diagnostics.extra["traces"]) < grid - 1e-2
     assert pc.diagnostics.optimal
-    assert "not_optimal" not in pc.diagnostics.extra
+    assert pc.diagnostics.not_optimal is None
     assert pc.value >= grid - 1e-6
     search = pc.diagnostics.extra["search"]
     assert search["upper_bound"] >= pc.value - 1e-9
@@ -428,7 +462,7 @@ def test_pc_not_optimal_without_search(n_resources, accept):
     s, d, sets = _first_route_sets(f"pcnosearch{n_resources}", n_resources, accept)
     pc = pc_sro(sets, s, restarts=2, seed=1)
     assert not pc.diagnostics.optimal
-    assert pc.diagnostics.extra["not_optimal"] == "local fixed point"
+    assert pc.diagnostics.not_optimal == "local fixed point"
     assert "search" not in pc.diagnostics.extra
 
 
