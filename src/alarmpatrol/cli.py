@@ -74,6 +74,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def cmd_gen(args) -> int:
     params = GeneratorParams(
         n_targets=args.targets,
@@ -376,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--start", required=True, help="start vertex id")
     p.add_argument("--signal", default=None, help="restrict to one signal id")
-    p.add_argument("--beam-width", type=int, default=100_000)
+    p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)
 
     p = sub.add_parser("sro", help="one signal-response oracle on one placement")
     common(p)
@@ -385,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placement-file", default=None, help="placement.json from mincover")
     p.add_argument("--oracle", required=True, choices=["fc", "pc", "nc", "FC", "PC", "NC"])
     p.add_argument("--fc-mode", default="exact", choices=["exact", "heuristic"])
-    p.add_argument("--restarts", type=int, default=0)
+    p.add_argument("--restarts", type=_int_at_least(0), default=0)
     p.add_argument("--budget", default=None)
-    p.add_argument("--beam-width", type=int, default=100_000)
+    p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)
 
     p = sub.add_parser("resolve", help="full anytime resolution flow")
     common(p)
@@ -395,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracles", default="fc,pc,nc")
     p.add_argument("--budget", default="60m")
     p.add_argument("--mincover-method", default="auto")
-    p.add_argument("--max-placements", type=int, default=None)
+    p.add_argument("--max-placements", type=_int_at_least(1), default=None)
     p.add_argument("--resources-per-position", type=int, default=1)
     p.add_argument("--fc-mode", default="exact", choices=["exact", "heuristic"])
-    p.add_argument("--restarts", type=int, default=0)
-    p.add_argument("--beam-width", type=int, default=100_000)
+    p.add_argument("--restarts", type=_int_at_least(0), default=0)
+    p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)
 
     p = sub.add_parser("bench", help="batch runs over sizes and seeds")
     common(p)
@@ -407,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="count or comma-separated seeds")
     p.add_argument("--budget", default="60s")
     p.add_argument("--oracles", default="fc,pc,nc")
-    p.add_argument("--max-placements", type=int, default=None)
+    p.add_argument("--max-placements", type=_int_at_least(1), default=None)
     p.add_argument("--deadline", type=int, default=None)
     p.add_argument("--fc-mode", default="exact", choices=["exact", "heuristic"])
-    p.add_argument("--restarts", type=int, default=0)
+    p.add_argument("--restarts", type=_int_at_least(0), default=0)
 
     return parser
 

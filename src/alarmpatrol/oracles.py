@@ -509,6 +509,8 @@ def pc_sro(
     routes".  A search records its boxes, proven upper bound and
     remaining gap in ``diagnostics.extra["search"]``.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     targets = _support(route_sets)
     m = len(route_sets)
     pi = np.array([setting.value[t] for t in targets])

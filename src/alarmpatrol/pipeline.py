@@ -193,6 +193,12 @@ class ResolutionConfig:
         object.__setattr__(self, "oracles", tuple(s.upper() for s in self.oracles))
         if self.resources_per_position < 1:
             raise ValueError("resources_per_position must be >= 1")
+        if self.beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
+        if self.pc_restarts < 0:
+            raise ValueError(f"pc_restarts must be >= 0, got {self.pc_restarts}")
+        if self.max_placements is not None and self.max_placements < 1:
+            raise ValueError(f"max_placements must be >= 1, got {self.max_placements}")
 
 
 @dataclass(frozen=True)

@@ -106,10 +106,26 @@ def covering_routes(
     the stay-at-start route is always present in addition (as the singleton
     visit when the start is itself a support target).
 
+    ``dist`` must be a shortest-path metric, as ``all_pairs_distances``
+    returns: a route's time at a vertex is then at least the start's distance
+    to it, and dropping a visit never delays a later arrival.  Each state
+    scans only its successors that can still be reached in time, by
+    decreasing slack, and stops at the first it cannot make.  Since every
+    subset of a coverable set is coverable, a complete DP decides maximality
+    by one-target removal: a set is maximal iff it is no other set minus one
+    of its targets.
+
     When more than ``EXACT_LIMIT`` support targets are reachable the per-level
     state set is truncated to ``beam_width`` entries and the result is flagged
-    incomplete if anything was actually dropped.
+    incomplete if anything was actually dropped.  A truncated DP may lack
+    subsets of the sets it holds, so there the survivors of the removal test
+    are also tested pairwise for containment.
+
+    Raises:
+        ValueError: ``beam_width`` is below 1.
     """
+    if beam_width < 1:
+        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     D = dist.tolist()
     dl = setting.deadline
     support_set = set(support)
@@ -125,8 +141,18 @@ def covering_routes(
     if k == 0:
         return RouteSet((sentinel,), start, True, targets)
 
-    d_rows = [D[t] for t in reach]
     dl_local = [dl[t] for t in reach]
+    # succ[i]: (slack, j, travel time) for each target j that a route ending
+    # at reach[i] can still make in time, by decreasing slack.
+    succ = []
+    for a in reach:
+        row = D[a]
+        moves = []
+        for j, t in enumerate(reach):
+            if d_start[a] + row[t] <= dl_local[j]:
+                moves.append((dl_local[j] - row[t], j, row[t]))
+        moves.sort(reverse=True)
+        succ.append(moves)
 
     # state (mask over reach, last local index) -> (completion time, parent state)
     best: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
@@ -140,13 +166,12 @@ def covering_routes(
         for key in sorted(level):
             mask, last = key
             tm = level[key][0]
-            row = d_rows[last]
-            for j in range(k):
+            for slack, j, dt in succ[last]:
+                if tm > slack:
+                    break
                 if mask >> j & 1:
                     continue
-                nt = tm + row[reach[j]]
-                if nt > dl_local[j]:
-                    continue
+                nt = tm + dt
                 nk = (mask | (1 << j), j)
                 cur = nxt.get(nk)
                 if cur is None or nt < cur[0]:
@@ -163,10 +188,21 @@ def covering_routes(
         cur = per_mask.get(mask)
         if cur is None or (tm, last) < cur:
             per_mask[mask] = (tm, last)
-    maximal: list[int] = []
-    for mask in sorted(per_mask, key=lambda m: (-m.bit_count(), m)):
-        if not any(mask & m == mask for m in maximal):
-            maximal.append(mask)
+    # Drop every set that is another minus one target: in a complete DP,
+    # exactly the non-maximal ones.  A truncated DP may lack those subsets,
+    # so there the survivors are also tested pairwise.
+    for mask in list(per_mask):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            per_mask.pop(mask ^ low, None)
+            rest ^= low
+    maximal = per_mask
+    if not complete:
+        maximal = []
+        for mask in sorted(per_mask, key=lambda m: (-m.bit_count(), m)):
+            if not any(mask & m == mask for m in maximal):
+                maximal.append(mask)
 
     routes = []
     for mask in sorted(maximal):

@@ -183,6 +183,73 @@ def maximal_sets(sets: set[frozenset[int]]) -> set[frozenset[int]]:
     }
 
 
+def reference_covering_routes(setting, dist, start, support, beam_width=100_000):
+    """``covering_routes`` as first written: each state scans all reachable
+    targets, and maximality is a pairwise containment test over all sets.
+
+    Returns the routes as (visits, arrivals) pairs, stay-at-start first, and
+    the ``complete`` flag.  The beam threshold is read from
+    ``alarmpatrol.routes.EXACT_LIMIT`` at call time.
+    """
+    from alarmpatrol import routes
+
+    D = dist.tolist()
+    dl = setting.deadline
+    support_set = set(support)
+    d_start = D[start]
+    reach = sorted(t for t in support_set if d_start[t] <= dl[t])
+    k = len(reach)
+    sentinel = ((start,), (0,)) if start in support_set else ((), ())
+    if k == 0:
+        return [sentinel], True
+
+    best = {}
+    level = {(1 << j, j): (d_start[t], None) for j, t in enumerate(reach)}
+    complete = True
+    while level:
+        best.update(level)
+        nxt = {}
+        for key in sorted(level):
+            mask, last = key
+            tm = level[key][0]
+            for j in range(k):
+                if mask >> j & 1:
+                    continue
+                nt = tm + D[reach[last]][reach[j]]
+                if nt > dl[reach[j]]:
+                    continue
+                nk = (mask | (1 << j), j)
+                if nk not in nxt or nt < nxt[nk][0]:
+                    nxt[nk] = (nt, key)
+        if k > routes.EXACT_LIMIT and len(nxt) > beam_width:
+            nxt = dict(sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))[:beam_width])
+            complete = False
+        level = nxt
+
+    per_mask = {}
+    for (mask, last), (tm, _) in best.items():
+        if mask not in per_mask or (tm, last) < per_mask[mask]:
+            per_mask[mask] = (tm, last)
+    maximal = []
+    for mask in sorted(per_mask, key=lambda m: (-m.bit_count(), m)):
+        if not any(mask & m == mask for m in maximal):
+            maximal.append(mask)
+
+    found = []
+    for mask in sorted(maximal):
+        chain, key = [], (mask, per_mask[mask][1])
+        while key is not None:
+            chain.append(reach[key[1]])
+            key = best[key][1]
+        visits = tuple(reversed(chain))
+        arrivals = [d_start[visits[0]]]
+        for a, b in zip(visits, visits[1:]):
+            arrivals.append(arrivals[-1] + D[a][b])
+        found.append((visits, tuple(arrivals)))
+    found.sort()
+    return [sentinel] + [r for r in found if r[0] != sentinel[0]], complete
+
+
 # -- zero-sum game value by square-kernel enumeration ------------------------
 
 

@@ -205,6 +205,33 @@ def test_huge_integer_in_instance_names_the_file(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+def test_bad_counts_exit_2_naming_the_flag(tmp_path, capsys):
+    # A negative beam width used to slice off the beam's last states, and
+    # --max-placements -1 evaluated nothing; both exited 0.
+    assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    inst = ["--instance", str(tmp_path / "instance.json"), "--out", str(tmp_path)]
+    routes = ["routes", *inst, "--start", "v0"]
+    sro = ["sro", *inst, "--placement", "v0", "--oracle", "pc"]
+    resolve = ["resolve", *inst]
+    bench = ["bench", "--sizes", "8", "--seeds", "1", "--out", str(tmp_path)]
+    for argv, flag in [
+        (routes + ["--beam-width", "0"], "--beam-width"),
+        (routes + ["--beam-width=-3"], "--beam-width"),
+        (sro + ["--restarts=-2"], "--restarts"),
+        (sro + ["--beam-width", "0"], "--beam-width"),
+        (resolve + ["--max-placements=-1"], "--max-placements"),
+        (resolve + ["--max-placements", "0"], "--max-placements"),
+        (resolve + ["--restarts=-2"], "--restarts"),
+        (resolve + ["--beam-width=-3"], "--beam-width"),
+        (bench + ["--max-placements", "0"], "--max-placements"),
+        (bench + ["--restarts=-1"], "--restarts"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        assert flag in capsys.readouterr().err, argv
+
+
 def test_sro_requires_placement(tmp_path, capsys):
     assert run(["gen", "--targets", "6", "--seed", "3", "--out", str(tmp_path)]) == 0
     code = run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",

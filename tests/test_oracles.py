@@ -522,6 +522,14 @@ def test_multi_signal_aggregation_by_direct_enumeration():
         )
 
 
+def test_pc_rejects_negative_restarts():
+    s = make_setting(3, [(0, 1), (1, 2)])
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, (0, 2), s.targets)
+    with pytest.raises(ValueError, match="restarts"):
+        pc_sro(sets, s, restarts=-2)
+
+
 def test_respond_rejects_unknown_scheme():
     s = make_setting(2, [(0, 1)])
     alarm = single_signal(s)

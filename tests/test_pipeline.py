@@ -188,3 +188,8 @@ def test_config_validation():
         ResolutionConfig(oracles=())
     with pytest.raises(ValueError):
         ResolutionConfig(oracles=("XX",))
+    for bad in ({"beam_width": 0}, {"beam_width": -3}, {"pc_restarts": -2},
+                {"max_placements": 0}, {"max_placements": -1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ResolutionConfig(**bad)
+    ResolutionConfig(beam_width=1, pc_restarts=0, max_placements=1)

@@ -1,3 +1,5 @@
+import pytest
+
 from alarmpatrol import (
     GeneratorParams,
     JointRoute,
@@ -8,7 +10,13 @@ from alarmpatrol import (
 )
 from alarmpatrol.routes import CoveringRoute
 from alarmpatrol.seeding import stream
-from helpers import brute_route_cover_sets, make_setting, maximal_sets, random_setting
+from helpers import (
+    brute_route_cover_sets,
+    make_setting,
+    maximal_sets,
+    random_setting,
+    reference_covering_routes,
+)
 
 
 def test_line_example():
@@ -163,6 +171,40 @@ def test_beam_limit_flags_incomplete():
 
     small = covering_routes(s, d, 0, tuple(range(1, 11)))
     assert small.complete
+
+
+def test_rejects_beam_width_below_one():
+    s = make_setting(2, [(0, 1)])
+    d = all_pairs_distances(s)
+    for width in (0, -3):
+        with pytest.raises(ValueError, match="beam_width"):
+            covering_routes(s, d, 0, (0, 1), beam_width=width)
+
+
+def test_matches_reference_dp_at_generator_scale():
+    # The slack-ordered successor lists and the one-target-removal maximality
+    # test must return exactly what the full scan and the pairwise filter do:
+    # the same visits, arrivals and flag, for complete sets and for sets the
+    # beam truncated (where the pairwise filter still runs).
+    truncated = 0
+    for n, seed, deadline in (
+        (150, 11, None), (100, 42, None), (60, 1, None), (20, 14, None),
+        (40, 7, 2), (80, 3, 2), (70, 1, 2),
+    ):
+        s, alarm = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
+        d = all_pairs_distances(s)
+        support = alarm.signal_support("s0")
+        mid = sorted(support)[len(support) // 2]
+        off_support = tuple(t for t in support if t != mid)
+        for start, targets in ((0, support), (mid, support), (mid, off_support)):
+            for width in (100_000, 50, 5, 1):
+                case = (n, seed, deadline, start, len(targets), width)
+                rs = covering_routes(s, d, start, targets, beam_width=width)
+                want, complete = reference_covering_routes(s, d, start, targets, width)
+                assert [(r.visits, r.arrivals) for r in rs.routes] == want, case
+                assert rs.complete == complete, case
+                truncated += not complete
+    assert truncated >= 20
 
 
 def test_covered_targets_are_the_reachable_ones(monkeypatch):
