@@ -4,8 +4,17 @@ Solves  maximize c @ x  subject to  A_ub @ x <= b_ub,  A_eq @ x = b_eq,
 x >= 0, and returns the optimal duals of the ``A_ub`` rows with the primal.
 Pivoting is Dantzig's rule with lowest-index tie-breaks, falling back to
 Bland's rule after a run of degenerate pivots, so repeated solves of the same
-program agree bit for bit and cycling cannot occur.  Instances here are small
-and dense; there is no sparse path.
+program agree bit for bit and cycling cannot occur.
+
+The tableau is dense and column-major, and a pivot updates only the
+columns where the normalised pivot row is nonzero, which on PC's response
+LPs is about one column in seven.  This is exact: in every other column a
+full update would subtract ``factor * 0 = ±0``, which changes no value but
+at most the sign of a zero, and each updated cell takes the same product
+and difference, with the same two roundings, as in a full update.  Pricing
+and the ratio test do not see the sign of a zero, so the pivots are those of
+a full update, and ``x`` and the duals are returned without negative zeros,
+so they match it bit for bit too.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ class LinearProgramSolution:
     x: np.ndarray | None
     objective: float | None
     duals: np.ndarray | None = None  # of the A_ub rows, >= -PIVOT_TOL
+    pivots: int = 0  # over both phases
 
 
 def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
@@ -79,7 +89,8 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
 
     n_art = sum(1 for k in kinds if k != "le")
     ncols = n + m1 + n_art
-    T = np.zeros((m, ncols + 1))
+    # Column-major, so a pivot's update gathers and writes whole columns.
+    T = np.zeros((m, ncols + 1), order="F")
     basis = np.empty(m, dtype=int)
     art_cols: list[int] = []
     next_art = n + m1
@@ -118,7 +129,9 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
         _run(state, r1, art_limit=n + m1)
         # Phase-1 objective is -r1[-1] (maximize minus the artificial mass).
         if r1[-1] > FEAS_TOL:
-            return LinearProgramSolution(status="infeasible", x=None, objective=None)
+            return LinearProgramSolution(
+                status="infeasible", x=None, objective=None, pivots=state.pivots
+            )
         art_set = set(art_cols)
         drop_rows = []
         for i in range(m):
@@ -131,23 +144,28 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
                     drop_rows.append(i)
         if drop_rows:
             keep = [i for i in range(m) if i not in set(drop_rows)]
-            state.T = state.T[keep]
+            state.T = np.asfortranarray(state.T[keep])
             state.basis = state.basis[keep]
 
     # Phase 2 prices only structural and slack columns, so artificials stay out.
     status = _run(state, r2, art_limit=n + m1)
     if status == "unbounded":
-        return LinearProgramSolution(status="unbounded", x=None, objective=None)
+        return LinearProgramSolution(
+            status="unbounded", x=None, objective=None, pivots=state.pivots
+        )
 
     x = np.zeros(n)
     for i in range(state.T.shape[0]):
         if state.basis[i] < n:
             x[state.basis[i]] = state.T[i, -1]
+    x += 0.0  # -0.0 becomes 0.0; see the module docstring
     # Dual of inequality row i is minus the final reduced cost of its slack
     # column; a row negated for its rhs also negated its slack, so the sign
-    # works out the same.
-    duals = -r2[n : n + m1]
-    return LinearProgramSolution(status="optimal", x=x, objective=float(c @ x), duals=duals)
+    # works out the same.  Subtracting from 0.0 leaves no -0.0 either.
+    duals = 0.0 - r2[n : n + m1]
+    return LinearProgramSolution(
+        status="optimal", x=x, objective=float(c @ x), duals=duals, pivots=state.pivots
+    )
 
 
 class _SimplexState:
@@ -166,7 +184,9 @@ def _pivot(state: _SimplexState, i: int, q: int) -> None:
     T[i] /= T[i, q]
     factor = T[:, q].copy()
     factor[i] = 0.0
-    T -= np.outer(factor, T[i])
+    # Only the pivot row's nonzero columns change (module docstring).
+    nz = T[i].nonzero()[0]
+    T.T[nz] -= T[i, nz][:, None] * factor
     T[:, q] = 0.0
     T[i, q] = 1.0
     for r in state.extra:

@@ -245,37 +245,36 @@ def best_response_ilp(
             union |= m
         suffix[i] = suffix[i + 1] | union
 
+    # Depth-first over (resource, mask, weight, picks) on an explicit stack:
+    # children are pushed in reverse so they pop in ``orders`` order, and each
+    # node is tested when popped, as a recursive search would visit it.
     nodes = 0
     timed_out = False
-
-    def search(i: int, cur_mask: int, cur_w: float, picked: list[int]) -> None:
-        nonlocal best_choice, best_w, nodes, timed_out
-        if timed_out:
-            return
+    stack: list[tuple[int, int, float, tuple[int, ...]]] = [(0, 0, 0.0, ())]
+    while stack:
+        i, cur_mask, cur_w, picked = stack.pop()
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             timed_out = True
-            return
+            break
         if i == n_res:
             if cur_w > best_w + 1e-12:
                 best_w = cur_w
                 best_choice = list(picked)
-            return
+            continue
         if cur_w + _weight_bits(w, suffix[i] & ~cur_mask) <= best_w + 1e-12:
-            return
+            continue
         # Summed in the order a leaf sums its gains, so never below any leaf.
         bound = cur_w
         for ms in masks[i:]:
             bound += max(_weight_bits(w, m & ~cur_mask) for m in ms)
         if bound <= best_w + 1e-12:
-            return
-        for j in orders[i]:
-            picked.append(j)
-            gain = _weight_bits(w, masks[i][j] & ~cur_mask)
-            search(i + 1, cur_mask | masks[i][j], cur_w + gain, picked)
-            picked.pop()
+            continue
+        ms = masks[i]
+        for j in reversed(orders[i]):
+            gain = _weight_bits(w, ms[j] & ~cur_mask)
+            stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (j,)))
 
-    search(0, 0, 0.0, [])
     jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
     objective = 1.0 - total_w + best_w
     return jr, objective, not timed_out
@@ -487,6 +486,7 @@ def pc_sro(
     *,
     restarts: int = 0,
     seed: int = 0,
+    deadline: float | None = None,
 ) -> OracleResult:
     """Partial coordination: team maxmin of independently randomizing resources.
 
@@ -500,13 +500,15 @@ def pc_sro(
     from the best run to the global team maxmin; its profile replaces the
     run's, and its value ends the trace, only when it is better by more than
     CONVERGENCE_EPS, so a certified value is within SEARCH_GAP +
-    CONVERGENCE_EPS of the optimum.
+    CONVERGENCE_EPS of the optimum.  Once ``deadline`` (a ``time.monotonic``
+    instant) has passed, no further round or restart starts and the search
+    is skipped: the best profile so far is returned, flagged "timeout".
 
     ``diagnostics.optimal`` is True only for one resource (a single LP is
     global) or when the search closed its bound gap, and never over
     incomplete route sets.  Otherwise ``diagnostics.not_optimal`` says why:
-    "local fixed point", "iteration cap", "search node cap" or "incomplete
-    routes".  A search records its boxes, proven upper bound and
+    "timeout", "local fixed point", "iteration cap", "search node cap" or
+    "incomplete routes".  A search records its boxes, proven upper bound and
     remaining gap in ``diagnostics.extra["search"]``.
     """
     if restarts < 0:
@@ -524,6 +526,13 @@ def pc_sro(
             uncov *= np.clip(1.0 - I.T @ x, 0.0, 1.0)
         return 1.0 - float(np.max(pi * uncov))
 
+    timed_out = False
+
+    def expired() -> bool:
+        nonlocal timed_out
+        timed_out = timed_out or (deadline is not None and time.monotonic() > deadline)
+        return timed_out
+
     def run(profile: list[np.ndarray]) -> tuple[list[np.ndarray], float, list[float], bool]:
         val = value_of(profile)
         hist = [val]
@@ -531,6 +540,8 @@ def pc_sro(
         for _ in range(PC_MAX_ITERATIONS):
             if not targets:
                 converged = True
+                break
+            if expired():
                 break
             best_i, best_val, best_x = -1, val, None
             for i in range(m):
@@ -566,7 +577,9 @@ def pc_sro(
     best_profile, best_val, best_hist = None, -1.0, []
     traces: list[tuple[float, ...]] = []
     all_converged = True
-    for prof in profiles:
+    for k, prof in enumerate(profiles):
+        if k and expired():  # the NC start always runs: there is a profile to return
+            break
         final, val, hist, converged = run([x.copy() for x in prof])
         traces.append(tuple(hist))
         all_converged &= converged
@@ -576,7 +589,10 @@ def pc_sro(
     iterations = len(best_hist) - 1
     extra: dict = {"traces": traces}
     not_optimal = None
-    if m == 2 and targets and min(map(len, indicators)) <= SEARCH_MAX_ROUTES:
+    searchable = m == 2 and targets and min(map(len, indicators)) <= SEARCH_MAX_ROUTES
+    if timed_out or (searchable and expired()):
+        not_optimal = "timeout"
+    elif searchable:
         found, found_val, nodes, upper, closed = _team_search(
             indicators, pi, best_profile, best_val
         )
@@ -682,7 +698,9 @@ def respond(
         if scheme == "NC":
             per_signal[s] = nc_sro(sets, setting)
         elif scheme == "PC":
-            per_signal[s] = pc_sro(sets, setting, restarts=pc_restarts, seed=seed)
+            per_signal[s] = pc_sro(
+                sets, setting, restarts=pc_restarts, seed=seed, deadline=deadline
+            )
         else:
             per_signal[s] = fc_sro(sets, setting, mode=fc_mode, deadline=deadline)
     value = aggregate_value(setting, alarm, per_signal)

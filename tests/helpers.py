@@ -439,6 +439,27 @@ def payoff_matrix(covered, targets, value) -> np.ndarray:
     return U
 
 
+def dense_pivot(state, i: int, q: int) -> None:
+    """``lp._pivot`` as a full-tableau rank-1 update with ``np.outer``.
+
+    The simplex pivot as it was before it skipped the pivot row's zero
+    columns; the reference its results must match bit for bit.
+    """
+    T = state.T
+    T[i] /= T[i, q]
+    factor = T[:, q].copy()
+    factor[i] = 0.0
+    T -= np.outer(factor, T[i])
+    T[:, q] = 0.0
+    T[i, q] = 1.0
+    for r in state.extra:
+        if r[q] != 0.0:
+            r -= r[q] * T[i]
+            r[q] = 0.0
+    state.basis[i] = q
+    state.pivots += 1
+
+
 def routes_for(setting, dist, positions, support):
     from alarmpatrol import covering_routes
 

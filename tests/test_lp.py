@@ -1,7 +1,34 @@
 import numpy as np
 import pytest
 
-from alarmpatrol import LinearProgram, lp_solve
+from alarmpatrol import (
+    GeneratorParams,
+    LinearProgram,
+    all_pairs_distances,
+    enumerate_placements,
+    games,
+    generate_instance,
+    lp_solve,
+    min_cover,
+    oracles,
+    pc_sro,
+)
+from alarmpatrol import lp as lp_module
+from helpers import dense_pivot, routes_for
+
+# Classic cycling example for Dantzig's rule; the Bland fallback must
+# terminate at the optimum 1/20.
+BEALE = LinearProgram(
+    c=np.array([0.75, -150.0, 0.02, -6.0]),
+    A_ub=np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    ),
+    b_ub=np.array([0.0, 0.0, 1.0]),
+)
 
 
 def test_simple_bound():
@@ -59,18 +86,7 @@ def test_rejects_non_finite():
 
 
 def test_beale_degenerate_instance():
-    # Classic cycling example for Dantzig's rule; the Bland fallback must
-    # terminate at the optimum 1/20.
-    c = np.array([0.75, -150.0, 0.02, -6.0])
-    A = np.array(
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 1.0])
-    sol = lp_solve(LinearProgram(c=c, A_ub=A, b_ub=b))
+    sol = lp_solve(BEALE)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.05)
 
@@ -194,3 +210,98 @@ def test_duals_of_negated_rows():
     )
     assert sol.x == pytest.approx([3.0, 0.5])
     assert sol.duals == pytest.approx([0.5, 0.0, 0.5])
+
+
+def _same_as_dense_pivot(prog: LinearProgram):
+    """Solve ``prog`` with the dense reference pivot and with ``lp._pivot``;
+    assert the two agree bit for bit and return the latter's solution."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_pivot", dense_pivot)
+        ref = lp_solve(prog)
+    got = lp_solve(prog)
+    assert (got.status, got.pivots) == (ref.status, ref.pivots)
+    if ref.status == "optimal":
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.duals.tobytes() == ref.duals.tobytes()
+        assert got.objective == ref.objective
+    return got
+
+
+def _mixed_lp(rng):
+    """Feasible, bounded LP with "ge", "eq" and redundant rows.
+
+    Sparse small-integer rows through an integer point x0 >= 0 give pivot
+    rows with many zero columns, ties and degenerate vertices; the last
+    equality row is the sum of two others.
+    """
+    n = int(rng.integers(3, 10))
+    x0 = rng.integers(0, 3, n)
+    A = rng.integers(-3, 4, (int(rng.integers(2, 8)), n)) * (rng.random((1, n)) < 0.6)
+    b = A @ x0 + rng.integers(0, 2, len(A))
+    E = rng.integers(-2, 3, (int(rng.integers(2, 4)), n)) * (rng.random((1, n)) < 0.6)
+    E = np.vstack([E, E[0] + E[1]])
+    A = np.vstack([A, np.ones(n)])
+    b = np.append(b, 3 * n)
+    return LinearProgram(
+        c=rng.integers(-3, 4, n).astype(float),
+        A_ub=A.astype(float),
+        b_ub=b.astype(float),
+        A_eq=E.astype(float),
+        b_eq=(E @ x0).astype(float),
+    )
+
+
+def test_pivot_matches_dense_update_on_random_lps():
+    rng = np.random.default_rng(10)
+    negative_rhs = optimal = 0
+    for trial in range(300):
+        if trial % 3:
+            prog = _mixed_lp(rng)
+        else:
+            kind = ("general", "degenerate", "infeasible", "unbounded")[trial // 3 % 4]
+            prog = _random_lp(rng, kind)
+        sol = _same_as_dense_pivot(prog)
+        negative_rhs += bool((prog.b_ub < 0).any())
+        optimal += sol.status == "optimal"
+    assert optimal >= 200 and negative_rhs >= 150
+
+
+def test_pivot_matches_dense_update_past_bland_switch():
+    rules = []
+    pivot = lp_module._pivot
+
+    def spy(state, i, q):
+        rules.append(state.bland)
+        pivot(state, i, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_pivot", spy)
+        lp_solve(BEALE)
+    assert rules[-1] and not rules[0]
+    assert _same_as_dense_pivot(BEALE).pivots == len(rules)
+
+
+@pytest.mark.parametrize("n_targets, seed", [(150, 11), (100, 42)])
+def test_pivot_matches_dense_update_on_pc_and_nc_lps(n_targets, seed, monkeypatch):
+    # The response LPs and NC games PC solves at the generator instance's
+    # first placement, as ``resolve`` picks it.
+    setting, alarm = generate_instance(GeneratorParams(n_targets=n_targets, seed=seed))
+    dist = all_pairs_distances(setting)
+    cover = min_cover(setting, dist).placement
+    placement = next(enumerate_placements(setting, dist, len(cover.positions), initial=cover))
+    (signal,) = alarm.signals
+    sets = routes_for(setting, dist, placement.positions, alarm.signal_support(signal))
+    programs = []
+
+    def record(prog):
+        programs.append(prog)
+        return lp_solve(prog)
+
+    monkeypatch.setattr(oracles, "lp_solve", record)
+    monkeypatch.setattr(games, "lp_solve", record)
+    pc_sro(sets, setting)
+    monkeypatch.undo()
+    responses = sum(prog.c[-1] < 0.0 for prog in programs)  # NC games maximize +v
+    assert responses >= 2 and len(programs) > responses
+    for prog in programs:
+        assert _same_as_dense_pivot(prog).status == "optimal"

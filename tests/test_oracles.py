@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 
@@ -313,6 +314,44 @@ def test_fc_past_deadline_says_timeout(mode):
     assert result.diagnostics.timed_out
     assert not result.diagnostics.optimal
     assert result.diagnostics.not_optimal == "timeout"
+
+
+def test_pc_past_deadline_says_timeout():
+    # No round, restart or search starts: PC returns its NC start profile.
+    s = make_setting(5, [(0, 1), (1, 2), (2, 3), (3, 4)], deadline=1)
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, [1, 3], s.targets)
+    result = pc_sro(sets, s, restarts=3, deadline=time.monotonic() - 1.0)
+    diag = result.diagnostics
+    assert diag.not_optimal == "timeout" and diag.timed_out
+    assert diag.iterations == 0 and len(diag.extra["traces"]) == 1
+    assert "search" not in diag.extra
+    for sigma, rs in zip(result.per_resource, sets, strict=True):
+        assert set(sigma.probs) <= set(rs.routes)
+        assert sum(sigma.probs.values()) == pytest.approx(1.0)
+    assert result.value == pytest.approx(
+        evaluate_profile(result.per_resource, s, s.targets), abs=1e-12
+    )
+    assert result.value == pytest.approx(nc_sro(sets, s).value, abs=1e-12)
+    resp = respond(s, d, single_signal(s), [1, 3], "PC", deadline=time.monotonic() - 1.0)
+    assert resp.per_signal["s0"].diagnostics.timed_out
+
+
+def test_exact_best_response_leaves_no_reference_cycles():
+    # Garbage in cycles waits for the cyclic collector, so the peak memory of
+    # a run would depend on when that happens to run.
+    s, _ = generate_instance(GeneratorParams(n_targets=80, seed=0))
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, min_cover(s, d, "exact").placement.positions, s.targets)
+    attacker = MixedStrategy({t: 1.0 / len(s.targets) for t in s.targets})
+    gc.disable()
+    try:
+        gc.collect()
+        _, _, certified = best_response_ilp(sets, attacker, s)
+        assert certified
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fc_exact_finishes_at_deadline_2():
