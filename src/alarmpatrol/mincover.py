@@ -192,21 +192,25 @@ def exact_cover(
     nodes = 0
     timed_out = deadline is not None and time.monotonic() > deadline
 
-    def search(chosen: list[int], uncovered: int, candidates: list[int]) -> None:
-        nonlocal best, best_size, nodes, timed_out
-        if timed_out:
-            return
+    # Depth-first over (chosen, uncovered, candidates) on an explicit stack:
+    # the exclude branch is pushed under the include branch, and each node is
+    # tested when popped, as a recursive search would visit it.
+    stack: list[tuple[tuple[int, ...], int, list[int]]] = (
+        [] if timed_out else [((), full, sorted(masks))]
+    )
+    while stack:
+        chosen, uncovered, candidates = stack.pop()
         nodes += 1
         if deadline is not None and nodes % 512 == 0 and time.monotonic() > deadline:
             timed_out = True
-            return
+            break
         if not uncovered:
             if len(chosen) < best_size:
                 best = list(chosen)
                 best_size = len(chosen)
-            return
+            continue
         if len(chosen) + 1 >= best_size:
-            return
+            continue
         best_v, best_gain, union = -1, 0, 0
         for v in candidates:
             gain = (masks[v] & uncovered).bit_count()
@@ -214,16 +218,13 @@ def exact_cover(
             if gain > best_gain:
                 best_v, best_gain = v, gain
         if union & uncovered != uncovered:
-            return
+            continue
         if len(chosen) + math.ceil(uncovered.bit_count() / best_gain) >= best_size:
-            return
+            continue
         rest = [v for v in candidates if v != best_v]
-        chosen.append(best_v)
-        search(chosen, uncovered & ~masks[best_v], rest)
-        chosen.pop()
-        search(chosen, uncovered, rest)
+        stack.append((chosen, uncovered, rest))
+        stack.append((chosen + (best_v,), uncovered & ~masks[best_v], rest))
 
-    search([], full, sorted(masks))
     return MinCoverResult(
         placement=CoveringPlacement(tuple(best)),
         optimal=not timed_out,

@@ -16,7 +16,9 @@ expected utility:
   constant-sum game LP with a best response: for the exact maxmin, a branch
   and bound pruned by the union of the remaining routes and by the sum of
   each remaining resource's best marginal route; in heuristic mode, the best
-  of m greedy joint routes (a lower bound, never certified).
+  of m greedy joint routes (a lower bound, never certified).  Both scan each
+  resource's routes heaviest first and stop at the first route whose full
+  weight cannot beat what is in hand.
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -175,19 +177,33 @@ def _weight_bits(w: Sequence[float], mask: int) -> float:
 
 
 def _greedy(
-    masks: Sequence[Sequence[int]], w: Sequence[float], first: int
+    masks: Sequence[Sequence[int]],
+    w: Sequence[float],
+    full: Sequence[Sequence[float]],
+    orders: Sequence[Sequence[int]],
+    first: int,
 ) -> tuple[list[int], float]:
     """Greedy joint route (one route index per resource) and its weight.
 
     From resource ``first`` round to the one before it, each resource takes
-    the route adding the most weight, lowest index on ties.
+    the route adding the most weight, lowest index on ties.  Routes are
+    scanned heaviest first (``orders``) and the scan stops at the first
+    route whose full weight is below the best gain so far, since a route
+    never adds more than its full weight.
     """
     choice = [0] * len(masks)
     cur = 0
     for i in [*range(first, len(masks)), *range(first)]:
-        ms = masks[i]
-        choice[i] = min(range(len(ms)), key=lambda j: (-_weight_bits(w, ms[j] & ~cur), j))
-        cur |= ms[choice[i]]
+        ms, fs = masks[i], full[i]
+        best_j, best_gain = -1, -1.0
+        for j in orders[i]:
+            if fs[j] < best_gain:
+                break
+            gain = _weight_bits(w, ms[j] & ~cur)
+            if gain > best_gain or (gain == best_gain and j < best_j):
+                best_j, best_gain = j, gain
+        choice[i] = best_j
+        cur |= ms[best_j]
     return choice, _weight_bits(w, cur)
 
 
@@ -201,7 +217,7 @@ def best_response_ilp(
 ) -> tuple[JointRoute, float, bool]:
     """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t).
 
-    Both modes start from the greedy joint route ``_greedy(masks, w, 0)``:
+    Both modes start from the greedy joint route ``_greedy(..., 0)``:
     each resource in turn takes the route adding the most attacker weight,
     lowest index on ties.  Exact mode uses it as the incumbent of a
     depth-first branch and bound over per-resource route choices, pruned by
@@ -213,6 +229,13 @@ def best_response_ilp(
     search: it reruns the greedy starting from each other resource and
     returns the heaviest of these m joint routes, flagged False.
     The attacker's weight must lie on the route sets' support.
+
+    Each resource's routes are ranked once by their full weight, heaviest
+    first, and every scan over them (the greedy, the best-marginal bound and
+    the last resource's leaves) stops at the first route whose full weight
+    cannot beat what is in hand.  The weights are non-negative and summed in
+    bit order, so a route's uncovered weight never exceeds its full weight
+    in floating point either, and the early exits change no answer.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown best-response mode {mode!r}")
@@ -224,20 +247,19 @@ def best_response_ilp(
     total_w = sum(w)
     live = sum(1 << j for j, t in enumerate(support) if t in weight)
     masks = [[m & live for m in rs.masks] for rs in route_sets]
+    full = [[_weight_bits(w, m) for m in ms] for ms in masks]
+    orders = [sorted(range(len(fs)), key=lambda j: (-fs[j], j)) for fs in full]
     n_res = len(route_sets)
 
-    best_choice, best_w = _greedy(masks, w, 0)
+    best_choice, best_w = _greedy(masks, w, full, orders, 0)
     if mode == "heuristic":
         for first in range(1, n_res):
-            choice, choice_w = _greedy(masks, w, first)
+            choice, choice_w = _greedy(masks, w, full, orders, first)
             if choice_w > best_w + 1e-12:
                 best_choice, best_w = choice, choice_w
         jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
         return jr, 1.0 - total_w + best_w, False
 
-    orders = [
-        sorted(range(len(ms)), key=lambda i: (-_weight_bits(w, ms[i]), i)) for ms in masks
-    ]
     suffix = [0] * (n_res + 1)
     for i in range(n_res - 1, -1, -1):
         union = 0
@@ -247,33 +269,53 @@ def best_response_ilp(
 
     # Depth-first over (resource, mask, weight, picks) on an explicit stack:
     # children are pushed in reverse so they pop in ``orders`` order, and each
-    # node is tested when popped, as a recursive search would visit it.
+    # node is tested when popped, as a recursive search would visit it.  The
+    # last resource's leaves would pop next, in that order, so they are
+    # scanned in place instead; each counts as a node.
+    last = n_res - 1
     nodes = 0
     timed_out = False
     stack: list[tuple[int, int, float, tuple[int, ...]]] = [(0, 0, 0.0, ())]
-    while stack:
+    while stack and not timed_out:
         i, cur_mask, cur_w, picked = stack.pop()
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             timed_out = True
             break
-        if i == n_res:
-            if cur_w > best_w + 1e-12:
-                best_w = cur_w
-                best_choice = list(picked)
-            continue
         if cur_w + _weight_bits(w, suffix[i] & ~cur_mask) <= best_w + 1e-12:
             continue
         # Summed in the order a leaf sums its gains, so never below any leaf.
         bound = cur_w
-        for ms in masks[i:]:
-            bound += max(_weight_bits(w, m & ~cur_mask) for m in ms)
+        for k in range(i, n_res):
+            ms, fs = masks[k], full[k]
+            top = 0.0
+            for j in orders[k]:
+                if fs[j] <= top:
+                    break
+                gain = _weight_bits(w, ms[j] & ~cur_mask)
+                if gain > top:
+                    top = gain
+            bound += top
         if bound <= best_w + 1e-12:
             continue
-        ms = masks[i]
-        for j in reversed(orders[i]):
-            gain = _weight_bits(w, ms[j] & ~cur_mask)
-            stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (j,)))
+        ms, fs = masks[i], full[i]
+        if i < last:
+            for j in reversed(orders[i]):
+                gain = _weight_bits(w, ms[j] & ~cur_mask)
+                stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (j,)))
+            continue
+        # A leaf weighs at most cur_w plus its route's full weight.
+        for j in orders[i]:
+            if cur_w + fs[j] <= best_w + 1e-12:
+                break
+            nodes += 1
+            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+                timed_out = True
+                break
+            leaf_w = cur_w + _weight_bits(w, ms[j] & ~cur_mask)
+            if leaf_w > best_w + 1e-12:
+                best_w = leaf_w
+                best_choice = [*picked, j]
 
     jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
     objective = 1.0 - total_w + best_w

@@ -1,11 +1,15 @@
+import gc
+
 import pytest
 
 from alarmpatrol import (
     CoveringPlacement,
+    GeneratorParams,
     SetCoverInstance,
     all_pairs_distances,
     cycle_min_cover,
     exact_cover,
+    generate_instance,
     greedy_cover,
     local_search_improve,
     min_cover,
@@ -182,6 +186,21 @@ def test_exact_cover_timeout_returns_incumbent():
     result = exact_cover(to_set_cover(s, dist), time_budget=0.0)
     assert not result.optimal
     assert is_covering(result.placement.positions, s, dist)
+
+
+def test_exact_cover_leaves_no_reference_cycles():
+    # Garbage in cycles waits for the cyclic collector, so the peak memory of
+    # a run would depend on when that happens to run.
+    s, _ = generate_instance(GeneratorParams(n_targets=80, seed=0))
+    dist = all_pairs_distances(s)
+    gc.disable()
+    try:
+        gc.collect()
+        result = min_cover(s, dist, "exact")
+        assert result.optimal
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tree_path3():

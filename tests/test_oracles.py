@@ -230,6 +230,129 @@ def test_best_response_heuristic_restarts_greedy_from_each_resource():
     assert jr == exact_jr
 
 
+# Reference best response whose scans visit every route, to pin the early
+# exits of ``best_response_ilp`` and ``_greedy`` to the same answers.
+def _full_scan_weight(w, mask):
+    total = 0.0
+    while mask:
+        low = mask & -mask
+        total += w[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _full_scan_greedy(masks, w, first):
+    choice = [0] * len(masks)
+    cur = 0
+    for i in [*range(first, len(masks)), *range(first)]:
+        ms = masks[i]
+        choice[i] = min(range(len(ms)), key=lambda j: (-_full_scan_weight(w, ms[j] & ~cur), j))
+        cur |= ms[choice[i]]
+    return choice, _full_scan_weight(w, cur)
+
+
+def _full_scan_best_response(route_sets, attacker, setting, mode="exact"):
+    support = route_sets[0].targets
+    weight = {t: p for t, p in attacker.probs.items() if p > 0.0}
+    w = [weight.get(t, 0.0) * setting.value[t] for t in support]
+    total_w = sum(w)
+    live = sum(1 << j for j, t in enumerate(support) if t in weight)
+    masks = [[m & live for m in rs.masks] for rs in route_sets]
+    n_res = len(route_sets)
+    best_choice, best_w = _full_scan_greedy(masks, w, 0)
+    if mode == "heuristic":
+        for first in range(1, n_res):
+            choice, choice_w = _full_scan_greedy(masks, w, first)
+            if choice_w > best_w + 1e-12:
+                best_choice, best_w = choice, choice_w
+        jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
+        return jr, 1.0 - total_w + best_w, False
+    orders = [
+        sorted(range(len(ms)), key=lambda i: (-_full_scan_weight(w, ms[i]), i)) for ms in masks
+    ]
+    suffix = [0] * (n_res + 1)
+    for i in range(n_res - 1, -1, -1):
+        union = 0
+        for m in masks[i]:
+            union |= m
+        suffix[i] = suffix[i + 1] | union
+    stack = [(0, 0, 0.0, ())]
+    while stack:
+        i, cur_mask, cur_w, picked = stack.pop()
+        if i == n_res:
+            if cur_w > best_w + 1e-12:
+                best_w = cur_w
+                best_choice = list(picked)
+            continue
+        if cur_w + _full_scan_weight(w, suffix[i] & ~cur_mask) <= best_w + 1e-12:
+            continue
+        bound = cur_w
+        for ms in masks[i:]:
+            bound += max(_full_scan_weight(w, m & ~cur_mask) for m in ms)
+        if bound <= best_w + 1e-12:
+            continue
+        ms = masks[i]
+        for j in reversed(orders[i]):
+            gain = _full_scan_weight(w, ms[j] & ~cur_mask)
+            stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (j,)))
+    jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
+    return jr, 1.0 - total_w + best_w, True
+
+
+def _assert_pinned(sets, attacker, s):
+    for mode in ("exact", "heuristic"):
+        got = best_response_ilp(sets, attacker, s, mode)
+        want = _full_scan_best_response(sets, attacker, s, mode)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2] is want[2]
+
+
+def test_best_response_early_exits_match_full_scan_on_generator_instances():
+    # Prefixes of minimum-cover placements give m = 1-6 resources; the
+    # uniform attacker ties every route covering the same number of
+    # equal-valued targets, the others tie only where the values do.
+    for n, seed, deadline in ((40, 7, None), (60, 1, 2), (80, 3, 2)):
+        s, _ = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
+        d = all_pairs_distances(s)
+        placement = min_cover(s, d, "exact").placement.positions
+        all_sets = routes_for(s, d, placement, s.targets)
+        rng = stream(45, "brpin", n, seed)
+        for m in range(1, min(6, len(all_sets)) + 1):
+            sets = all_sets[:m]
+            uniform = MixedStrategy({t: 1.0 / len(s.targets) for t in s.targets})
+            levels = [rng.choice((1.0, 2.0, 3.0)) for _ in s.targets]
+            sparse = [rng.random() if rng.random() < 0.3 else 0.0 for _ in s.targets]
+            sparse[0] += 0.01
+            for attacker in (
+                uniform,
+                MixedStrategy.from_weights(list(s.targets), levels),
+                MixedStrategy.from_weights(list(s.targets), sparse),
+            ):
+                _assert_pinned(sets, attacker, s)
+
+
+def test_best_response_early_exits_match_full_scan_on_random_instances():
+    # Target values and attacker weights drawn from a few levels, so many
+    # routes and many joint routes tie in weight.
+    for trial in range(60):
+        rng = stream(46, "brpinrand", trial)
+        n = 12
+        s = make_setting(n, [(i, i + 1) for i in range(n - 1)],
+                         targets={t: (rng.choice((0.25, 0.5, 1.0)), 1) for t in range(n)})
+        sets = tuple(
+            RouteSet(
+                tuple(_r(k, *rng.sample(range(n), rng.randrange(1, 6)))
+                      for _ in range(rng.randrange(1, 7))),
+                k, True, tuple(range(n)),
+            )
+            for k in range(1 + trial % 6)
+        )
+        weights = [rng.choice((0.0, 1.0, 1.0, 2.0)) for _ in range(n)]
+        weights[0] += 1.0
+        _assert_pinned(sets, MixedStrategy.from_weights(list(range(n)), weights), s)
+
+
 # -- FC ------------------------------------------------------------------------
 
 
