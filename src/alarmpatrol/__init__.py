@@ -32,7 +32,6 @@ from .model import (
     build_alarm,
     build_setting,
     coverage_set,
-    coverage_sets,
 )
 from .oracles import (
     OracleResult,
@@ -80,7 +79,6 @@ __all__ = [
     "build_alarm",
     "build_setting",
     "coverage_set",
-    "coverage_sets",
     "covering_routes",
     "cycle_min_cover",
     "enumerate_placements",

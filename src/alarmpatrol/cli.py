@@ -262,10 +262,7 @@ def cmd_resolve(args) -> int:
     print(
         f"placements={report.placements_evaluated} exhausted={report.exhausted}"
     )
-    degraded = report.timed_out_oracles > 0 or (
-        report.mincover.method == "exact" and not report.mincover.optimal
-    )
-    return EXIT_TIMEOUT if degraded else EXIT_OK
+    return EXIT_TIMEOUT if report.timed_out else EXIT_OK
 
 
 def aggregate_bench(runs: list[tuple[int, int, Path]]) -> str:
@@ -335,7 +332,7 @@ def cmd_bench(args) -> int:
             fileio.write_json(run_dir / "report.json", payload)
             runs.append((n, seed, run_dir))
             timings.append((n, seed, elapsed))
-            if report.timed_out_oracles:
+            if report.timed_out:
                 worst = EXIT_TIMEOUT
             print(f"t={n} seed={seed}: placements={report.placements_evaluated}")
     (out / "bench.csv").write_text(aggregate_bench(runs), encoding="utf-8")
@@ -411,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", default="60m")
     p.add_argument("--mincover-method", default="auto")
     p.add_argument("--max-placements", type=_int_at_least(1), default=None)
-    p.add_argument("--resources-per-position", type=int, default=1)
+    p.add_argument("--resources-per-position", type=_int_at_least(1), default=1)
     p.add_argument("--fc-mode", default="exact", choices=["exact", "heuristic"])
     p.add_argument("--restarts", type=_int_at_least(0), default=0)
     p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)

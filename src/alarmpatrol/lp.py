@@ -108,18 +108,17 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
             art_cols.append(next_art)
             next_art += 1
 
+    # Reduced-cost rows.  Every starting basic column is a slack or an
+    # artificial, where phase 2's costs are 0, so only phase 1's row is priced
+    # against the starting basis.
     c1 = np.zeros(ncols + 1)
     c1[art_cols] = -1.0
-    c2 = np.zeros(ncols + 1)
-    c2[:n] = c
-
     r1 = c1.copy()
-    r2 = c2.copy()
     for i in range(m):
         if c1[basis[i]] != 0.0:
             r1 -= c1[basis[i]] * T[i]
-        if c2[basis[i]] != 0.0:
-            r2 -= c2[basis[i]] * T[i]
+    r2 = np.zeros(ncols + 1)
+    r2[:n] = c
 
     state = _SimplexState(T=T, basis=basis, extra=[r1, r2], switch=10 * (m + ncols))
 
@@ -132,6 +131,7 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
             return LinearProgramSolution(
                 status="infeasible", x=None, objective=None, pivots=state.pivots
             )
+        state.extra = [r2]  # nothing reads phase 1's row from here on
         art_set = set(art_cols)
         drop_rows = []
         for i in range(m):

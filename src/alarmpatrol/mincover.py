@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,22 +36,14 @@ class NotACycle(ValueError):
 
 @dataclass(frozen=True)
 class SetCoverInstance:
-    """Universe of targets plus one candidate set per useful vertex.
+    """One candidate set per vertex that covers a target, as a bitmask.
 
-    Built here: ``masks[v]`` has bit i set when ``sets[v]`` holds the i-th
-    smallest universe element (keys ascending), ``full`` every universe bit.
+    Bit j of ``masks[v]`` (keys ascending) stands for ``setting.targets[j]``;
+    ``full`` has every target's bit.
     """
 
-    universe: frozenset[int]
-    sets: dict[int, frozenset[int]]
-    masks: dict[int, int] = field(init=False, compare=False, repr=False)
-    full: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        bit = {t: i for i, t in enumerate(sorted(self.universe))}
-        masks = {v: sum(1 << bit[t] for t in self.sets[v] if t in bit) for v in sorted(self.sets)}
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "full", (1 << len(bit)) - 1)
+    masks: dict[int, int]
+    full: int
 
 
 @dataclass(frozen=True)
@@ -78,12 +70,15 @@ class MinCoverResult:
 
 def to_set_cover(setting: PatrollingSetting, dist: np.ndarray) -> SetCoverInstance:
     """SET-COVER instance whose candidate sets are the vertex coverage sets."""
-    sets: dict[int, frozenset[int]] = {}
+    masks: dict[int, int] = {}
     for v in range(setting.n):
-        cov = coverage_set(setting, dist, v)
-        if cov:
-            sets[v] = frozenset(cov)
-    return SetCoverInstance(universe=frozenset(setting.targets), sets=sets)
+        row = dist[v]
+        mask = sum(
+            1 << j for j, t in enumerate(setting.targets) if row[t] <= setting.deadline[t]
+        )
+        if mask:
+            masks[v] = mask
+    return SetCoverInstance(masks, (1 << len(setting.targets)) - 1)
 
 
 def is_covering(
@@ -284,7 +279,7 @@ def _deadline_vector(setting: PatrollingSetting) -> list[float]:
 
 def tree_min_cover(setting: PatrollingSetting, root: int = 0) -> CoveringPlacement:
     """Minimum covering placement on a tree; the size is root-independent."""
-    if len(setting.edges) != setting.n - 1:
+    if not _is_tree(setting):
         raise NotATree("graph is not a tree")
     placed = _tree_cover(setting.adj, root, _deadline_vector(setting))
     return CoveringPlacement(tuple(placed))
@@ -298,7 +293,7 @@ def cycle_min_cover(setting: PatrollingSetting) -> CoveringPlacement:
     over all deletions is optimal.
     """
     n = setting.n
-    if n < 3 or len(setting.edges) != n or any(len(a) != 2 for a in setting.adj):
+    if not _is_cycle(setting):
         raise NotACycle("graph is not a simple cycle")
     dl = _deadline_vector(setting)
     best: list[int] | None = None

@@ -287,7 +287,3 @@ def coverage_set(setting: PatrollingSetting, dist: np.ndarray, v: int) -> tuple[
     row = dist[v]
     return tuple(t for t in setting.targets if row[t] <= setting.deadline[t])
 
-
-def coverage_sets(setting: PatrollingSetting, dist: np.ndarray) -> dict[int, tuple[int, ...]]:
-    """``coverage_set`` for every vertex."""
-    return {v: coverage_set(setting, dist, v) for v in range(setting.n)}

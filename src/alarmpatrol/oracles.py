@@ -556,13 +556,18 @@ def pc_sro(
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     targets = _support(route_sets)
+    if not targets:
+        # Signal with empty support: nothing to protect, nothing to attack.
+        stay = tuple(MixedStrategy.pure(rs.routes[0]) for rs in route_sets)
+        diag = _diagnostics(
+            route_sets, trace=(1.0,), routes_generated=sum(len(rs.routes) for rs in route_sets)
+        )
+        return OracleResult(1.0, diag, per_resource=stay)
     m = len(route_sets)
     pi = np.array([setting.value[t] for t in targets])
     indicators = [rs.cover.astype(float) for rs in route_sets]
 
     def value_of(profile: list[np.ndarray]) -> float:
-        if not targets:
-            return 1.0
         uncov = np.ones(len(targets))
         for I, x in zip(indicators, profile):
             uncov *= np.clip(1.0 - I.T @ x, 0.0, 1.0)
@@ -580,9 +585,6 @@ def pc_sro(
         hist = [val]
         converged = False
         for _ in range(PC_MAX_ITERATIONS):
-            if not targets:
-                converged = True
-                break
             if expired():
                 break
             best_i, best_val, best_x = -1, val, None
@@ -631,7 +633,7 @@ def pc_sro(
     iterations = len(best_hist) - 1
     extra: dict = {"traces": traces}
     not_optimal = None
-    searchable = m == 2 and targets and min(map(len, indicators)) <= SEARCH_MAX_ROUTES
+    searchable = m == 2 and min(map(len, indicators)) <= SEARCH_MAX_ROUTES
     if timed_out or (searchable and expired()):
         not_optimal = "timeout"
     elif searchable:
@@ -648,7 +650,7 @@ def pc_sro(
         }
         if not closed:
             not_optimal = "search node cap"
-    elif m == 1 or not targets:
+    elif m == 1:
         # One resource: the first LP round is already the global optimum.
         if not all_converged:
             not_optimal = "iteration cap"

@@ -4,9 +4,9 @@ With no false alarms the defender's best pre-signal policy is to park the
 resources on a covering placement and respond to signals from there, so the
 pipeline (1) computes the minimum number of resources, (2) enumerates
 covering placements of exactly that size by local-search moves, and (3) runs
-the selected signal-response oracles on each placement, keeping per-oracle
-incumbents and a utility-versus-time trace.  Interrupting at any point leaves
-a valid report.
+the selected signal-response oracles on each placement.  The evaluated
+placements are the report's record; its per-oracle incumbents, trace and
+counts derive from them.  Interrupting at any point leaves a valid report.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .mincover import (
     to_set_cover,
 )
 from .model import AlarmSystem, PatrollingSetting, all_pairs_distances, build_alarm, build_setting
-from .oracles import SignalResponse, respond
+from .oracles import respond
 from .seeding import stream
 
 # The largest number of combinations enumerate_placements' systematic sweep
@@ -212,9 +212,12 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class PlacementEval:
+    """Oracle values in ``config.oracles`` order; ``elapsed`` is stamped after the last."""
+
     positions: tuple[int, ...]
     metrics: OverlapMetrics
     values: dict[str, float]
+    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -226,14 +229,46 @@ class BestEntry:
 
 @dataclass
 class ResolutionReport:
-    m: int
+    """One anytime run; ``placements`` is its record, in evaluation order.
+
+    ``m``, ``placements_evaluated``, ``best`` and ``trace`` are derived from
+    it and from ``mincover``.
+    """
+
     mincover: MinCoverResult
     placements: list[PlacementEval] = field(default_factory=list)
-    best: dict[str, BestEntry] = field(default_factory=dict)
-    trace: list[TraceEntry] = field(default_factory=list)
-    placements_evaluated: int = 0
     exhausted: bool = False
     timed_out_oracles: int = 0
+
+    @property
+    def m(self) -> int:
+        return len(self.mincover.placement)
+
+    @property
+    def placements_evaluated(self) -> int:
+        return len(self.placements)
+
+    @property
+    def best(self) -> dict[str, BestEntry]:
+        """Per oracle, the first placement reaching its highest value."""
+        best: dict[str, BestEntry] = {}
+        for idx, pe in enumerate(self.placements):
+            for scheme, value in pe.values.items():
+                if scheme not in best or value > best[scheme].value:
+                    best[scheme] = BestEntry(idx, pe.positions, value)
+        return best
+
+    @property
+    def trace(self) -> list[TraceEntry]:
+        """Every oracle value in evaluation order, stamped with its placement's ``elapsed``."""
+        evals = [(i, pe, s, v) for i, pe in enumerate(self.placements) for s, v in pe.values.items()]
+        return [TraceEntry(pe.elapsed, seq, i, s, v) for seq, (i, pe, s, v) in enumerate(evals)]
+
+    @property
+    def timed_out(self) -> bool:
+        """Whether an exact computation ran out of time: an oracle or the exact min cover."""
+        cover_cut = self.mincover.method == "exact" and not self.mincover.optimal
+        return cover_cut or self.timed_out_oracles > 0
 
 
 def resolve(
@@ -241,87 +276,37 @@ def resolve(
 ) -> ResolutionReport:
     """Run the full anytime flow under a wall-clock budget."""
     t0 = time.monotonic()
-    budget = config.time_budget
+    deadline = t0 + config.time_budget
     dist = all_pairs_distances(setting)
-
     mc = min_cover(
-        setting, dist, config.mincover_method, time_budget=min(budget / 4.0, 30.0)
+        setting, dist, config.mincover_method, time_budget=min(config.time_budget / 4.0, 30.0)
     )
-    if time.monotonic() - t0 >= budget:
+    if time.monotonic() >= deadline:
         raise BudgetTooSmall("time budget exhausted during the placement step")
 
-    m = len(mc.placement)
-    k = config.resources_per_position
-    report = ResolutionReport(m=m, mincover=mc)
+    report = ResolutionReport(mincover=mc)
     route_cache: dict = {}
-    deadline = t0 + budget
-    seq = 0
-
-    def run_oracle(scheme: str, positions: Sequence[int]) -> SignalResponse:
-        return respond(
-            setting,
-            dist,
-            alarm,
-            positions,
-            scheme,
-            route_cache=route_cache,
-            beam_width=config.beam_width,
-            fc_mode=config.fc_mode,
-            pc_restarts=config.pc_restarts,
-            seed=config.seed,
-            deadline=deadline,
-        )
-
-    gen = enumerate_placements(setting, dist, m, initial=mc.placement)
-    exhausted = _sweeps(setting.n, m)
+    gen = enumerate_placements(setting, dist, report.m, initial=mc.placement)
     for idx, placement in enumerate(gen):
-        if time.monotonic() >= deadline or (
-            config.max_placements is not None and idx >= config.max_placements
-        ):
-            exhausted = False
+        if time.monotonic() >= deadline or idx == config.max_placements:
             break
-        resources = [p for p in placement.positions for _ in range(k)]
+        resources = [p for p in placement.positions for _ in range(config.resources_per_position)]
         metrics = overlap_metrics(placement, setting, dist)
         values: dict[str, float] = {}
-
-        responses: dict[str, SignalResponse] = {}
         for scheme in config.oracles:
             if time.monotonic() >= deadline:
-                exhausted = False
                 break
-            responses[scheme] = run_oracle(scheme, resources)
-
-        for scheme in config.oracles:
-            resp = responses.get(scheme)
-            if resp is None:
-                continue
+            resp = respond(setting, dist, alarm, resources, scheme, route_cache=route_cache,
+                           beam_width=config.beam_width, fc_mode=config.fc_mode,
+                           pc_restarts=config.pc_restarts, seed=config.seed, deadline=deadline)
             values[scheme] = resp.value
-            report.trace.append(
-                TraceEntry(
-                    elapsed=time.monotonic() - t0,
-                    seq=seq,
-                    placement_index=idx,
-                    oracle=scheme,
-                    value=resp.value,
-                )
+            report.timed_out_oracles += sum(
+                res.diagnostics.timed_out for res in resp.per_signal.values()
             )
-            seq += 1
-            for res in resp.per_signal.values():
-                if res.diagnostics.timed_out:
-                    report.timed_out_oracles += 1
-            cur = report.best.get(scheme)
-            if cur is None or resp.value > cur.value:
-                report.best[scheme] = BestEntry(
-                    placement_index=idx,
-                    positions=placement.positions,
-                    value=resp.value,
-                )
-        report.placements.append(
-            PlacementEval(positions=placement.positions, metrics=metrics, values=values)
-        )
-        report.placements_evaluated += 1
+        elapsed = time.monotonic() - t0
+        report.placements.append(PlacementEval(placement.positions, metrics, values, elapsed))
         if len(values) < len(config.oracles):
-            exhausted = False
             break
-    report.exhausted = exhausted
+    else:
+        report.exhausted = _sweeps(setting.n, report.m)
     return report

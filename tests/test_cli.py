@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from alarmpatrol import oracles
-from alarmpatrol.cli import EXIT_NUMERIC, aggregate_bench, main, parse_duration
+from alarmpatrol import oracles, pipeline
+from alarmpatrol.cli import EXIT_NUMERIC, EXIT_TIMEOUT, aggregate_bench, main, parse_duration
 from alarmpatrol.fileio import (
     instance_to_payload,
     load_instance,
@@ -13,6 +13,7 @@ from alarmpatrol.fileio import (
     save_instance,
     FileFormatError,
 )
+from alarmpatrol.mincover import MinCoverResult
 from alarmpatrol.pipeline import GeneratorParams, generate_instance
 
 
@@ -223,6 +224,7 @@ def test_bad_counts_exit_2_naming_the_flag(tmp_path, capsys):
         (resolve + ["--max-placements", "0"], "--max-placements"),
         (resolve + ["--restarts=-2"], "--restarts"),
         (resolve + ["--beam-width=-3"], "--beam-width"),
+        (resolve + ["--resources-per-position", "0"], "--resources-per-position"),
         (bench + ["--max-placements", "0"], "--max-placements"),
         (bench + ["--restarts=-1"], "--restarts"),
     ]:
@@ -251,6 +253,25 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.strip() == "error: numerical failure: simplex pivot limit exceeded"
     assert not (tmp_path / "result.json").exists()
+
+
+def test_min_cover_timeout_exits_3_from_resolve_and_bench(tmp_path, monkeypatch):
+    # bench used to exit 0 here: it counted only oracle timeouts.
+    real = pipeline.min_cover
+
+    def cut(setting, dist, method, time_budget=None):
+        return MinCoverResult(real(setting, dist, "exact").placement, False, "exact")
+
+    monkeypatch.setattr(pipeline, "min_cover", cut)
+    assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    code = run(["resolve", "--instance", str(tmp_path / "instance.json"), "--oracles", "nc",
+                "--max-placements", "2", "--out", str(tmp_path)])
+    assert code == EXIT_TIMEOUT == 3
+    assert json.loads((tmp_path / "report.json").read_text())["mincover"]["optimal"] is False
+    code = run(["bench", "--sizes", "8", "--seeds", "1", "--oracles", "nc",
+                "--max-placements", "2", "--out", str(tmp_path / "bench")])
+    assert code == EXIT_TIMEOUT
+    assert (tmp_path / "bench" / "bench.csv").exists()
 
 
 def test_resolve_outputs_and_monotone_trace(tmp_path):

@@ -7,6 +7,7 @@ from alarmpatrol import (
     GeneratorParams,
     SetCoverInstance,
     all_pairs_distances,
+    coverage_set,
     cycle_min_cover,
     exact_cover,
     generate_instance,
@@ -42,51 +43,50 @@ def _star(leaves: int):
 def test_to_set_cover_examples():
     path3 = make_setting(3, [(0, 1), (1, 2)])
     inst = to_set_cover(path3, all_pairs_distances(path3))
-    assert inst.universe == {0, 1, 2}
-    assert inst.sets[1] == {0, 1, 2}
-    assert inst.sets[0] == {0, 1}
+    assert inst.full == 0b111
+    assert inst.masks == {0: 0b011, 1: 0b111, 2: 0b110}
 
     single = make_setting(1, [])
     inst = to_set_cover(single, all_pairs_distances(single))
-    assert inst.universe == {0} and inst.sets == {0: frozenset({0})}
+    assert inst.full == 1 and inst.masks == {0: 1}
 
 
 def test_every_target_in_own_candidate_set():
     rng = stream(5, "tsc")
     s = random_setting(10, rng)
-    inst = to_set_cover(s, all_pairs_distances(s))
-    for t in s.targets:
-        assert t in inst.sets[t]
+    d = all_pairs_distances(s)
+    inst = to_set_cover(s, d)
+    for j, t in enumerate(s.targets):
+        assert inst.masks[t] >> j & 1
+    for v in range(s.n):
+        mask = inst.masks.get(v, 0)
+        assert {t for j, t in enumerate(s.targets) if mask >> j & 1} == set(coverage_set(s, d, v))
 
 
 def test_greedy_trace():
-    # Universe {1,2,3}; a={1,2}, b={2,3}, c={3}: greedy takes a (tie with b,
-    # lower id wins), then b; exhaustive check confirms OPT=2.
-    inst = SetCoverInstance(
-        universe=frozenset({1, 2, 3}),
-        sets={0: frozenset({1, 2}), 1: frozenset({2, 3}), 2: frozenset({3})},
-    )
+    # Universe {1,2,3} as bits 0-2; a={1,2}, b={2,3}, c={3}: greedy takes a
+    # (tie with b, lower id wins), then b; exhaustive check confirms OPT=2.
+    inst = SetCoverInstance(masks={0: 0b011, 1: 0b110, 2: 0b100}, full=0b111)
     assert greedy_cover(inst).positions == (0, 1)
 
 
 def test_set_cover_masks_follow_sorted_universe():
-    # Element 9 lies outside the universe and gets no bit.
-    inst = SetCoverInstance(
-        universe=frozenset({7, 3, 5}),
-        sets={4: frozenset({3, 9}), 1: frozenset({5, 7})},
-    )
-    assert inst.masks == {1: 0b110, 4: 0b001}
-    assert list(inst.masks) == [1, 4]
+    # On a 10-vertex path with targets 3, 5 and 7 (deadline 1), bit j stands
+    # for the j-th target; vertices 0, 1 and 9 cover nothing and get no mask.
+    s = make_setting(10, [(i, i + 1) for i in range(9)], targets={t: (1.0, 1) for t in (7, 3, 5)})
+    inst = to_set_cover(s, all_pairs_distances(s))
+    assert inst.masks == {2: 0b001, 3: 0b001, 4: 0b011, 5: 0b010, 6: 0b110, 7: 0b100, 8: 0b100}
+    assert list(inst.masks) == [2, 3, 4, 5, 6, 7, 8]
     assert inst.full == 0b111
 
 
 def test_greedy_single_set():
-    inst = SetCoverInstance(universe=frozenset({1}), sets={0: frozenset({1})})
+    inst = SetCoverInstance(masks={0: 0b1}, full=0b1)
     assert greedy_cover(inst).positions == (0,)
 
 
 def test_greedy_infeasible():
-    inst = SetCoverInstance(universe=frozenset({1, 2}), sets={0: frozenset({1})})
+    inst = SetCoverInstance(masks={0: 0b01}, full=0b11)
     with pytest.raises(Infeasible):
         greedy_cover(inst)
 
@@ -107,28 +107,19 @@ def test_greedy_within_harmonic_bound():
 
 
 def test_local_search_drops_redundant():
-    inst = SetCoverInstance(
-        universe=frozenset({1, 2}),
-        sets={0: frozenset({1, 2}), 1: frozenset({1})},
-    )
+    inst = SetCoverInstance(masks={0: 0b11, 1: 0b01}, full=0b11)
     improved = local_search_improve(CoveringPlacement((0, 1)), inst)
     assert improved.positions == (0,)
 
 
 def test_local_search_fixed_point():
-    inst = SetCoverInstance(
-        universe=frozenset({1, 2}),
-        sets={0: frozenset({1}), 1: frozenset({2})},
-    )
+    inst = SetCoverInstance(masks={0: 0b01, 1: 0b10}, full=0b11)
     p = CoveringPlacement((0, 1))
     assert local_search_improve(p, inst).positions == p.positions
 
 
 def test_local_search_pair_replacement():
-    inst = SetCoverInstance(
-        universe=frozenset({1, 2, 3}),
-        sets={0: frozenset({1}), 1: frozenset({2}), 2: frozenset({1, 2}), 3: frozenset({3})},
-    )
+    inst = SetCoverInstance(masks={0: 0b001, 1: 0b010, 2: 0b011, 3: 0b100}, full=0b111)
     improved = local_search_improve(CoveringPlacement((0, 1, 3)), inst)
     assert improved.positions == (2, 3)
 

@@ -6,7 +6,6 @@ from alarmpatrol import (
     build_alarm,
     build_setting,
     coverage_set,
-    coverage_sets,
     generate_instance,
 )
 from alarmpatrol.model import (
@@ -163,7 +162,7 @@ def test_every_target_covers_itself():
         rng = stream(3, "selfcov", trial)
         s = random_setting(8, rng, target_fraction=0.7)
         d = all_pairs_distances(s)
-        cov = coverage_sets(s, d)
+        cov = {v: coverage_set(s, d, v) for v in range(s.n)}
         union = set()
         for v in range(s.n):
             union |= set(cov[v])

@@ -710,3 +710,17 @@ def test_empty_support_signal_is_harmless():
         resp = respond(s, d, alarm, [0], scheme)
         assert resp.per_signal["dead"].value == 1.0
         assert resp.value == pytest.approx(resp.per_signal["live"].value)
+
+    # PC with restarts past its deadline used to flag the dead signal "timeout".
+    s = make_setting(3, [(0, 1), (1, 2)])
+    alarm = build_alarm(s, [("live", {"v0": 1.0, "v1": 1.0, "v2": 1.0}), ("dead", {})])
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, (0, 2), ())
+    past = time.monotonic() - 1.0
+    pc = pc_sro(sets, s, restarts=2, deadline=past)
+    assert pc.value == 1.0 and pc.diagnostics.optimal and pc.diagnostics.iterations == 0
+    assert [sigma.probs for sigma in pc.per_resource] == [{rs.routes[0]: 1.0} for rs in sets]
+    assert all(not rs.routes[0].visits for rs in sets)
+    resp = respond(s, d, alarm, [0, 2], "PC", pc_restarts=2, deadline=past)
+    assert resp.per_signal["dead"].diagnostics.optimal
+    assert resp.per_signal["dead"].value == 1.0

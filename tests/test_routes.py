@@ -84,28 +84,45 @@ def _route_invariants(rs, setting, dist, support):
                 assert r.arrivals[i] > r.arrivals[i - 1]
 
 
+def _check_by_permutation_search(s, d, start, support):
+    rs = covering_routes(s, d, start, support)
+    assert rs.complete
+    _route_invariants(rs, s, d, support)
+
+    feasible = brute_route_cover_sets(s, d, start, support)
+    expected = maximal_sets(feasible)
+    got = {r.covered for r in rs.routes if r.visits}
+    # Dominance: returned sets are exactly the maximal feasible ones
+    # (modulo the always-present stay-put sentinel).
+    sentinel_cov = rs.routes[0].covered
+    assert got - {sentinel_cov} <= expected
+    assert expected <= got
+    # Completeness: every feasible covered set is inside some returned one.
+    for c in feasible:
+        assert any(c <= g for g in got | {frozenset()})
+
+
 def test_matches_permutation_search():
     for trial in range(25):
         rng = stream(23, "routes", trial)
         s = random_setting(8, rng, deadlines=(1, 2, 3))
         d = all_pairs_distances(s)
-        support = tuple(s.targets[:7])
-        start = rng.randrange(s.n)
-        rs = covering_routes(s, d, start, support)
-        assert rs.complete
-        _route_invariants(rs, s, d, support)
+        _check_by_permutation_search(s, d, rng.randrange(s.n), tuple(s.targets[:7]))
 
-        feasible = brute_route_cover_sets(s, d, start, support)
-        expected = maximal_sets(feasible)
-        got = {r.covered for r in rs.routes if r.visits}
-        # Dominance: returned sets are exactly the maximal feasible ones
-        # (modulo the always-present stay-put sentinel).
-        sentinel_cov = rs.routes[0].covered
-        assert got - {sentinel_cov} <= expected
-        assert expected <= got
-        # Completeness: every feasible covered set is inside some returned one.
-        for c in feasible:
-            assert any(c <= g for g in got | {frozenset()})
+
+def test_matches_permutation_search_at_generator_scale():
+    # Five starts on each generator instance.  Some reach more targets than
+    # EXACT_LIMIT, so the beam-regime path is checked independently too.
+    most = 0
+    for n, seed, deadline in [
+        (20, 14, None), (30, 1, None), (40, 7, None), (40, 7, 2), (60, 1, None), (80, 0, None)
+    ]:
+        s, _ = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
+        d = all_pairs_distances(s)
+        for start in range(0, n, n // 5):
+            _check_by_permutation_search(s, d, start, s.targets)
+            most = max(most, sum(d[start][t] <= s.deadline[t] for t in s.targets))
+    assert most > routes.EXACT_LIMIT
 
 
 def _cover_matches_routes(rs, support):
