@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -53,8 +54,8 @@ def parse_duration(text: str) -> float:
         value = float(text) * factor
     except ValueError:
         raise ValueError(f"cannot parse duration {text!r}") from None
-    if value <= 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"duration must be positive and finite, got {text!r}")
     return value
 
 

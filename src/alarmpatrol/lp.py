@@ -15,6 +15,17 @@ and difference, with the same two roundings, as in a full update.  Pricing
 and the ratio test do not see the sign of a zero, so the pivots are those of
 a full update, and ``x`` and the duals are returned without negative zeros,
 so they match it bit for bit too.
+
+The tableau is written from two row masks: ``flip`` (rhs < 0; a -0.0 rhs is
+not flipped) and ``art_rows`` (the flipped inequality rows and every equality
+row, each given the next artificial column in row order).  The program is
+copied in with array assignments, flipped rows are multiplied by -1.0, which
+is exact, and the slacks (-1 on a flipped row, else +1), artificials and
+starting basis are set by fancy index.  Phase 1's row starts from its cost
+row and adds the artificial rows one by one in row order, the same additions
+in the same order as pricing every row against the basis (``a - (-1.0 * t)``
+is ``a + t`` exactly), so the tableau, both reduced-cost rows and every pivot
+equal those of a row-by-row build bit for bit; a test pins them to it.
 """
 
 from __future__ import annotations
@@ -64,65 +75,43 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
     ):
         raise ValueError("linear program coefficients must be finite")
 
-    m1, m2 = A_ub.shape[0], A_eq.shape[0]
-    m = m1 + m2
-
-    # Row kinds after sign normalization (rhs >= 0): "le" keeps a slack basis,
-    # "ge" and "eq" need an artificial.
-    rows = []
-    kinds = []
-    for i in range(m1):
-        a, b = A_ub[i], b_ub[i]
-        if b < 0:
-            rows.append((-a, -b))
-            kinds.append("ge")
-        else:
-            rows.append((a, b))
-            kinds.append("le")
-    for i in range(m2):
-        a, b = A_eq[i], b_eq[i]
-        if b < 0:
-            rows.append((-a, -b))
-        else:
-            rows.append((a, b))
-        kinds.append("eq")
-
-    n_art = sum(1 for k in kinds if k != "le")
-    ncols = n + m1 + n_art
+    m1 = A_ub.shape[0]
+    b = np.concatenate([b_ub, b_eq])
+    m = b.shape[0]
+    # Rows with a negative rhs are negated (a -0.0 rhs is not).  A negated
+    # inequality row gets a -1 slack and an artificial, every equality row
+    # an artificial, and each other row's +1 slack starts basic.
+    flip = b < 0
+    art_rows = np.concatenate([np.flatnonzero(flip[:m1]), np.arange(m1, m)])
+    ub = np.arange(m1)
+    art_cols = n + m1 + np.arange(art_rows.size)
+    ncols = n + m1 + art_rows.size
     # Column-major, so a pivot's update gathers and writes whole columns.
     T = np.zeros((m, ncols + 1), order="F")
-    basis = np.empty(m, dtype=int)
-    art_cols: list[int] = []
-    next_art = n + m1
-    for i, ((a, b), kind) in enumerate(zip(rows, kinds)):
-        T[i, :n] = a
-        T[i, -1] = b
-        if kind == "le":
-            T[i, n + i] = 1.0
-            basis[i] = n + i
-        else:
-            if kind == "ge":
-                T[i, n + i] = -1.0
-            T[i, next_art] = 1.0
-            basis[i] = next_art
-            art_cols.append(next_art)
-            next_art += 1
+    T[:m1, :n] = A_ub
+    T[m1:, :n] = A_eq
+    T[:, -1] = b
+    T[flip, :n] *= -1.0
+    T[flip, -1] *= -1.0
+    T[ub, n + ub] = np.where(flip[:m1], -1.0, 1.0)
+    T[art_rows, art_cols] = 1.0
+    basis = n + np.arange(m)
+    basis[art_rows] = art_cols
 
     # Reduced-cost rows.  Every starting basic column is a slack or an
     # artificial, where phase 2's costs are 0, so only phase 1's row is priced
-    # against the starting basis.
-    c1 = np.zeros(ncols + 1)
-    c1[art_cols] = -1.0
-    r1 = c1.copy()
-    for i in range(m):
-        if c1[basis[i]] != 0.0:
-            r1 -= c1[basis[i]] * T[i]
+    # against the starting basis: its cost row plus each artificial row, in
+    # row order.
+    r1 = np.zeros(ncols + 1)
+    r1[art_cols] = -1.0
+    for i in art_rows:
+        r1 += T[i]
     r2 = np.zeros(ncols + 1)
     r2[:n] = c
 
     state = _SimplexState(T=T, basis=basis, extra=[r1, r2], switch=10 * (m + ncols))
 
-    if art_cols:
+    if art_rows.size:
         # Artificials start basic and are dropped once they leave, so entering
         # candidates are always structural or slack columns.
         _run(state, r1, art_limit=n + m1)
@@ -132,20 +121,16 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
                 status="infeasible", x=None, objective=None, pivots=state.pivots
             )
         state.extra = [r2]  # nothing reads phase 1's row from here on
-        art_set = set(art_cols)
-        drop_rows = []
-        for i in range(m):
-            if basis[i] in art_set:
-                for j in range(n + m1):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        _pivot(state, i, j)
-                        break
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in set(drop_rows)]
-            state.T = np.asfortranarray(state.T[keep])
-            state.basis = state.basis[keep]
+        # Pivot each artificial still basic out on its row's first usable
+        # column; a row with none is redundant and is dropped.
+        for i in np.flatnonzero(basis >= n + m1):
+            cols = np.flatnonzero(np.abs(T[i, : n + m1]) > PIVOT_TOL)
+            if cols.size:
+                _pivot(state, i, cols[0])
+        keep = basis < n + m1
+        if not keep.all():
+            state.T = np.asfortranarray(T[keep])
+            state.basis = basis[keep]
 
     # Phase 2 prices only structural and slack columns, so artificials stay out.
     status = _run(state, r2, art_limit=n + m1)
@@ -155,9 +140,8 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
         )
 
     x = np.zeros(n)
-    for i in range(state.T.shape[0]):
-        if state.basis[i] < n:
-            x[state.basis[i]] = state.T[i, -1]
+    structural = state.basis < n
+    x[state.basis[structural]] = state.T[structural, -1]
     x += 0.0  # -0.0 becomes 0.0; see the module docstring
     # Dual of inequality row i is minus the final reduced cost of its slack
     # column; a row negated for its rhs also negated its slack, so the sign

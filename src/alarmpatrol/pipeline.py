@@ -70,6 +70,8 @@ def generate_instance(params: GeneratorParams) -> tuple[PatrollingSetting, Alarm
     n = params.n_targets
     if n < 1:
         raise ValueError("n_targets must be positive")
+    if not (math.isfinite(params.avg_degree) and params.avg_degree >= 0):
+        raise ValueError(f"avg_degree must be finite and >= 0, got {params.avg_degree}")
     rng = stream(params.seed, "gen", n)
     ids = [f"v{i}" for i in range(n)]
 
@@ -183,14 +185,17 @@ class ResolutionConfig:
     pc_restarts: int = 0
 
     def __post_init__(self) -> None:
-        if self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
+        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+            raise ValueError(f"time budget must be positive and finite, got {self.time_budget}")
         if not self.oracles:
             raise ValueError("select at least one oracle")
-        for s in self.oracles:
-            if s.upper() not in ("FC", "PC", "NC"):
+        upper = tuple(s.upper() for s in self.oracles)
+        for i, (s, u) in enumerate(zip(self.oracles, upper)):
+            if u not in ("FC", "PC", "NC"):
                 raise ValueError(f"unknown oracle {s!r}")
-        object.__setattr__(self, "oracles", tuple(s.upper() for s in self.oracles))
+            if u in upper[:i]:
+                raise ValueError(f"oracle {s!r} is selected more than once")
+        object.__setattr__(self, "oracles", upper)
         if self.resources_per_position < 1:
             raise ValueError("resources_per_position must be >= 1")
         if self.beam_width < 1:

@@ -460,6 +460,105 @@ def dense_pivot(state, i: int, q: int) -> None:
     state.pivots += 1
 
 
+def rowwise_lp_solve(prog):
+    """``lp.lp_solve`` with the tableau built row by row from a list of row kinds.
+
+    The construction as it was before the tableau was written with row
+    masks; the reference its results must match bit for bit.  Pivoting and
+    the phase loops are the module's own.
+    """
+    from alarmpatrol import lp
+
+    c = np.asarray(prog.c, dtype=float)
+    n = c.shape[0]
+    A_ub = np.zeros((0, n)) if prog.A_ub is None else np.asarray(prog.A_ub, dtype=float)
+    b_ub = np.zeros(0) if prog.b_ub is None else np.asarray(prog.b_ub, dtype=float)
+    A_eq = np.zeros((0, n)) if prog.A_eq is None else np.asarray(prog.A_eq, dtype=float)
+    b_eq = np.zeros(0) if prog.b_eq is None else np.asarray(prog.b_eq, dtype=float)
+    m1, m2 = A_ub.shape[0], A_eq.shape[0]
+    m = m1 + m2
+    rows, kinds = [], []
+    for i in range(m1):
+        a, b = A_ub[i], b_ub[i]
+        if b < 0:
+            rows.append((-a, -b))
+            kinds.append("ge")
+        else:
+            rows.append((a, b))
+            kinds.append("le")
+    for i in range(m2):
+        a, b = A_eq[i], b_eq[i]
+        rows.append((-a, -b) if b < 0 else (a, b))
+        kinds.append("eq")
+
+    n_art = sum(1 for k in kinds if k != "le")
+    ncols = n + m1 + n_art
+    T = np.zeros((m, ncols + 1), order="F")
+    basis = np.empty(m, dtype=int)
+    art_cols: list[int] = []
+    next_art = n + m1
+    for i, ((a, b), kind) in enumerate(zip(rows, kinds)):
+        T[i, :n] = a
+        T[i, -1] = b
+        if kind == "le":
+            T[i, n + i] = 1.0
+            basis[i] = n + i
+        else:
+            if kind == "ge":
+                T[i, n + i] = -1.0
+            T[i, next_art] = 1.0
+            basis[i] = next_art
+            art_cols.append(next_art)
+            next_art += 1
+
+    c1 = np.zeros(ncols + 1)
+    c1[art_cols] = -1.0
+    r1 = c1.copy()
+    for i in range(m):
+        if c1[basis[i]] != 0.0:
+            r1 -= c1[basis[i]] * T[i]
+    r2 = np.zeros(ncols + 1)
+    r2[:n] = c
+
+    state = lp._SimplexState(T=T, basis=basis, extra=[r1, r2], switch=10 * (m + ncols))
+    if art_cols:
+        lp._run(state, r1, art_limit=n + m1)
+        if r1[-1] > lp.FEAS_TOL:
+            return lp.LinearProgramSolution(
+                status="infeasible", x=None, objective=None, pivots=state.pivots
+            )
+        state.extra = [r2]
+        art_set = set(art_cols)
+        drop_rows = []
+        for i in range(m):
+            if basis[i] in art_set:
+                for j in range(n + m1):
+                    if abs(T[i, j]) > lp.PIVOT_TOL:
+                        lp._pivot(state, i, j)
+                        break
+                else:
+                    drop_rows.append(i)
+        if drop_rows:
+            keep = [i for i in range(m) if i not in set(drop_rows)]
+            state.T = np.asfortranarray(state.T[keep])
+            state.basis = state.basis[keep]
+
+    status = lp._run(state, r2, art_limit=n + m1)
+    if status == "unbounded":
+        return lp.LinearProgramSolution(
+            status="unbounded", x=None, objective=None, pivots=state.pivots
+        )
+    x = np.zeros(n)
+    for i in range(state.T.shape[0]):
+        if state.basis[i] < n:
+            x[state.basis[i]] = state.T[i, -1]
+    x += 0.0
+    duals = 0.0 - r2[n : n + m1]
+    return lp.LinearProgramSolution(
+        status="optimal", x=x, objective=float(c @ x), duals=duals, pivots=state.pivots
+    )
+
+
 def routes_for(setting, dist, positions, support):
     from alarmpatrol import covering_routes
 

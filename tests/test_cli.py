@@ -31,6 +31,9 @@ def test_parse_duration():
         parse_duration("abc")
     with pytest.raises(ValueError):
         parse_duration("-3s")
+    for text in ("nan", "inf", "-inf", "infs", "nanm"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_duration(text)
 
 
 def test_gen_schedule_and_roundtrip(tmp_path):
@@ -232,6 +235,28 @@ def test_bad_counts_exit_2_naming_the_flag(tmp_path, capsys):
             run(argv)
         assert exc.value.code == 2, argv
         assert flag in capsys.readouterr().err, argv
+
+
+def test_bad_values_exit_2_naming_them(tmp_path, capsys):
+    # --budget nan never bound and wrote NaN into report.json, --oracles fc,fc
+    # stopped after one placement, and --avg-degree inf exited 4.
+    assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    inst = ["--instance", str(tmp_path / "instance.json"), "--out", str(tmp_path)]
+    cases = [
+        (["gen", "--targets", "8", "--out", str(tmp_path), "--avg-degree", bad], "avg_degree")
+        for bad in ("inf", "nan", "-1")
+    ]
+    for budget in ("nan", "inf"):
+        cases += [
+            (["resolve", *inst, "--budget", budget], "duration"),
+            (["sro", *inst, "--placement", "v0", "--oracle", "nc", "--budget", budget], "duration"),
+            (["mincover", *inst, "--budget", budget], "duration"),
+        ]
+    cases += [(["resolve", *inst, "--oracles", o], "more than once") for o in ("fc,fc", "fc,FC")]
+    for argv, word in cases:
+        assert run(argv) == 2, argv
+        assert word in capsys.readouterr().err, argv
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_sro_requires_placement(tmp_path, capsys):

@@ -6,15 +6,17 @@ from alarmpatrol import (
     LinearProgram,
     all_pairs_distances,
     enumerate_placements,
+    fc_sro,
     games,
     generate_instance,
     lp_solve,
     min_cover,
+    nc_sro,
     oracles,
     pc_sro,
 )
 from alarmpatrol import lp as lp_module
-from helpers import dense_pivot, routes_for
+from helpers import dense_pivot, routes_for, rowwise_lp_solve
 
 # Classic cycling example for Dantzig's rule; the Bland fallback must
 # terminate at the optimum 1/20.
@@ -219,12 +221,18 @@ def _same_as_dense_pivot(prog: LinearProgram):
         mp.setattr(lp_module, "_pivot", dense_pivot)
         ref = lp_solve(prog)
     got = lp_solve(prog)
+    _assert_bit_equal(got, ref)
+    return got
+
+
+def _assert_bit_equal(got, ref):
     assert (got.status, got.pivots) == (ref.status, ref.pivots)
     if ref.status == "optimal":
         assert got.x.tobytes() == ref.x.tobytes()
         assert got.duals.tobytes() == ref.duals.tobytes()
-        assert got.objective == ref.objective
-    return got
+        assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes()
+    else:
+        assert (got.x, got.duals, got.objective) == (None, None, None)
 
 
 def _mixed_lp(rng):
@@ -281,10 +289,9 @@ def test_pivot_matches_dense_update_past_bland_switch():
     assert _same_as_dense_pivot(BEALE).pivots == len(rules)
 
 
-@pytest.mark.parametrize("n_targets, seed", [(150, 11), (100, 42)])
-def test_pivot_matches_dense_update_on_pc_and_nc_lps(n_targets, seed, monkeypatch):
-    # The response LPs and NC games PC solves at the generator instance's
-    # first placement, as ``resolve`` picks it.
+def _placement_lps(monkeypatch, n_targets, seed, sros):
+    """The LPs each of ``sros`` solves at the generator instance's first
+    placement, as ``resolve`` picks it: one list per oracle."""
     setting, alarm = generate_instance(GeneratorParams(n_targets=n_targets, seed=seed))
     dist = all_pairs_distances(setting)
     cover = min_cover(setting, dist).placement
@@ -294,14 +301,138 @@ def test_pivot_matches_dense_update_on_pc_and_nc_lps(n_targets, seed, monkeypatc
     programs = []
 
     def record(prog):
-        programs.append(prog)
+        programs[-1].append(prog)
         return lp_solve(prog)
 
     monkeypatch.setattr(oracles, "lp_solve", record)
     monkeypatch.setattr(games, "lp_solve", record)
-    pc_sro(sets, setting)
+    for sro in sros:
+        programs.append([])
+        sro(sets, setting)
     monkeypatch.undo()
+    return programs
+
+
+@pytest.mark.parametrize("n_targets, seed", [(150, 11), (100, 42)])
+def test_pivot_matches_dense_update_on_pc_and_nc_lps(n_targets, seed, monkeypatch):
+    # The response LPs and NC games PC solves.
+    (programs,) = _placement_lps(monkeypatch, n_targets, seed, (pc_sro,))
     responses = sum(prog.c[-1] < 0.0 for prog in programs)  # NC games maximize +v
     assert responses >= 2 and len(programs) > responses
     for prog in programs:
         assert _same_as_dense_pivot(prog).status == "optimal"
+
+
+def _phase_starts(solve, prog):
+    """Solve ``prog`` with ``solve``; also return, for each phase, the bytes of
+    the tableau, basis and reduced-cost row it starts from."""
+    starts = []
+    run = lp_module._run
+
+    def spy(state, r, art_limit):
+        starts.append((state.T.tobytes(), state.basis.tobytes(), r.tobytes()))
+        return run(state, r, art_limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_run", spy)
+        return solve(prog), starts
+
+
+def _same_as_rowwise(prog: LinearProgram):
+    """Solve ``prog`` with ``lp_solve`` and with the row-by-row reference;
+    assert both phases start from the same bytes and the results agree bit
+    for bit, and return the former's solution."""
+    got, got_starts = _phase_starts(lp_solve, prog)
+    ref, ref_starts = _phase_starts(rowwise_lp_solve, prog)
+    assert got_starts == ref_starts
+    _assert_bit_equal(got, ref)
+    return got
+
+
+def _row_kinds_lp(rng):
+    """LP over small integers that mixes every row kind the tableau tells apart.
+
+    Inequality rows have positive, negative and -0.0 rhs, or there are none;
+    equality rows have negative rhs and the last is the sum of two others, so
+    a feasible program keeps an artificial basic after phase 1 and drops its
+    row.  A shifted rhs can make the rows contradict, and without the cap on
+    sum(x) the objective can grow without bound.
+    """
+    n = int(rng.integers(2, 8))
+    x0 = rng.integers(0, 3, n)
+    E = rng.integers(-2, 3, (int(rng.integers(2, 4)), n))
+    E = np.vstack([E, E[0] + E[1]]) * rng.choice([-1, 1], (len(E) + 1, 1))
+    prog = {"c": rng.integers(-3, 4, n).astype(float), "A_eq": E.astype(float),
+            "b_eq": (E @ x0).astype(float)}
+    if rng.random() < 0.75:
+        A = rng.integers(-3, 4, (int(rng.integers(1, 7)), n)) * (rng.random((1, n)) < 0.7)
+        b = (A @ x0 + rng.integers(-1, 2, len(A))).astype(float)
+        b[rng.random(len(b)) < 0.3] = -0.0
+        if rng.random() < 0.5:
+            A = np.vstack([A, np.ones(n)])
+            b = np.append(b, 3.0 * n)
+        prog.update(A_ub=A.astype(float), b_ub=b)
+    return LinearProgram(**prog)
+
+
+def _negated_rows_lp(rng):
+    """Bounded LP whose many float rows mostly have a negative rhs.
+
+    Phase 1's row then sums 8 or more artificial rows whose entries round,
+    so the order of that sum shows in the last bits.  One program in five
+    asks a positive row to sum to -1, which no x >= 0 meets.
+    """
+    n = int(rng.integers(3, 9))
+    A = rng.uniform(-1.0, 0.5, (int(rng.integers(10, 25)), n))
+    b = A @ rng.uniform(0.0, 1.0, n) + rng.uniform(0.0, 0.2, len(A))
+    return LinearProgram(
+        c=rng.uniform(-1.0, 1.0, n),
+        A_ub=np.vstack([A, np.ones(n)]),
+        b_ub=np.append(b, float(n)),
+        A_eq=rng.uniform(0.5, 1.0, (1, n)),
+        b_eq=np.array([-1.0]) if rng.random() < 0.2 else np.array([1.0]),
+    )
+
+
+def test_masked_tableau_matches_rowwise_build_on_random_lps():
+    rng = np.random.default_rng(14)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    zero_rhs = negative_rhs = negative_eq_rhs = no_ub = 0
+    for trial in range(800):
+        if trial % 4 == 0:
+            prog = _random_lp(rng, ("general", "degenerate", "infeasible", "unbounded")[trial // 4 % 4])
+        elif trial % 4 == 1:
+            prog = _mixed_lp(rng)
+        elif trial % 4 == 2:
+            prog = _row_kinds_lp(rng)
+        else:
+            prog = _negated_rows_lp(rng)
+        seen[_same_as_rowwise(prog).status] += 1
+        if prog.A_ub is None:
+            no_ub += 1
+        else:
+            zero_rhs += bool(np.signbit(prog.b_ub[prog.b_ub == 0.0]).any())
+            negative_rhs += bool((prog.b_ub < 0).any())
+        negative_eq_rhs += prog.A_eq is not None and bool((prog.b_eq < 0).any())
+    assert min(seen.values()) >= 60, seen
+    assert min(zero_rhs, negative_rhs, negative_eq_rhs, no_ub) >= 30
+
+
+def test_masked_tableau_matches_rowwise_build_on_edge_programs():
+    # No rows at all; only -0.0 rhs, which are not negated, so phase 1 never
+    # runs; and Beale's cycling example, which reaches the Bland fallback.
+    for prog in (
+        LinearProgram(c=np.array([0.0, -1.0])),
+        LinearProgram(c=np.array([1.0])),
+        LinearProgram(c=np.array([1.0, 1.0]), A_ub=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                      b_ub=np.array([-0.0, -0.0])),
+        BEALE,
+    ):
+        _same_as_rowwise(prog)
+
+
+def test_masked_tableau_matches_rowwise_build_on_oracle_lps(monkeypatch):
+    per_oracle = _placement_lps(monkeypatch, 25, 0, (nc_sro, pc_sro, fc_sro))
+    assert min(map(len, per_oracle)) >= 1
+    for prog in sum(per_oracle, []):
+        assert _same_as_rowwise(prog).status == "optimal"

@@ -50,6 +50,15 @@ def test_generator_shape():
         assert all(0.0 < s.value[t] <= 1.0 for t in s.targets)
 
 
+def test_generator_rejects_non_finite_or_negative_degree():
+    # An infinite degree used to raise OverflowError from math.ceil.
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="avg_degree"):
+            generate_instance(GeneratorParams(n_targets=12, seed=0, avg_degree=bad))
+    tree, _ = generate_instance(GeneratorParams(n_targets=12, seed=0, avg_degree=0))
+    assert len(tree.edges) == tree.n - 1
+
+
 def test_enumerate_triangle_all_single_placements():
     s = cycle_setting(3)
     d = all_pairs_distances(s)
@@ -188,6 +197,13 @@ def test_config_validation():
         ResolutionConfig(oracles=())
     with pytest.raises(ValueError):
         ResolutionConfig(oracles=("XX",))
+    for budget in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="time budget"):
+            ResolutionConfig(time_budget=budget)
+    # A repeated oracle used to end resolve after one placement, unexhausted.
+    for oracles in (("FC", "FC"), ("fc", "PC", "FC"), ("nc", "NC")):
+        with pytest.raises(ValueError, match=repr(oracles[-1])):
+            ResolutionConfig(oracles=oracles)
     for bad in ({"beam_width": 0}, {"beam_width": -3}, {"pc_restarts": -2},
                 {"max_placements": 0}, {"max_placements": -1}):
         with pytest.raises(ValueError, match=next(iter(bad))):
