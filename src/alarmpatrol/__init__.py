@@ -9,7 +9,7 @@ batch CLI on top.
 
 __version__ = "0.1.0"
 
-from .games import MatrixGame, MixedStrategy, solve_zero_sum
+from .games import MatrixGame, MixedStrategy, RowGame, solve_zero_sum
 from .lp import LinearProgram, LinearProgramSolution, lp_solve
 from .mincover import (
     CoveringPlacement,
@@ -71,6 +71,7 @@ __all__ = [
     "ResolutionConfig",
     "ResolutionReport",
     "RouteSet",
+    "RowGame",
     "SetCoverInstance",
     "SignalResponse",
     "aggregate_value",

@@ -222,6 +222,7 @@ def oracle_payload(
         "diagnostics": {
             "iterations": result.diagnostics.iterations,
             "routes_generated": result.diagnostics.routes_generated,
+            "lp_pivots": result.diagnostics.lp_pivots,
             "optimal": result.diagnostics.optimal,
             "timed_out": result.diagnostics.timed_out,
         },

@@ -4,6 +4,13 @@ The defender picks a row, the attacker a column; the payoff matrix stores the
 defender utility and the attacker receives one minus it.  One LP per game gives
 both players' strategies: the defender's maxmin is its primal, the attacker's
 minmax its duals.  Each pair is checked as a certificate of the game value.
+
+``RowGame`` keeps that LP alive while the defender gains rows, as row
+generation needs.  A new row is one new LP column, inserted before the value
+variable and priced against the solved tableau's basis
+(``lp._SimplexState.add_column``); it enters at zero level, so the old basis
+stays primal feasible and the next solve resumes phase 2 from it instead of
+starting over.  ``solve_zero_sum`` is a game solved once.
 """
 
 from __future__ import annotations
@@ -66,44 +73,79 @@ class MixedStrategy:
         return cls({a: float(p) for a, p in zip(actions, w) if p > 0.0})
 
 
-def solve_zero_sum(game: MatrixGame) -> tuple[MixedStrategy, MixedStrategy, float]:
-    """Maxmin/minmax pair and game value for a constant-sum game.
+class RowGame:
+    """A constant-sum game solved by one LP that rows can be added to.
 
-    The row player maximizes the minimal column payoff; the column strategy is
-    the attacker minmax distribution (the one row generation best-responds
-    to), read from the duals of the per-column constraints.  Payoffs are
-    shifted to be non-negative so the value variable can be kept
-    sign-constrained.  Raises ArithmeticError unless each strategy guarantees
-    the value within ``VALUE_TOL`` against every reply.
+    The first ``solve`` builds and solves the LP; after ``add_row`` the next
+    resumes from the solved tableau.  ``pivots`` sums the pivots of every
+    solve.  Payoffs are shifted by the starting matrix's minimum (when
+    negative), which keeps the value variable sign-constrained: rows never
+    lower the maxmin, so the shifted value stays non-negative.
     """
-    U = game.payoff
-    n_rows, n_cols = U.shape
-    shift = float(min(0.0, U.min()))
-    Us = U - shift
 
-    # maximize v  s.t.  v - sum_r U[r,t] x_r <= 0 per column, sum x = 1
-    A_ub = np.hstack([-Us.T, np.ones((n_cols, 1))])
-    A_eq = np.hstack([np.ones((1, n_rows)), np.zeros((1, 1))])
-    c = np.zeros(n_rows + 1)
-    c[-1] = 1.0
-    row_sol = lp_solve(
-        LinearProgram(c=c, A_ub=A_ub, b_ub=np.zeros(n_cols), A_eq=A_eq, b_eq=np.ones(1))
-    )
-    if row_sol.status != "optimal":
-        raise ArithmeticError(f"row LP ended with status {row_sol.status}")
+    def __init__(self, game: MatrixGame):
+        self.payoff = game.payoff
+        self.row_actions = list(game.row_actions or range(len(game.payoff)))
+        self.col_actions = game.col_actions or tuple(range(game.payoff.shape[1]))
+        self.shift = float(min(0.0, game.payoff.min()))
+        self.pivots = 0
+        self._tableau = None
 
-    value = float(row_sol.x[-1]) + shift
-    x = row_sol.x[:n_rows]
-    y = np.maximum(row_sol.duals, 0.0)
-    if y.sum() <= 0.0:
-        raise ArithmeticError("row LP has no positive dual weight")
-    y = y / y.sum()
-    gap = max(float((U @ y).max()) - value, value - float((x @ U).min()))
-    if gap > VALUE_TOL:
-        raise ArithmeticError(f"strategies miss the game value by {gap} > {VALUE_TOL}")
+    def add_row(self, u: np.ndarray, action: Hashable | None = None) -> None:
+        """Give the defender row ``u`` (one payoff per column), labelled ``action``."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != self.payoff.shape[1:] or not np.all(np.isfinite(u)):
+            raise ValueError("a row needs one finite payoff per column")
+        at = len(self.payoff)
+        self.payoff = np.vstack([self.payoff, u])
+        self.row_actions.append(at if action is None else action)
+        if self._tableau is not None:
+            # The LP column of the row: -(u - shift) in the column rows, 1 in sum x = 1.
+            self._tableau.add_column(np.append(-(u - self.shift), 1.0), 0.0, at)
 
-    row_actions = game.row_actions or tuple(range(n_rows))
-    col_actions = game.col_actions or tuple(range(n_cols))
-    row = MixedStrategy.from_weights(row_actions, x)
-    col = MixedStrategy.from_weights(col_actions, y)
-    return row, col, value
+    def solve(self) -> tuple[MixedStrategy, MixedStrategy, float]:
+        """Maxmin/minmax pair and game value over the current rows.
+
+        The row player maximizes the minimal column payoff; the column
+        strategy is the attacker minmax distribution (the one row generation
+        best-responds to), read from the duals of the per-column constraints.
+        Raises ArithmeticError unless each strategy guarantees the value
+        within ``VALUE_TOL`` against every reply.
+        """
+        U = self.payoff
+        n_rows, n_cols = U.shape
+        if self._tableau is None:
+            # maximize v  s.t.  v - sum_r U[r,t] x_r <= 0 per column, sum x = 1
+            Us = U - self.shift
+            A_ub = np.hstack([-Us.T, np.ones((n_cols, 1))])
+            A_eq = np.hstack([np.ones((1, n_rows)), np.zeros((1, 1))])
+            c = np.zeros(n_rows + 1)
+            c[-1] = 1.0
+            row_sol = lp_solve(
+                LinearProgram(c=c, A_ub=A_ub, b_ub=np.zeros(n_cols), A_eq=A_eq, b_eq=np.ones(1))
+            )
+        else:
+            row_sol = self._tableau.resume()
+        self.pivots += row_sol.pivots
+        if row_sol.status != "optimal":
+            raise ArithmeticError(f"row LP ended with status {row_sol.status}")
+        self._tableau = row_sol.tableau
+
+        value = float(row_sol.x[-1]) + self.shift
+        x = row_sol.x[:n_rows]
+        y = np.maximum(row_sol.duals, 0.0)
+        if y.sum() <= 0.0:
+            raise ArithmeticError("row LP has no positive dual weight")
+        y = y / y.sum()
+        gap = max(float((U @ y).max()) - value, value - float((x @ U).min()))
+        if gap > VALUE_TOL:
+            raise ArithmeticError(f"strategies miss the game value by {gap} > {VALUE_TOL}")
+
+        row = MixedStrategy.from_weights(self.row_actions, x)
+        col = MixedStrategy.from_weights(self.col_actions, y)
+        return row, col, value
+
+
+def solve_zero_sum(game: MatrixGame) -> tuple[MixedStrategy, MixedStrategy, float]:
+    """Maxmin/minmax pair and game value for a constant-sum game (``RowGame.solve``)."""
+    return RowGame(game).solve()

@@ -26,11 +26,23 @@ row and adds the artificial rows one by one in row order, the same additions
 in the same order as pricing every row against the basis (``a - (-1.0 * t)``
 is ``a + t`` exactly), so the tableau, both reduced-cost rows and every pivot
 equal those of a row-by-row build bit for bit; a test pins them to it.
+
+An optimal solution carries its solved tableau, which can take a new
+structural column and resume phase 2 (column generation).  The tableau's
+columns at the starting basis (the slacks, and the artificials of the rows
+that needed one) hold B^-1, so the new column a is B^-1 a read from them,
+with a row negated for its rhs negating its entry of a first.  Their phase-2
+reduced costs are minus the row prices, because their costs are 0, so the
+new column's reduced cost is ``cost + r2[starting-basis cols] @ a``.  The
+column enters nonbasic, at zero level, so the basic solution and with it
+primal feasibility are unchanged, and phase 2 resumes from the old basis.
+The pivot limit and the degenerate-run count that switches to Bland's rule
+start afresh in each resumed solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +67,9 @@ class LinearProgramSolution:
     x: np.ndarray | None
     objective: float | None
     duals: np.ndarray | None = None  # of the A_ub rows, >= -PIVOT_TOL
-    pivots: int = 0  # over both phases
+    pivots: int = 0  # over both phases, or of the one resumed phase 2
+    # The solved tableau of an optimal solution; ``add_column`` + ``resume``.
+    tableau: _SimplexState | None = field(default=None, repr=False, compare=False)
 
 
 def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
@@ -109,7 +123,11 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
     r2 = np.zeros(ncols + 1)
     r2[:n] = c
 
-    state = _SimplexState(T=T, basis=basis, extra=[r1, r2], switch=10 * (m + ncols))
+    # Phase 1's row is updated only while phase 1 needs it.
+    extra = [r1, r2] if art_rows.size else [r2]
+    state = _SimplexState(T=T, basis=basis, extra=extra, switch=10 * (m + ncols))
+    state.c, state.m1 = c, m1
+    state.start, state.sign = basis.copy(), np.where(flip, -1.0, 1.0)
 
     if art_rows.size:
         # Artificials start basic and are dropped once they leave, so entering
@@ -132,27 +150,18 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
             state.T = np.asfortranarray(T[keep])
             state.basis = basis[keep]
 
-    # Phase 2 prices only structural and slack columns, so artificials stay out.
-    status = _run(state, r2, art_limit=n + m1)
-    if status == "unbounded":
-        return LinearProgramSolution(
-            status="unbounded", x=None, objective=None, pivots=state.pivots
-        )
-
-    x = np.zeros(n)
-    structural = state.basis < n
-    x[state.basis[structural]] = state.T[structural, -1]
-    x += 0.0  # -0.0 becomes 0.0; see the module docstring
-    # Dual of inequality row i is minus the final reduced cost of its slack
-    # column; a row negated for its rhs also negated its slack, so the sign
-    # works out the same.  Subtracting from 0.0 leaves no -0.0 either.
-    duals = 0.0 - r2[n : n + m1]
-    return LinearProgramSolution(
-        status="optimal", x=x, objective=float(c @ x), duals=duals, pivots=state.pivots
-    )
+    return state.optimize()
 
 
 class _SimplexState:
+    """A tableau, its basis and the reduced-cost rows its pivots update.
+
+    ``lp_solve`` also sets ``c`` (the structural costs), ``m1`` (the number
+    of ``A_ub`` rows), ``start`` (each row's starting basic column) and
+    ``sign`` (-1.0 on the rows negated for their rhs), which ``optimize``
+    and ``add_column`` read.
+    """
+
     def __init__(self, T: np.ndarray, basis: np.ndarray, extra: list[np.ndarray], switch: int):
         self.T = T
         self.basis = basis
@@ -161,6 +170,66 @@ class _SimplexState:
         self.bland = False
         self.switch = switch
         self.pivots = 0
+
+    def optimize(self) -> LinearProgramSolution:
+        """Run phase 2 from the current feasible basis and read the solution."""
+        r2 = self.extra[-1]
+        n, m1 = self.c.shape[0], self.m1
+        # Phase 2 prices only structural and slack columns, so artificials
+        # stay out.
+        if _run(self, r2, art_limit=n + m1) == "unbounded":
+            return LinearProgramSolution(
+                status="unbounded", x=None, objective=None, pivots=self.pivots
+            )
+        x = np.zeros(n)
+        structural = self.basis < n
+        x[self.basis[structural]] = self.T[structural, -1]
+        x += 0.0  # -0.0 becomes 0.0; see the module docstring
+        # Dual of inequality row i is minus the final reduced cost of its slack
+        # column; a row negated for its rhs also negated its slack, so the sign
+        # works out the same.  Subtracting from 0.0 leaves no -0.0 either.
+        duals = 0.0 - r2[n : n + m1]
+        return LinearProgramSolution(
+            status="optimal", x=x, objective=float(self.c @ x), duals=duals,
+            pivots=self.pivots, tableau=self,
+        )
+
+    def add_column(self, a: np.ndarray, cost: float, at: int) -> None:
+        """Insert structural column ``at`` priced against the current basis.
+
+        ``a`` holds the column's coefficients in the program's rows (``A_ub``
+        rows, then ``A_eq`` rows) and ``cost`` its objective coefficient.  The
+        column enters nonbasic, at zero level (module docstring).
+        """
+        if self.T.shape[0] != self.start.shape[0]:
+            raise ValueError("cannot add a column once a redundant row was dropped")
+        a = self.sign * np.asarray(a, dtype=float)
+        r2 = self.extra[-1]
+        self.T = _with_column(self.T, at, self.T[:, self.start] @ a)
+        self.extra[-1] = _with_column(r2, at, cost + r2[self.start] @ a)
+        self.c = _with_column(self.c, at, cost)
+        self.basis[self.basis >= at] += 1
+        self.start = self.start + (self.start >= at)
+
+    def resume(self) -> LinearProgramSolution:
+        """Re-solve after ``add_column``: phase 2 from the old basis.
+
+        The pivot limit and the degenerate-run count start afresh, and the
+        solution's ``pivots`` counts this solve's pivots alone.
+        """
+        self.pivots = self.degenerate = 0
+        self.bland = False
+        self.switch = 10 * (self.start.shape[0] + self.T.shape[1] - 1)
+        return self.optimize()
+
+
+def _with_column(A: np.ndarray, at: int, v) -> np.ndarray:
+    """Column-major copy of ``A`` with ``v`` inserted at index ``at`` of its last axis."""
+    out = np.empty(A.shape[:-1] + (A.shape[-1] + 1,), order="F")
+    out[..., :at] = A[..., :at]
+    out[..., at] = v
+    out[..., at + 1 :] = A[..., at:]
+    return out
 
 
 def _pivot(state: _SimplexState, i: int, q: int) -> None:

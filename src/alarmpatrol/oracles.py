@@ -18,7 +18,8 @@ expected utility:
   each remaining resource's best marginal route; in heuristic mode, the best
   of m greedy joint routes (a lower bound, never certified).  Both scan each
   resource's routes heaviest first and stop at the first route whose full
-  weight cannot beat what is in hand.
+  weight cannot beat what is in hand.  The game LP lives for the whole call
+  and resumes from its last basis as each round adds a joint route.
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -42,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .games import MatrixGame, MixedStrategy, solve_zero_sum
+from .games import MatrixGame, MixedStrategy, RowGame
 from .lp import LinearProgram, lp_solve
 from .model import AlarmSystem, PatrollingSetting
 from .routes import CoveringRoute, JointRoute, RouteSet, covering_routes
@@ -67,10 +68,13 @@ class OracleDiagnostics:
     ``not_optimal`` is None for a certified value and otherwise says why not:
     "timeout", "incomplete routes" (any oracle), "heuristic mode" (FC),
     "local fixed point", "iteration cap" or "search node cap" (PC).
+    ``lp_pivots`` sums the pivots of the LPs the oracle solved: NC's games,
+    PC's response LPs and FC's master, plus the NC start of PC and FC.
     """
 
     iterations: int = 0
     routes_generated: int = 0
+    lp_pivots: int = 0
     not_optimal: str | None = None
     trace: tuple[float, ...] = ()
     extra: dict = field(default_factory=dict)
@@ -148,22 +152,27 @@ def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> Oracle
     """
     support = _support(route_sets)
     strategies: list[MixedStrategy] = []
+    pivots = 0
     for rs in route_sets:
         cols = np.flatnonzero(rs.cover.any(axis=0))
         if not cols.size:
             strategies.append(MixedStrategy.pure(rs.routes[0]))
             continue
         pi = np.array([setting.value[rs.targets[j]] for j in cols])
-        game = MatrixGame(
+        game = RowGame(MatrixGame(
             np.where(rs.cover[:, cols], 1.0, 1.0 - pi),
             row_actions=tuple(rs.routes),
             col_actions=tuple(rs.targets[j] for j in cols),
-        )
-        row, _, _ = solve_zero_sum(game)
+        ))
+        row, _, _ = game.solve()
+        pivots += game.pivots
+        del game  # frees its tableau before the next game's LP is built
         strategies.append(row)
     value = evaluate_profile(strategies, setting, support)
     n_routes = sum(len(rs.routes) for rs in route_sets)
-    diag = _diagnostics(route_sets, iterations=len(route_sets), routes_generated=n_routes)
+    diag = _diagnostics(
+        route_sets, iterations=len(route_sets), routes_generated=n_routes, lp_pivots=pivots
+    )
     return OracleResult(value, diag, per_resource=tuple(strategies))
 
 
@@ -340,6 +349,11 @@ def fc_sro(
     over the full joint space; heuristic mode's greedy response only yields
     a lower bound on it.
 
+    The restricted game is one ``RowGame`` for the whole call: a new joint
+    route is one new LP column, priced against the solved basis, and the LP
+    resumes phase 2 from that basis, which stays feasible, so a round costs
+    a few pivots rather than a cold two-phase solve.
+
     ``diagnostics.optimal`` is True only for a converged exact run over
     complete route sets; otherwise ``diagnostics.not_optimal`` is "timeout"
     (the deadline passed, in either mode), "heuristic mode" or "incomplete
@@ -358,24 +372,21 @@ def fc_sro(
     # routes' rows of the route-set matrices.
     pi = np.array([setting.value[t] for t in targets])
     index = [{r: i for i, r in enumerate(rs.routes)} for rs in route_sets]
-    rows: list[JointRoute] = []
-    row_set: set[JointRoute] = set()
-    payoff: list[np.ndarray] = []
 
-    def add_row(jr: JointRoute) -> None:
+    def payoff_row(jr: JointRoute) -> np.ndarray:
         covered = np.logical_or.reduce(
             [rs.cover[ix[r]] for rs, ix, r in zip(route_sets, index, jr.routes)]
         )
-        rows.append(jr)
-        row_set.add(jr)
-        payoff.append(np.where(covered, 1.0, 1.0 - pi))
+        return np.where(covered, 1.0, 1.0 - pi)
 
     nc = nc_sro(route_sets, setting)
     picks = [
         rs.routes[max(range(len(rs.routes)), key=lambda i: (sigma.prob(rs.routes[i]), -i))]
         for rs, sigma in zip(route_sets, nc.per_resource)
     ]
-    add_row(JointRoute(tuple(picks)))
+    first = JointRoute(tuple(picks))
+    game = RowGame(MatrixGame(payoff_row(first)[None], row_actions=(first,), col_actions=targets))
+    rows = {first}
 
     trace: list[float] = []
     not_optimal = "heuristic mode" if mode == "heuristic" else None
@@ -383,10 +394,7 @@ def fc_sro(
     value = 0.0
 
     while True:
-        game = MatrixGame(
-            np.array(payoff), row_actions=tuple(rows), col_actions=targets
-        )
-        row_strategy, attacker, value = solve_zero_sum(game)
+        row_strategy, attacker, value = game.solve()
         trace.append(value)
         if deadline is not None and time.monotonic() > deadline:
             not_optimal = "timeout"
@@ -397,13 +405,14 @@ def fc_sro(
         if mode == "exact" and not certified:
             not_optimal = "timeout"
             break
-        if br in row_set:
+        if br in rows:
             break
-        add_row(br)
+        rows.add(br)
+        game.add_row(payoff_row(br), br)
 
     diag = _diagnostics(
         route_sets, not_optimal, iterations=len(trace), routes_generated=len(rows),
-        trace=tuple(trace),
+        trace=tuple(trace), lp_pivots=game.pivots + nc.diagnostics.lp_pivots,
     )
     return OracleResult(value, diag, joint=row_strategy)
 
@@ -413,11 +422,11 @@ def _random_simplex(size: int, rng) -> np.ndarray:
     return draws / draws.sum()
 
 
-def _response_lp(I: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]:
+def _response_lp(I: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Best strategy of one resource against per-target weights.
 
     Minimizes v subject to v >= w_t (1 - sum_r I[r,t] x_r) and sum x = 1;
-    returns the strategy and v.
+    returns the strategy, v and the LP's pivots.
     """
     n_r, n_t = I.shape
     c = np.zeros(n_r + 1)
@@ -430,7 +439,7 @@ def _response_lp(I: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float]
     )
     if sol.status != "optimal":
         raise ArithmeticError(f"team response LP status {sol.status}")
-    return sol.x[:n_r], float(sol.x[-1])
+    return sol.x[:n_r], float(sol.x[-1]), sol.pivots
 
 
 def _undominated(I: np.ndarray) -> list[int]:
@@ -459,7 +468,7 @@ def _team_search(
     pi: np.ndarray,
     profile: list[np.ndarray],
     value: float,
-) -> tuple[list[np.ndarray], float, int, float, bool]:
+) -> tuple[list[np.ndarray], float, int, float, bool, int]:
     """Global two-resource team maxmin by spatial branch and bound.
 
     Branches on boxes lo <= x <= hi over the strategy simplex of resource a,
@@ -472,23 +481,24 @@ def _team_search(
     above, and its LP at one point of the box gives a feasible profile.
     Best-first from the incumbent ``profile`` of value ``value``; returns the
     best profile and its value, the boxes evaluated, the proven upper bound
-    on the team maxmin, and whether the bound is within SEARCH_GAP of the
-    best value.
+    on the team maxmin, whether the bound is within SEARCH_GAP of the best
+    value, and the pivots of the search's LPs.
     """
     a = 0 if len(indicators[0]) <= len(indicators[1]) else 1
     keep = _undominated(indicators[a])
     A, B = indicators[a][keep], indicators[1 - a]
 
     def visit(lo: np.ndarray, hi: np.ndarray) -> float:
-        nonlocal profile, value, nodes
+        nonlocal profile, value, nodes, pivots
         nodes += 1
         slack = 1.0 - lo.sum()
         width = hi - lo
         qbar = A.T @ lo + np.minimum(slack, A.T @ width)
-        _, v_bound = _response_lp(B, pi * (1.0 - qbar))
+        _, v_bound, bound_pivots = _response_lp(B, pi * (1.0 - qbar))
         total = width.sum()
         x = lo + width * (slack / total) if total > 0.0 else lo
-        y, v = _response_lp(B, pi * (1.0 - A.T @ x))
+        y, v, point_pivots = _response_lp(B, pi * (1.0 - A.T @ x))
+        pivots += bound_pivots + point_pivots
         if 1.0 - v > value:
             full = np.zeros(len(indicators[a]))
             full[keep] = x
@@ -496,7 +506,7 @@ def _team_search(
             value = 1.0 - v
         return 1.0 - v_bound
 
-    nodes = 0
+    nodes = pivots = 0
     pruned = -np.inf
     heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
     boxes = [_tighten(np.zeros(len(keep)), np.ones(len(keep)))]
@@ -519,7 +529,7 @@ def _team_search(
         lower_hi[k] = upper_lo[k] = mid
         boxes = [_tighten(lo, lower_hi), _tighten(upper_lo, hi)]
     upper = max(pruned, -heap[0][0]) if heap else pruned
-    return profile, value, nodes, float(upper), not heap
+    return profile, value, nodes, float(upper), not heap, pivots
 
 
 def pc_sro(
@@ -574,6 +584,7 @@ def pc_sro(
         return 1.0 - float(np.max(pi * uncov))
 
     timed_out = False
+    pivots = 0
 
     def expired() -> bool:
         nonlocal timed_out
@@ -581,6 +592,7 @@ def pc_sro(
         return timed_out
 
     def run(profile: list[np.ndarray]) -> tuple[list[np.ndarray], float, list[float], bool]:
+        nonlocal pivots
         val = value_of(profile)
         hist = [val]
         converged = False
@@ -596,7 +608,8 @@ def pc_sro(
                             1.0 - indicators[j].T @ profile[j], 0.0, 1.0
                         )
                 weights = pi * uncov_others
-                x_new, v = _response_lp(indicators[i], weights)
+                x_new, v, lp_pivots = _response_lp(indicators[i], weights)
+                pivots += lp_pivots
                 cand = 1.0 - v
                 if cand > best_val + CONVERGENCE_EPS:
                     best_i, best_val, best_x = i, cand, x_new
@@ -609,6 +622,7 @@ def pc_sro(
         return profile, val, hist, converged
 
     nc = nc_sro(route_sets, setting)
+    pivots += nc.diagnostics.lp_pivots
     start = [
         np.array([sigma.prob(r) for r in rs.routes])
         for rs, sigma in zip(route_sets, nc.per_resource)
@@ -637,9 +651,10 @@ def pc_sro(
     if timed_out or (searchable and expired()):
         not_optimal = "timeout"
     elif searchable:
-        found, found_val, nodes, upper, closed = _team_search(
+        found, found_val, nodes, upper, closed, search_pivots = _team_search(
             indicators, pi, best_profile, best_val
         )
+        pivots += search_pivots
         if found_val > best_val + CONVERGENCE_EPS:
             best_profile, best_val = found, value_of(found)
             best_hist = best_hist + [best_val]
@@ -663,7 +678,7 @@ def pc_sro(
     )
     diag = _diagnostics(
         route_sets, not_optimal, iterations=iterations, trace=tuple(best_hist), extra=extra,
-        routes_generated=sum(len(rs.routes) for rs in route_sets),
+        routes_generated=sum(len(rs.routes) for rs in route_sets), lp_pivots=pivots,
     )
     return OracleResult(best_val, diag, per_resource=strategies)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from alarmpatrol import oracles, pipeline
+from alarmpatrol import games, pipeline
 from alarmpatrol.cli import EXIT_NUMERIC, EXIT_TIMEOUT, aggregate_bench, main, parse_duration
 from alarmpatrol.fileio import (
     instance_to_payload,
@@ -155,7 +155,9 @@ def test_sro_result_says_why_not_optimal(tmp_path):
             "sro", "--instance", str(out / "instance.json"), "--placement", placement,
             "--out", str(out), *options,
         ]) == 0
-        return json.loads((out / "result.json").read_text())["signals"]["s0"]["diagnostics"]
+        diag = json.loads((out / "result.json").read_text())["signals"]["s0"]["diagnostics"]
+        assert type(diag["lp_pivots"]) is int and diag["lp_pivots"] > 0
+        return diag
 
     fc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "fc", "--beam-width", "5")
     assert fc["optimal"] is False and fc["not_optimal"] == "incomplete routes"
@@ -267,10 +269,10 @@ def test_sro_requires_placement(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
-    def fail(game):
+    def fail(prog):
         raise ArithmeticError("simplex pivot limit exceeded")
 
-    monkeypatch.setattr(oracles, "solve_zero_sum", fail)
+    monkeypatch.setattr(games, "lp_solve", fail)
     assert run(["gen", "--targets", "6", "--seed", "3", "--out", str(tmp_path)]) == 0
     code = run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",
                 "--placement", "v0", "--out", str(tmp_path)])

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from alarmpatrol import MatrixGame, MixedStrategy, games, lp_solve, solve_zero_sum
+from alarmpatrol import MatrixGame, MixedStrategy, RowGame, games, lp_solve, solve_zero_sum
+from alarmpatrol.games import VALUE_TOL
 from helpers import support_enumeration_value
 
 
@@ -102,3 +103,68 @@ def test_rejects_bad_matrices():
         MatrixGame(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         MatrixGame(np.array([[np.nan]]))
+
+
+def _assert_certified(U, row, col, value):
+    """Both strategies guarantee ``value`` within ``VALUE_TOL`` on ``U``."""
+    x = np.array([row.prob(i) for i in range(len(U))])
+    y = np.array([col.prob(j) for j in range(U.shape[1])])
+    assert x.sum() == pytest.approx(1.0) and y.sum() == pytest.approx(1.0)
+    assert (x @ U).min() >= value - VALUE_TOL
+    assert (U @ y).max() <= value + VALUE_TOL
+
+
+def test_row_game_matches_cold_solves_as_rows_grow(monkeypatch):
+    # Payoffs from a few levels give tied rows, repeated rows and degenerate
+    # pivots; a third of the games have a level below their starting rows'
+    # minimum, which the fixed shift must absorb.  After every added row the
+    # resumed value equals a cold solve over the same rows.
+    rng = np.random.default_rng(31)
+    cold_solves = []
+    real = games.lp_solve
+
+    def spy(prog):
+        cold_solves.append(prog)
+        return real(prog)
+
+    monkeypatch.setattr(games, "lp_solve", spy)
+    resumed = repeats = below_shift = 0
+    for trial in range(240):
+        levels = rng.choice([0.0, 0.2, 0.25, 0.5, 0.7, 1.0], int(rng.integers(2, 4)), replace=False)
+        n_cols = int(rng.integers(1, 9))
+        start = int(rng.integers(1, 4))
+        U = rng.choice(levels, (start, n_cols))
+        if trial % 3 == 0:
+            levels = np.append(levels, -0.5)
+        game = RowGame(MatrixGame(U))
+        for k in range(int(rng.integers(4, 16))):
+            if k:
+                if rng.random() < 0.2:
+                    u = U[int(rng.integers(0, len(U)))]
+                    repeats += 1
+                else:
+                    u = rng.choice(levels, n_cols)
+                below_shift += u.min() < game.shift
+                U = np.vstack([U, u])
+                game.add_row(u)
+                resumed += 1
+            del cold_solves[:]
+            row, col, value = game.solve()
+            assert len(cold_solves) == (k == 0)
+            _, _, ref = solve_zero_sum(MatrixGame(U))
+            assert abs(value - ref) <= 1e-12, trial
+            _assert_certified(U, row, col, value)
+    assert resumed >= 1500 and repeats >= 200 and below_shift >= 100
+
+
+def test_row_game_labels_rows_and_rejects_bad_rows():
+    game = RowGame(MatrixGame(np.array([[1.0, 0.0]]), row_actions=("a",), col_actions=("s", "t")))
+    game.solve()
+    game.add_row(np.array([0.0, 1.0]), "b")
+    row, col, value = game.solve()
+    assert value == pytest.approx(0.5)
+    assert row.probs == pytest.approx({"a": 0.5, "b": 0.5})
+    assert col.probs == pytest.approx({"s": 0.5, "t": 0.5})
+    for bad in (np.array([1.0]), np.array([np.nan, 1.0]), np.ones((1, 2))):
+        with pytest.raises(ValueError):
+            game.add_row(bad, "c")

@@ -432,7 +432,134 @@ def test_masked_tableau_matches_rowwise_build_on_edge_programs():
 
 
 def test_masked_tableau_matches_rowwise_build_on_oracle_lps(monkeypatch):
-    per_oracle = _placement_lps(monkeypatch, 25, 0, (nc_sro, pc_sro, fc_sro))
-    assert min(map(len, per_oracle)) >= 1
-    for prog in sum(per_oracle, []):
-        assert _same_as_rowwise(prog).status == "optimal"
+    # Every LP NC and PC solve, and FC's NC games and first-round master LP,
+    # which are FC's only cold solves: its later rounds resume that LP.
+    for n_targets, seed in ((25, 0), (40, 7)):
+        nc, pc, fc = _placement_lps(monkeypatch, n_targets, seed, (nc_sro, pc_sro, fc_sro))
+        assert len(pc) > len(nc) >= 1
+        assert len(fc) == len(nc) + 1
+        for prog in nc + pc + fc:
+            assert _same_as_rowwise(prog).status == "optimal"
+
+
+# -- Resuming a solved tableau ---------------------------------------------------
+
+
+def _columns(prog: LinearProgram, cols) -> LinearProgram:
+    """``prog`` restricted to structural columns ``cols``, in that order."""
+    return LinearProgram(
+        c=prog.c[cols],
+        A_ub=None if prog.A_ub is None else prog.A_ub[:, cols],
+        b_ub=prog.b_ub,
+        A_eq=None if prog.A_eq is None else prog.A_eq[:, cols],
+        b_eq=prog.b_eq,
+    )
+
+
+def _rows_of(prog: LinearProgram, j: int) -> np.ndarray:
+    """Column ``j`` of the program's rows: ``A_ub`` rows, then ``A_eq`` rows."""
+    parts = [A[:, j] for A in (prog.A_ub, prog.A_eq) if A is not None]
+    return np.concatenate(parts)
+
+
+def test_added_columns_resume_to_the_cold_optimum():
+    # Solve a program over some of its columns, then insert the others one at
+    # a time at random positions, resuming after each: every resumed solve
+    # must reach a cold solve's status and optimum, and count its own pivots.
+    rng = np.random.default_rng(15)
+    resumed = moved = unbounded = dropped = zero_start = 0
+    pivot = lp_module._pivot
+    calls = []
+
+    def spy(state, i, q):
+        calls.append(q)
+        pivot(state, i, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_pivot", spy)
+        for trial in range(1200):
+            if trial % 3 == 0:
+                prog = _random_lp(rng, ("general", "degenerate", "unbounded")[trial // 3 % 3])
+            elif trial % 3 == 1:
+                prog = _row_kinds_lp(rng)
+            else:
+                prog = _negated_rows_lp(rng)
+            n = len(prog.c)
+            order = [int(j) for j in rng.permutation(n)]
+            # No program without columns has equality rows only (nothing to price).
+            k = int(rng.integers(0 if prog.A_ub is not None else 1, n))
+            zero_start += k == 0
+            cols = order[:k]
+            sol = lp_solve(_columns(prog, cols))
+            if sol.status != "optimal":
+                continue
+            state = sol.tableau
+            if state.T.shape[0] < len(state.start):
+                with pytest.raises(ValueError):
+                    state.add_column(_rows_of(prog, order[k]), prog.c[order[k]], 0)
+                dropped += 1
+                continue
+            for j in order[k:]:
+                at = int(rng.integers(0, len(cols) + 1))
+                state.add_column(_rows_of(prog, j), prog.c[j], at)
+                cols.insert(at, j)
+                del calls[:]
+                sol = state.resume()
+                assert sol.pivots == len(calls)
+                ref = lp_solve(_columns(prog, cols))
+                assert sol.status == ref.status, trial
+                resumed += 1
+                moved += sol.pivots > 0
+                unbounded += sol.status == "unbounded"
+                if sol.status != "optimal":
+                    break
+                assert sol.objective == pytest.approx(ref.objective, abs=1e-9), trial
+                sub = _columns(prog, cols)
+                assert np.all(sol.x >= 0.0)
+                if sub.A_ub is not None:
+                    assert np.all(sub.A_ub @ sol.x <= sub.b_ub + 1e-7)
+                if sub.A_eq is not None:
+                    assert np.allclose(sub.A_eq @ sol.x, sub.b_eq, atol=1e-7)
+    assert resumed >= 300 and moved >= 100 and unbounded >= 20
+    assert dropped >= 50 and zero_start >= 200
+
+
+def test_columns_added_to_the_starting_basis_resume_bit_for_bit():
+    # A program of <= rows with b >= 0 starts from its slack basis.  Solving
+    # it with no columns leaves that basis, so adding every column in order
+    # and resuming once must take the cold solve's pivots, bit for bit; on
+    # Beale's example the resumed solve crosses the Bland switch.
+    rng = np.random.default_rng(16)
+    programs = [BEALE]
+    for _ in range(60):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+        A = rng.integers(-2, 3, (m, n)).astype(float)
+        programs.append(LinearProgram(
+            c=rng.integers(-3, 4, n).astype(float),
+            A_ub=np.vstack([A, np.ones(n)]),
+            b_ub=np.append(rng.integers(0, 3, m).astype(float), float(n)),
+        ))
+    rules = []
+    pivot = lp_module._pivot
+
+    def spy(state, i, q):
+        rules.append(state.bland)
+        pivot(state, i, q)
+
+    for prog in programs:
+        n = len(prog.c)
+        state = lp_solve(_columns(prog, [])).tableau
+        for j in range(n):
+            state.add_column(prog.A_ub[:, j], prog.c[j], j)
+        del rules[:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module, "_pivot", spy)
+            got = state.resume()
+        _assert_bit_equal(got, lp_solve(prog))
+        if prog is BEALE:
+            assert rules[-1] and not rules[0]
+            # The next resumed solve starts from Dantzig's rule and no pivots.
+            state.add_column(np.zeros(3), -1.0, n)
+            again = state.resume()
+            assert again.pivots == 0 and not state.bland and state.degenerate == 0
+            assert again.objective == got.objective

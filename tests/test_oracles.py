@@ -2,6 +2,7 @@ import gc
 import math
 import time
 
+import numpy as np
 import pytest
 
 from alarmpatrol import (
@@ -9,11 +10,14 @@ from alarmpatrol import (
     JointRoute,
     MatrixGame,
     MixedStrategy,
+    RowGame,
     aggregate_value,
     all_pairs_distances,
     best_response_ilp,
     build_alarm,
+    coverage_set,
     covering_routes,
+    enumerate_placements,
     evaluate_profile,
     exact_cover,
     fc_sro,
@@ -26,6 +30,8 @@ from alarmpatrol import (
     solve_zero_sum,
     to_set_cover,
 )
+from alarmpatrol import lp as lp_module
+from alarmpatrol.games import VALUE_TOL
 from alarmpatrol.oracles import SEARCH_MAX_ROUTES, uncovered_probability
 from alarmpatrol.routes import CoveringRoute, RouteSet
 from alarmpatrol.seeding import stream
@@ -489,6 +495,93 @@ def test_fc_exact_finishes_at_deadline_2():
     assert not result.diagnostics.timed_out
     assert result.diagnostics.optimal
     assert result.value == pytest.approx(0.5332551214373358, abs=1e-9)
+
+
+def test_fc_exact_finishes_at_deadline_2_with_ten_resources():
+    # Ten resources: the largest minimum cover of the deadline-2 instances.
+    # The placement is min_cover(s, d, "exact")'s, which takes seconds to
+    # prove optimal, so only its covering is checked here.
+    s, _ = generate_instance(GeneratorParams(n_targets=80, seed=3, deadline=2))
+    d = all_pairs_distances(s)
+    placement = (0, 2, 6, 7, 9, 11, 18, 19, 62, 68)
+    assert set().union(*(coverage_set(s, d, v) for v in placement)) == set(s.targets)
+    sets = routes_for(s, d, placement, s.targets)
+    result = fc_sro(sets, s, deadline=time.monotonic() + 30.0)
+    assert not result.diagnostics.timed_out
+    assert result.diagnostics.optimal
+    assert result.value == pytest.approx(0.5691769962844413, abs=1e-9)
+
+
+def _first_placement_sets(n_targets, seed):
+    """Route sets of the generator instance's first placement, as ``resolve`` picks it."""
+    s, alarm = generate_instance(GeneratorParams(n_targets=n_targets, seed=seed))
+    d = all_pairs_distances(s)
+    cover = min_cover(s, d).placement
+    placement = next(enumerate_placements(s, d, len(cover.positions), initial=cover))
+    (signal,) = alarm.signals
+    return s, routes_for(s, d, placement.positions, alarm.signal_support(signal))
+
+
+def test_fc_master_matches_cold_solves_on_benchmark_placements(monkeypatch):
+    # The first placements of the fc-exact benchmark instances.  After every
+    # row the resumed master's value equals a cold solve of the same rows to
+    # 1e-12 and both strategies pass the certificate; on 40/s7 the master
+    # pivots at most a quarter as often as cold solves of its rounds would.
+    real = RowGame.solve
+    rounds = []
+
+    def checked(game):
+        before = game.pivots
+        row, col, value = real(game)
+        if isinstance(game.row_actions[0], JointRoute):  # FC's master, not an NC game
+            cold = RowGame(MatrixGame(game.payoff))
+            _, _, ref = cold.solve()
+            assert abs(value - ref) <= 1e-12
+            U = game.payoff
+            x = np.array([row.prob(jr) for jr in game.row_actions])
+            y = np.array([col.prob(t) for t in game.col_actions])
+            assert (x @ U).min() >= value - VALUE_TOL
+            assert (U @ y).max() <= value + VALUE_TOL
+            rounds.append((game.pivots - before, cold.pivots))
+        return row, col, value
+
+    monkeypatch.setattr(RowGame, "solve", checked)
+    for n_targets, seed in ((40, 7), (60, 1), (70, 1), (80, 0), (80, 3)):
+        del rounds[:]
+        s, sets = _first_placement_sets(n_targets, seed)
+        result = fc_sro(sets, s)
+        assert result.diagnostics.optimal
+        assert len(rounds) == result.diagnostics.iterations >= 10
+        warm, cold = map(sum, zip(*rounds))
+        assert warm == result.diagnostics.lp_pivots - nc_sro(sets, s).diagnostics.lp_pivots
+        if (n_targets, seed) == (40, 7):
+            assert 4 * warm <= cold
+
+
+def test_oracles_count_the_pivots_of_their_lps(monkeypatch):
+    # Every LP solution, cold or resumed, comes out of _SimplexState.optimize.
+    real = lp_module._SimplexState.optimize
+    pivots = []
+
+    def spy(state):
+        sol = real(state)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(lp_module._SimplexState, "optimize", spy)
+    s, _ = generate_instance(GeneratorParams(n_targets=20, seed=14))
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, [s.ids.index("v4"), s.ids.index("v14")], s.targets)
+    for run in (
+        lambda: nc_sro(sets, s),
+        lambda: pc_sro(sets, s, restarts=2),  # its team search runs on this pair
+        lambda: fc_sro(sets, s),
+        lambda: fc_sro(sets, s, mode="heuristic"),
+    ):
+        del pivots[:]
+        result = run()
+        assert result.diagnostics.lp_pivots == sum(pivots) > 0
+    assert "search" in pc_sro(sets, s).diagnostics.extra
 
 
 def test_fc_trace_is_monotone():
