@@ -187,7 +187,6 @@ def cmd_sro(args) -> int:
         positions,
         args.oracle,
         beam_width=args.beam_width,
-        fc_mode=args.fc_mode,
         pc_restarts=args.restarts,
         seed=args.seed,
         deadline=deadline,
@@ -197,7 +196,6 @@ def cmd_sro(args) -> int:
         "sro",
         {
             "oracle": args.oracle.upper(),
-            "fc_mode": args.fc_mode,
             "restarts": args.restarts,
             "placement": [setting.ids[p] for p in positions],
         },
@@ -224,7 +222,6 @@ def _resolve_config(args) -> ResolutionConfig:
         seed=args.seed,
         max_placements=args.max_placements,
         resources_per_position=args.resources_per_position,
-        fc_mode=args.fc_mode,
         pc_restarts=args.restarts,
     )
 
@@ -237,7 +234,6 @@ def _config_echo(config: ResolutionConfig) -> dict:
         "beam_width": config.beam_width,
         "max_placements": config.max_placements,
         "resources_per_position": config.resources_per_position,
-        "fc_mode": config.fc_mode,
         "pc_restarts": config.pc_restarts,
     }
 
@@ -315,7 +311,6 @@ def cmd_bench(args) -> int:
                 oracles=tuple(s.strip().upper() for s in args.oracles.split(",") if s.strip()),
                 seed=seed,
                 max_placements=args.max_placements,
-                fc_mode=args.fc_mode,
                 pc_restarts=args.restarts,
             )
             t0 = time.monotonic()
@@ -346,15 +341,13 @@ def cmd_bench(args) -> int:
 
 
 def _bench_echo(config: ResolutionConfig, n: int) -> dict:
-    echo = {
+    return {
         "targets": n,
         "time_budget": config.time_budget,
         "oracles": list(config.oracles),
         "max_placements": config.max_placements,
-        "fc_mode": config.fc_mode,
         "pc_restarts": config.pc_restarts,
     }
-    return echo
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placement", default=None, help="comma-separated vertex ids")
     p.add_argument("--placement-file", default=None, help="placement.json from mincover")
     p.add_argument("--oracle", required=True, choices=["fc", "pc", "nc", "FC", "PC", "NC"])
-    p.add_argument("--fc-mode", default="exact", choices=["exact", "heuristic"])
     p.add_argument("--restarts", type=_int_at_least(0), default=0)
     p.add_argument("--budget", default=None)
     p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)
@@ -410,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mincover-method", default="auto")
     p.add_argument("--max-placements", type=_int_at_least(1), default=None)
     p.add_argument("--resources-per-position", type=_int_at_least(1), default=1)
-    p.add_argument("--fc-mode", default="exact", choices=["exact", "heuristic"])
     p.add_argument("--restarts", type=_int_at_least(0), default=0)
     p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)
 
@@ -422,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracles", default="fc,pc,nc")
     p.add_argument("--max-placements", type=_int_at_least(1), default=None)
     p.add_argument("--deadline", type=int, default=None)
-    p.add_argument("--fc-mode", default="exact", choices=["exact", "heuristic"])
     p.add_argument("--restarts", type=_int_at_least(0), default=0)
 
     return parser

@@ -257,6 +257,8 @@ def _run(state: _SimplexState, r: np.ndarray, art_limit: int) -> str:
     re-enter the basis.  Returns "optimal" or "unbounded".
     """
     limit = art_limit
+    if limit == 0:
+        return "optimal"  # no column may enter
     while True:
         if state.pivots > 100_000:
             raise ArithmeticError("simplex pivot limit exceeded")

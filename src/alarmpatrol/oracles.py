@@ -13,13 +13,13 @@ expected utility:
   resource's strategy simplex then certifies or improves it to the global
   team maxmin.
 * FC: maxmin over joint routes via row generation, alternating a
-  constant-sum game LP with a best response: for the exact maxmin, a branch
-  and bound pruned by the union of the remaining routes and by the sum of
-  each remaining resource's best marginal route; in heuristic mode, the best
-  of m greedy joint routes (a lower bound, never certified).  Both scan each
-  resource's routes heaviest first and stop at the first route whose full
-  weight cannot beat what is in hand.  The game LP lives for the whole call
-  and resumes from its last basis as each round adds a joint route.
+  constant-sum game LP with a best response.  Greedy joint routes drive the
+  rounds; once they find no better row, an exact branch and bound, pruned
+  by the union of the remaining routes and by the sum of each remaining
+  resource's best marginal route, supplies the next row or certifies the
+  value.  Both scan each resource's routes heaviest first and stop at the
+  first route whose full weight cannot beat what is in hand.  The game LP
+  lives for the whole call and resumes from its last basis each round.
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -66,8 +66,8 @@ class OracleDiagnostics:
     """How an oracle reached its value.
 
     ``not_optimal`` is None for a certified value and otherwise says why not:
-    "timeout", "incomplete routes" (any oracle), "heuristic mode" (FC),
-    "local fixed point", "iteration cap" or "search node cap" (PC).
+    "timeout", "incomplete routes" (any oracle), "local fixed point",
+    "iteration cap" or "search node cap" (PC).
     ``lp_pivots`` sums the pivots of the LPs the oracle solved: NC's games,
     PC's response LPs and FC's master, plus the NC start of PC and FC.
     """
@@ -185,6 +185,24 @@ def _weight_bits(w: Sequence[float], mask: int) -> float:
     return total
 
 
+def _setup(
+    route_sets: Sequence[RouteSet], attacker: MixedStrategy, setting: PatrollingSetting
+) -> tuple[list[float], list[list[int]], list[list[float]], list[list[int]]]:
+    """What both FC best responses read: the weight sigma(t) pi(t) of each
+    support target, where the attacker's weight must lie, and per resource
+    its routes' masks of weighted targets, full weights and order by weight."""
+    support = _support(route_sets)
+    weight = {t: p for t, p in attacker.probs.items() if p > 0.0}
+    if not weight.keys() <= set(support):
+        raise ValueError("attacker weight outside the route sets' support")
+    w = [weight.get(t, 0.0) * setting.value[t] for t in support]
+    live = sum(1 << j for j, t in enumerate(support) if t in weight)
+    masks = [[m & live for m in rs.masks] for rs in route_sets]
+    full = [[_weight_bits(w, m) for m in ms] for ms in masks]
+    orders = [sorted(range(len(fs)), key=lambda j: (-fs[j], j)) for fs in full]
+    return w, masks, full, orders
+
+
 def _greedy(
     masks: Sequence[Sequence[int]],
     w: Sequence[float],
@@ -216,28 +234,40 @@ def _greedy(
     return choice, _weight_bits(w, cur)
 
 
+def _greedy_response(
+    route_sets: Sequence[RouteSet], attacker: MixedStrategy, setting: PatrollingSetting
+) -> tuple[JointRoute, float]:
+    """FC's cheap best response and its objective: the heaviest of the m
+    ``_greedy`` joint routes, a later start winning only by more than 1e-12.
+    """
+    w, masks, full, orders = _setup(route_sets, attacker, setting)
+    best_choice, best_w = _greedy(masks, w, full, orders, 0)
+    for first in range(1, len(masks)):
+        choice, choice_w = _greedy(masks, w, full, orders, first)
+        if choice_w > best_w + 1e-12:
+            best_choice, best_w = choice, choice_w
+    jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
+    return jr, 1.0 - sum(w) + best_w
+
+
 def best_response_ilp(
     route_sets: Sequence[RouteSet],
     attacker: MixedStrategy,
     setting: PatrollingSetting,
-    mode: str = "exact",
     *,
     deadline: float | None = None,
 ) -> tuple[JointRoute, float, bool]:
-    """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t).
+    """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t), exactly.
 
-    Both modes start from the greedy joint route ``_greedy(..., 0)``:
-    each resource in turn takes the route adding the most attacker weight,
-    lowest index on ties.  Exact mode uses it as the incumbent of a
-    depth-first branch and bound over per-resource route choices, pruned by
-    the uncovered weight of the union of all remaining routes and by the sum
-    of each remaining resource's best uncovered route weight; the search
-    order and strict improvement fix which optimum is returned.  The
-    subproblem is NP-hard in general, so it honors ``deadline`` and may
-    return a non-optimal incumbent (flagged False).  Heuristic mode runs no
-    search: it reruns the greedy starting from each other resource and
-    returns the heaviest of these m joint routes, flagged False.
-    The attacker's weight must lie on the route sets' support.
+    A depth-first branch and bound over per-resource route choices, with
+    the greedy joint route ``_greedy(..., 0)`` as its incumbent: each
+    resource in turn takes the route adding the most attacker weight, lowest
+    index on ties.  It prunes by the uncovered weight of the union of all
+    remaining routes and by the sum of each remaining resource's best
+    uncovered route weight; the search order and strict improvement fix
+    which optimum is returned.  The subproblem is NP-hard in general, so it
+    honors ``deadline`` and may return a non-optimal incumbent (flagged
+    False).  The attacker's weight must lie on the route sets' support.
 
     Each resource's routes are ranked once by their full weight, heaviest
     first, and every scan over them (the greedy, the best-marginal bound and
@@ -246,28 +276,9 @@ def best_response_ilp(
     bit order, so a route's uncovered weight never exceeds its full weight
     in floating point either, and the early exits change no answer.
     """
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown best-response mode {mode!r}")
-    support = _support(route_sets)
-    weight = {t: p for t, p in attacker.probs.items() if p > 0.0}
-    if not weight.keys() <= set(support):
-        raise ValueError("attacker weight outside the route sets' support")
-    w = [weight.get(t, 0.0) * setting.value[t] for t in support]
-    total_w = sum(w)
-    live = sum(1 << j for j, t in enumerate(support) if t in weight)
-    masks = [[m & live for m in rs.masks] for rs in route_sets]
-    full = [[_weight_bits(w, m) for m in ms] for ms in masks]
-    orders = [sorted(range(len(fs)), key=lambda j: (-fs[j], j)) for fs in full]
+    w, masks, full, orders = _setup(route_sets, attacker, setting)
     n_res = len(route_sets)
-
     best_choice, best_w = _greedy(masks, w, full, orders, 0)
-    if mode == "heuristic":
-        for first in range(1, n_res):
-            choice, choice_w = _greedy(masks, w, full, orders, first)
-            if choice_w > best_w + 1e-12:
-                best_choice, best_w = choice, choice_w
-        jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
-        return jr, 1.0 - total_w + best_w, False
 
     suffix = [0] * (n_res + 1)
     for i in range(n_res - 1, -1, -1):
@@ -327,40 +338,38 @@ def best_response_ilp(
                 best_choice = [*picked, j]
 
     jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
-    objective = 1.0 - total_w + best_w
-    return jr, objective, not timed_out
+    return jr, 1.0 - sum(w) + best_w, not timed_out
 
 
 def fc_sro(
     route_sets: Sequence[RouteSet],
     setting: PatrollingSetting,
     *,
-    mode: str = "exact",
     deadline: float | None = None,
 ) -> OracleResult:
     """Full coordination: maxmin over joint covering routes by row generation.
 
     Starting from the joint route of each resource's most likely NC route,
-    alternately solves the constant-sum game restricted to the current
-    joint-route set and a best response (``best_response_ilp`` in ``mode``)
-    against the attacker's minmax strategy; stops when the best response is
-    already a row.  Each round adds a new joint route, so both modes
-    terminate.  In exact mode the converged value is the exact FC maxmin
-    over the full joint space; heuristic mode's greedy response only yields
-    a lower bound on it.
+    each round solves the constant-sum game restricted to the current rows
+    and adds a better row against the attacker's minmax strategy: the cheap
+    ``_greedy_response`` when it is a new row beating the value by more than
+    1e-12, else the exact ``best_response_ilp``'s.  When the exact response
+    is already a row, no joint route beats the value against that attacker,
+    so the value is the FC maxmin over the full joint space and the loop
+    stops.  Every other round adds a new joint route, of which there are
+    finitely many, so the loop terminates, and only an exact response ends
+    it (a double oracle with cheap better responses; Jain et al., 2011).
 
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
     resumes phase 2 from that basis, which stays feasible, so a round costs
     a few pivots rather than a cold two-phase solve.
 
-    ``diagnostics.optimal`` is True only for a converged exact run over
-    complete route sets; otherwise ``diagnostics.not_optimal`` is "timeout"
-    (the deadline passed, in either mode), "heuristic mode" or "incomplete
-    routes".
+    ``diagnostics.optimal`` is True only for a converged run over complete
+    route sets; otherwise ``diagnostics.not_optimal`` is "timeout" (the
+    deadline passed, or the exact search did not finish before it) or
+    "incomplete routes".
     """
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown FC mode {mode!r}")
     targets = _support(route_sets)
     if not targets:
         # Signal with empty support: nothing to protect, nothing to attack.
@@ -389,24 +398,21 @@ def fc_sro(
     rows = {first}
 
     trace: list[float] = []
-    not_optimal = "heuristic mode" if mode == "heuristic" else None
-    row_strategy: MixedStrategy | None = None
-    value = 0.0
-
+    not_optimal = None
     while True:
         row_strategy, attacker, value = game.solve()
         trace.append(value)
         if deadline is not None and time.monotonic() > deadline:
             not_optimal = "timeout"
             break
-        br, _, certified = best_response_ilp(
-            route_sets, attacker, setting, mode, deadline=deadline
-        )
-        if mode == "exact" and not certified:
-            not_optimal = "timeout"
-            break
-        if br in rows:
-            break
+        br, objective = _greedy_response(route_sets, attacker, setting)
+        if br in rows or objective <= value + 1e-12:
+            br, _, certified = best_response_ilp(route_sets, attacker, setting, deadline=deadline)
+            if not certified:
+                not_optimal = "timeout"
+                break
+            if br in rows:
+                break
         rows.add(br)
         game.add_row(payoff_row(br), br)
 
@@ -725,7 +731,6 @@ def respond(
     *,
     route_cache: dict | None = None,
     beam_width: int = 100_000,
-    fc_mode: str = "exact",
     pc_restarts: int = 0,
     seed: int = 0,
     deadline: float | None = None,
@@ -761,7 +766,7 @@ def respond(
                 sets, setting, restarts=pc_restarts, seed=seed, deadline=deadline
             )
         else:
-            per_signal[s] = fc_sro(sets, setting, mode=fc_mode, deadline=deadline)
+            per_signal[s] = fc_sro(sets, setting, deadline=deadline)
     value = aggregate_value(setting, alarm, per_signal)
     return SignalResponse(
         scheme=scheme, value=value, per_signal=per_signal, route_sets=rsets

@@ -181,7 +181,6 @@ class ResolutionConfig:
     seed: int = 0
     max_placements: int | None = None
     resources_per_position: int = 1
-    fc_mode: str = "exact"
     pc_restarts: int = 0
 
     def __post_init__(self) -> None:
@@ -302,8 +301,8 @@ def resolve(
             if time.monotonic() >= deadline:
                 break
             resp = respond(setting, dist, alarm, resources, scheme, route_cache=route_cache,
-                           beam_width=config.beam_width, fc_mode=config.fc_mode,
-                           pc_restarts=config.pc_restarts, seed=config.seed, deadline=deadline)
+                           beam_width=config.beam_width, pc_restarts=config.pc_restarts,
+                           seed=config.seed, deadline=deadline)
             values[scheme] = resp.value
             report.timed_out_oracles += sum(
                 res.diagnostics.timed_out for res in resp.per_signal.values()

@@ -161,8 +161,8 @@ def test_sro_result_says_why_not_optimal(tmp_path):
 
     fc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "fc", "--beam-width", "5")
     assert fc["optimal"] is False and fc["not_optimal"] == "incomplete routes"
-    fc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "fc", "--fc-mode", "heuristic")
-    assert fc["optimal"] is False and fc["not_optimal"] == "heuristic mode"
+    fc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "fc")
+    assert fc["optimal"] is True and "not_optimal" not in fc
     nc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "nc")
     assert nc["optimal"] is True and "not_optimal" not in nc and "search" not in nc
     nc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "nc", "--beam-width", "5")
@@ -259,6 +259,28 @@ def test_bad_values_exit_2_naming_them(tmp_path, capsys):
         assert run(argv) == 2, argv
         assert word in capsys.readouterr().err, argv
     assert not (tmp_path / "report.json").exists()
+
+
+def test_fc_mode_is_a_usage_error(tmp_path, capsys):
+    # FC has one loop, certified by its exact best response, so the option
+    # that chose between an exact and a heuristic loop is gone, and so is its
+    # manifest key.
+    assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    inst = ["--instance", str(tmp_path / "instance.json"), "--out", str(tmp_path)]
+    for argv in (
+        ["sro", *inst, "--placement", "v0", "--oracle", "fc"],
+        ["resolve", *inst, "--oracles", "fc", "--max-placements", "1"],
+        ["bench", "--sizes", "8", "--seeds", "1", "--oracles", "fc", "--max-placements", "1",
+         "--out", str(tmp_path)],
+    ):
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--fc-mode", mode])
+            assert exc.value.code == 2, argv
+            assert "--fc-mode" in capsys.readouterr().err, argv
+        assert run(argv) == 0, argv
+    for name in ("result.json", "report.json", "run_t8_s0/report.json"):
+        assert "fc_mode" not in json.loads((tmp_path / name).read_text())["manifest"]["config"]
 
 
 def test_sro_requires_placement(tmp_path, capsys):

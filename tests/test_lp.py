@@ -82,6 +82,19 @@ def test_redundant_equalities():
     assert sol.objective == pytest.approx(1.0)
 
 
+def test_equality_rows_without_columns():
+    # No column can enter: the rows hold only when every rhs is 0.
+    for b_eq in ([1.0], [0.0, -2.0]):
+        sol = lp_solve(LinearProgram(c=np.zeros(0), A_eq=np.zeros((len(b_eq), 0)),
+                                     b_eq=np.array(b_eq)))
+        assert sol.status == "infeasible" and sol.x is None
+    for b_eq in ([0.0], [0.0, -0.0]):
+        sol = lp_solve(LinearProgram(c=np.zeros(0), A_eq=np.zeros((len(b_eq), 0)),
+                                     b_eq=np.array(b_eq)))
+        assert sol.status == "optimal"
+        assert sol.x.shape == (0,) and sol.objective == 0.0 and sol.pivots == 0
+
+
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         lp_solve(LinearProgram(c=np.array([np.inf])))

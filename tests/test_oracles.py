@@ -31,8 +31,9 @@ from alarmpatrol import (
     to_set_cover,
 )
 from alarmpatrol import lp as lp_module
+from alarmpatrol import oracles as oracles_module
 from alarmpatrol.games import VALUE_TOL
-from alarmpatrol.oracles import SEARCH_MAX_ROUTES, uncovered_probability
+from alarmpatrol.oracles import SEARCH_MAX_ROUTES, _greedy_response, uncovered_probability
 from alarmpatrol.routes import CoveringRoute, RouteSet
 from alarmpatrol.seeding import stream
 from helpers import (
@@ -229,15 +230,16 @@ def test_best_response_heuristic_restarts_greedy_from_each_resource():
     )
     attacker = MixedStrategy({0: 0.3, 1: 0.3, 2: 0.4})
     exact_jr, exact_obj, ok = best_response_ilp(sets, attacker, s)
-    jr, obj, certified = best_response_ilp(sets, attacker, s, "heuristic")
-    assert ok and not certified
+    jr, obj = _greedy_response(sets, attacker, s)
+    assert ok
     assert exact_obj == pytest.approx(1.0)
     assert obj == pytest.approx(exact_obj)
     assert jr == exact_jr
 
 
-# Reference best response whose scans visit every route, to pin the early
-# exits of ``best_response_ilp`` and ``_greedy`` to the same answers.
+# Reference best responses whose scans visit every route, to pin the early
+# exits of ``best_response_ilp``, ``_greedy`` and ``_greedy_response`` to the
+# same answers.
 def _full_scan_weight(w, mask):
     total = 0.0
     while mask:
@@ -257,22 +259,30 @@ def _full_scan_greedy(masks, w, first):
     return choice, _full_scan_weight(w, cur)
 
 
-def _full_scan_best_response(route_sets, attacker, setting, mode="exact"):
+def _full_scan_weights(route_sets, attacker, setting):
     support = route_sets[0].targets
     weight = {t: p for t, p in attacker.probs.items() if p > 0.0}
     w = [weight.get(t, 0.0) * setting.value[t] for t in support]
-    total_w = sum(w)
     live = sum(1 << j for j, t in enumerate(support) if t in weight)
-    masks = [[m & live for m in rs.masks] for rs in route_sets]
+    return w, [[m & live for m in rs.masks] for rs in route_sets]
+
+
+def _full_scan_greedy_response(route_sets, attacker, setting):
+    w, masks = _full_scan_weights(route_sets, attacker, setting)
+    best_choice, best_w = _full_scan_greedy(masks, w, 0)
+    for first in range(1, len(masks)):
+        choice, choice_w = _full_scan_greedy(masks, w, first)
+        if choice_w > best_w + 1e-12:
+            best_choice, best_w = choice, choice_w
+    jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
+    return jr, 1.0 - sum(w) + best_w
+
+
+def _full_scan_best_response(route_sets, attacker, setting):
+    w, masks = _full_scan_weights(route_sets, attacker, setting)
+    total_w = sum(w)
     n_res = len(route_sets)
     best_choice, best_w = _full_scan_greedy(masks, w, 0)
-    if mode == "heuristic":
-        for first in range(1, n_res):
-            choice, choice_w = _full_scan_greedy(masks, w, first)
-            if choice_w > best_w + 1e-12:
-                best_choice, best_w = choice, choice_w
-        jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
-        return jr, 1.0 - total_w + best_w, False
     orders = [
         sorted(range(len(ms)), key=lambda i: (-_full_scan_weight(w, ms[i]), i)) for ms in masks
     ]
@@ -306,12 +316,12 @@ def _full_scan_best_response(route_sets, attacker, setting, mode="exact"):
 
 
 def _assert_pinned(sets, attacker, s):
-    for mode in ("exact", "heuristic"):
-        got = best_response_ilp(sets, attacker, s, mode)
-        want = _full_scan_best_response(sets, attacker, s, mode)
-        assert got[0] == want[0]
-        assert got[1] == want[1]
-        assert got[2] is want[2]
+    got = best_response_ilp(sets, attacker, s)
+    want = _full_scan_best_response(sets, attacker, s)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] is want[2]
+    assert _greedy_response(sets, attacker, s) == _full_scan_greedy_response(sets, attacker, s)
 
 
 def test_best_response_early_exits_match_full_scan_on_generator_instances():
@@ -373,8 +383,6 @@ def test_fc_full_protection_is_pure():
 
 
 def test_fc_single_resource_reduces_to_zero_sum():
-    # With one resource the greedy best response is the exact one, so
-    # heuristic mode also reaches the zero-sum value.
     for trial in range(8):
         rng = stream(43, "fc1", trial)
         s = random_setting(8, rng, deadlines=(1, 2))
@@ -382,9 +390,9 @@ def test_fc_single_resource_reduces_to_zero_sum():
         sets = routes_for(s, d, [rng.randrange(s.n)], s.targets)
         U = payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
         _, _, v = solve_zero_sum(MatrixGame(U))
-        for mode in ("exact", "heuristic"):
-            result = fc_sro(sets, s, mode=mode)
-            assert result.value == pytest.approx(v, abs=1e-7), mode
+        result = fc_sro(sets, s)
+        assert result.diagnostics.optimal
+        assert result.value == pytest.approx(v, abs=1e-7)
 
 
 def test_fc_exact_matches_joint_enumeration():
@@ -434,12 +442,11 @@ def test_nc_not_optimal_over_incomplete_routes(monkeypatch):
     assert result.diagnostics.not_optimal == "incomplete routes"
 
 
-@pytest.mark.parametrize("mode", ["exact", "heuristic"])
-def test_fc_past_deadline_says_timeout(mode):
+def test_fc_past_deadline_says_timeout():
     s = make_setting(5, [(0, 1), (1, 2), (2, 3), (3, 4)], deadline=1)
     d = all_pairs_distances(s)
     sets = routes_for(s, d, [1, 3], s.targets)
-    result = fc_sro(sets, s, mode=mode, deadline=time.monotonic() - 1.0)
+    result = fc_sro(sets, s, deadline=time.monotonic() - 1.0)
     assert result.diagnostics.timed_out
     assert not result.diagnostics.optimal
     assert result.diagnostics.not_optimal == "timeout"
@@ -483,21 +490,39 @@ def test_exact_best_response_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_fc_exact_finishes_at_deadline_2():
+def _exact_searches(monkeypatch) -> list:
+    """Record each exact best response ``fc_sro`` runs: its objective and the
+    greedy response's objective against the same attacker."""
+    real = oracles_module.best_response_ilp
+    calls = []
+
+    def spy(sets, attacker, setting, **kwargs):
+        out = real(sets, attacker, setting, **kwargs)
+        calls.append((out[1], _greedy_response(sets, attacker, setting)[1]))
+        return out
+
+    monkeypatch.setattr(oracles_module, "best_response_ilp", spy)
+    return calls
+
+
+def test_fc_exact_finishes_at_deadline_2(monkeypatch):
     # Seven resources with 8-19 routes each: the suffix-union bound alone
-    # lets the exact best response run past a 30-s budget here.
+    # lets the exact best response run past a 30-s budget here, so the
+    # greedy responses drive the rounds and the search only certifies.
     s, _ = generate_instance(GeneratorParams(n_targets=60, seed=1, deadline=2))
     d = all_pairs_distances(s)
     placement = min_cover(s, d, "exact").placement.positions
     assert len(placement) == 7
     sets = routes_for(s, d, placement, s.targets)
+    searches = _exact_searches(monkeypatch)
     result = fc_sro(sets, s, deadline=time.monotonic() + 30.0)
     assert not result.diagnostics.timed_out
     assert result.diagnostics.optimal
     assert result.value == pytest.approx(0.5332551214373358, abs=1e-9)
+    assert 1 <= len(searches) <= 2
 
 
-def test_fc_exact_finishes_at_deadline_2_with_ten_resources():
+def test_fc_exact_finishes_at_deadline_2_with_ten_resources(monkeypatch):
     # Ten resources: the largest minimum cover of the deadline-2 instances.
     # The placement is min_cover(s, d, "exact")'s, which takes seconds to
     # prove optimal, so only its covering is checked here.
@@ -506,10 +531,30 @@ def test_fc_exact_finishes_at_deadline_2_with_ten_resources():
     placement = (0, 2, 6, 7, 9, 11, 18, 19, 62, 68)
     assert set().union(*(coverage_set(s, d, v) for v in placement)) == set(s.targets)
     sets = routes_for(s, d, placement, s.targets)
+    searches = _exact_searches(monkeypatch)
     result = fc_sro(sets, s, deadline=time.monotonic() + 30.0)
     assert not result.diagnostics.timed_out
     assert result.diagnostics.optimal
     assert result.value == pytest.approx(0.5691769962844413, abs=1e-9)
+    assert 1 <= len(searches) <= 2
+
+
+def test_fc_exact_search_adds_the_row_greedy_missed(monkeypatch):
+    # Here the greedy responses stop improving while a joint route covering
+    # every weighted target exists: the first exact search returns it as a
+    # new row instead of certifying, and the second certifies.
+    searches = _exact_searches(monkeypatch)
+    rng = stream(50, "fcexact", 224)
+    s = random_setting(rng.randrange(7, 10), rng, deadlines=(1, 2))
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, [rng.randrange(s.n) for _ in range(3)], s.targets)
+    result = fc_sro(sets, s)
+    assert result.diagnostics.optimal
+    assert len(searches) == 2
+    (exact, greedy), _ = searches
+    assert exact > greedy + 1e-12
+    expected, _ = joint_enumeration_value(sets, s, s.targets)
+    assert result.value == pytest.approx(expected, abs=1e-12)
 
 
 def _first_placement_sets(n_targets, seed):
@@ -576,7 +621,6 @@ def test_oracles_count_the_pivots_of_their_lps(monkeypatch):
         lambda: nc_sro(sets, s),
         lambda: pc_sro(sets, s, restarts=2),  # its team search runs on this pair
         lambda: fc_sro(sets, s),
-        lambda: fc_sro(sets, s, mode="heuristic"),
     ):
         del pivots[:]
         result = run()
@@ -592,20 +636,6 @@ def test_fc_trace_is_monotone():
     result = fc_sro(sets, s)
     trace = result.diagnostics.trace
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
-
-
-def test_fc_heuristic_terminates_below_exact():
-    for trial in range(5):
-        rng = stream(49, "fcheur", trial)
-        s = random_setting(7, rng, deadlines=(1, 2))
-        d = all_pairs_distances(s)
-        sets = routes_for(s, d, [0, s.n - 1], s.targets)
-        exact = fc_sro(sets, s, mode="exact")
-        heur = fc_sro(sets, s, mode="heuristic")
-        assert heur.value <= exact.value + 1e-6
-        assert 1.0 - max(s.value.values()) - 1e-9 <= heur.value <= 1.0 + 1e-9
-        assert not heur.diagnostics.optimal
-        assert heur.diagnostics.not_optimal == "heuristic mode"
 
 
 # -- PC ------------------------------------------------------------------------
