@@ -5,13 +5,15 @@ signal, each oracle returns signal-response strategies and the defender's
 expected utility:
 
 * NC: every resource solves its own zero-sum game on the targets it can
-  reach; the attacker then best-responds to the product distribution.
+  reach, once per route set, and NC, PC and FC share that solution; the
+  attacker then best-responds to the product distribution.
 * PC: team maxmin of independently randomizing resources.  Alternating best
   responses (one LP per resource per round, updating the resource with the
-  largest improvement, with random restarts) reach a local fixed point; for
-  two resources at micro scale a spatial branch and bound over one
-  resource's strategy simplex then certifies or improves it to the global
-  team maxmin.
+  largest improvement, with random restarts) reach a local fixed point; the
+  committed resource's LP is reused in the next round, since no other
+  resource moved its weights.  For two resources at micro scale a spatial
+  branch and bound over one resource's strategy simplex then certifies or
+  improves it to the global team maxmin.
 * FC: maxmin over joint routes via row generation, alternating a
   constant-sum game LP with a best response.  Greedy joint routes drive the
   rounds; once they find no better row, an exact branch and bound, pruned
@@ -69,7 +71,9 @@ class OracleDiagnostics:
     "timeout", "incomplete routes" (any oracle), "local fixed point",
     "iteration cap" or "search node cap" (PC).
     ``lp_pivots`` sums the pivots of the LPs the oracle solved: NC's games,
-    PC's response LPs and FC's master, plus the NC start of PC and FC.
+    PC's response LPs and FC's master, plus the NC start of PC and FC.  An
+    NC game already solved for the route set counts the pivots it took
+    then; a PC response LP reused from the previous round counts none.
     """
 
     iterations: int = 0
@@ -143,21 +147,19 @@ def evaluate_profile(
     return 1.0 - worst
 
 
-def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> OracleResult:
-    """Independent resources: one restricted zero-sum game per resource.
+def _nc_game(rs: RouteSet, setting: PatrollingSetting) -> tuple[MixedStrategy, int]:
+    """One resource's maxmin on the targets its routes cover, and its pivots.
 
-    Resource i plays its maxmin on the targets its routes cover, which are
-    exactly those it can reach by their deadlines; the overall value prices
-    the attacker's best response to the product of the resulting marginals.
+    Solved once per route set and setting: the answer is kept on the route
+    set, whose lifetime is the route cache's, and a later call returns it
+    with the pivots the solve made.
     """
-    support = _support(route_sets)
-    strategies: list[MixedStrategy] = []
-    pivots = 0
-    for rs in route_sets:
-        cols = np.flatnonzero(rs.cover.any(axis=0))
-        if not cols.size:
-            strategies.append(MixedStrategy.pure(rs.routes[0]))
-            continue
+    if rs._nc is not None and rs._nc[0] is setting:
+        return rs._nc[1], rs._nc[2]
+    cols = np.flatnonzero(rs.cover.any(axis=0))
+    if not cols.size:
+        row, pivots = MixedStrategy.pure(rs.routes[0]), 0
+    else:
         pi = np.array([setting.value[rs.targets[j]] for j in cols])
         game = RowGame(MatrixGame(
             np.where(rs.cover[:, cols], 1.0, 1.0 - pi),
@@ -165,9 +167,26 @@ def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> Oracle
             col_actions=tuple(rs.targets[j] for j in cols),
         ))
         row, _, _ = game.solve()
-        pivots += game.pivots
-        del game  # frees its tableau before the next game's LP is built
+        pivots = game.pivots
+    object.__setattr__(rs, "_nc", (setting, row, pivots))
+    return row, pivots
+
+
+def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> OracleResult:
+    """Independent resources: one restricted zero-sum game per resource.
+
+    Resource i plays its maxmin on the targets its routes cover, which are
+    exactly those it can reach by their deadlines; the overall value prices
+    the attacker's best response to the product of the resulting marginals.
+    Each route set's game is solved once (``_nc_game``).
+    """
+    support = _support(route_sets)
+    strategies: list[MixedStrategy] = []
+    pivots = 0
+    for rs in route_sets:
+        row, game_pivots = _nc_game(rs, setting)
         strategies.append(row)
+        pivots += game_pivots
     value = evaluate_profile(strategies, setting, support)
     n_routes = sum(len(rs.routes) for rs in route_sets)
     diag = _diagnostics(
@@ -354,11 +373,12 @@ def fc_sro(
     and adds a better row against the attacker's minmax strategy: the cheap
     ``_greedy_response`` when it is a new row beating the value by more than
     1e-12, else the exact ``best_response_ilp``'s.  When the exact response
-    is already a row, no joint route beats the value against that attacker,
-    so the value is the FC maxmin over the full joint space and the loop
-    stops.  Every other round adds a new joint route, of which there are
-    finitely many, so the loop terminates, and only an exact response ends
-    it (a double oracle with cheap better responses; Jain et al., 2011).
+    is already a row, or its objective does not beat the value by more than
+    1e-12, no joint route beats the value against that attacker, so the
+    value is the FC maxmin over the full joint space and the loop stops.
+    Every other round adds a new joint route, of which there are finitely
+    many, so the loop terminates, and only an exact response ends it (a
+    double oracle with cheap better responses; Jain et al., 2011).
 
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
@@ -407,11 +427,13 @@ def fc_sro(
             break
         br, objective = _greedy_response(route_sets, attacker, setting)
         if br in rows or objective <= value + 1e-12:
-            br, _, certified = best_response_ilp(route_sets, attacker, setting, deadline=deadline)
+            br, objective, certified = best_response_ilp(
+                route_sets, attacker, setting, deadline=deadline
+            )
             if not certified:
                 not_optimal = "timeout"
                 break
-            if br in rows:
+            if br in rows or objective <= value + 1e-12:
                 break
         rows.add(br)
         game.add_row(payoff_row(br), br)
@@ -551,6 +573,8 @@ def pc_sro(
     Fixing all strategies but one makes the team program linear in the free
     resource; each round solves those m LPs and commits the resource with the
     largest improvement, which makes the value trace non-strictly monotone.
+    The committed resource's LP is not solved again next round: no other
+    resource moved, so its weights, and its answer, are the same.
     Starts from the NC solution and optionally repeats from random strategy
     profiles, keeping the best run.  That run stops at a fixed point,
     which may be local.  For two resources whose smaller route set has at
@@ -602,27 +626,32 @@ def pc_sro(
         val = value_of(profile)
         hist = [val]
         converged = False
+        # Response LPs whose weights no commit has changed since they were
+        # solved: after a commit, only the committed resource's.
+        solved: dict[int, tuple[np.ndarray, float]] = {}
         for _ in range(PC_MAX_ITERATIONS):
             if expired():
                 break
-            best_i, best_val, best_x = -1, val, None
+            best_i, best_val = -1, val
             for i in range(m):
-                uncov_others = np.ones(len(targets))
-                for j in range(m):
-                    if j != i:
-                        uncov_others *= np.clip(
-                            1.0 - indicators[j].T @ profile[j], 0.0, 1.0
-                        )
-                weights = pi * uncov_others
-                x_new, v, lp_pivots = _response_lp(indicators[i], weights)
-                pivots += lp_pivots
-                cand = 1.0 - v
+                if i not in solved:
+                    uncov_others = np.ones(len(targets))
+                    for j in range(m):
+                        if j != i:
+                            uncov_others *= np.clip(
+                                1.0 - indicators[j].T @ profile[j], 0.0, 1.0
+                            )
+                    x_new, v, lp_pivots = _response_lp(indicators[i], pi * uncov_others)
+                    pivots += lp_pivots
+                    solved[i] = x_new, v
+                cand = 1.0 - solved[i][1]
                 if cand > best_val + CONVERGENCE_EPS:
-                    best_i, best_val, best_x = i, cand, x_new
+                    best_i, best_val = i, cand
             if best_i < 0:
                 converged = True
                 break
-            profile[best_i] = best_x
+            profile[best_i] = solved[best_i][0]
+            solved = {best_i: solved[best_i]}
             val = value_of(profile)
             hist.append(val)
         return profile, val, hist, converged

@@ -65,7 +65,8 @@ class RouteSet:
     the set may be missing maximal routes.  ``targets`` is the sorted signal
     support and ``cover[i, j]`` says whether ``routes[i]`` covers
     ``targets[j]``; bit j of ``masks[i]`` says the same.  Both are built
-    here, and the matrix is read-only.
+    here, and the matrix is read-only.  ``_nc`` is the oracles' memo of this
+    resource's NC game, so it lives exactly as long as the set.
     """
 
     routes: tuple[CoveringRoute, ...]
@@ -74,6 +75,7 @@ class RouteSet:
     targets: tuple[int, ...] = field(compare=False)
     cover: np.ndarray = field(init=False, compare=False, repr=False)
     masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _nc: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         col = {t: j for j, t in enumerate(self.targets)}

@@ -304,13 +304,13 @@ def test_pivot_matches_dense_update_past_bland_switch():
 
 def _placement_lps(monkeypatch, n_targets, seed, sros):
     """The LPs each of ``sros`` solves at the generator instance's first
-    placement, as ``resolve`` picks it: one list per oracle."""
+    placement, as ``resolve`` picks it: one list per oracle.  Each oracle
+    gets fresh route sets, so it solves their NC games itself."""
     setting, alarm = generate_instance(GeneratorParams(n_targets=n_targets, seed=seed))
     dist = all_pairs_distances(setting)
     cover = min_cover(setting, dist).placement
     placement = next(enumerate_placements(setting, dist, len(cover.positions), initial=cover))
     (signal,) = alarm.signals
-    sets = routes_for(setting, dist, placement.positions, alarm.signal_support(signal))
     programs = []
 
     def record(prog):
@@ -321,7 +321,7 @@ def _placement_lps(monkeypatch, n_targets, seed, sros):
     monkeypatch.setattr(games, "lp_solve", record)
     for sro in sros:
         programs.append([])
-        sro(sets, setting)
+        sro(routes_for(setting, dist, placement.positions, alarm.signal_support(signal)), setting)
     monkeypatch.undo()
     return programs
 

@@ -10,6 +10,7 @@ from alarmpatrol import (
     JointRoute,
     MatrixGame,
     MixedStrategy,
+    ResolutionConfig,
     RowGame,
     aggregate_value,
     all_pairs_distances,
@@ -25,6 +26,7 @@ from alarmpatrol import (
     min_cover,
     nc_sro,
     pc_sro,
+    resolve,
     respond,
     routes,
     solve_zero_sum,
@@ -32,6 +34,7 @@ from alarmpatrol import (
 )
 from alarmpatrol import lp as lp_module
 from alarmpatrol import oracles as oracles_module
+from alarmpatrol import pipeline
 from alarmpatrol.games import VALUE_TOL
 from alarmpatrol.oracles import SEARCH_MAX_ROUTES, _greedy_response, uncovered_probability
 from alarmpatrol.routes import CoveringRoute, RouteSet
@@ -557,6 +560,36 @@ def test_fc_exact_search_adds_the_row_greedy_missed(monkeypatch):
     assert result.value == pytest.approx(expected, abs=1e-12)
 
 
+def test_fc_stops_when_the_exact_response_ties_the_value(monkeypatch):
+    # The exact objective bounds FC from above, so once it is within 1e-12
+    # of the master value the value is certified: only the last exact search
+    # may tie, and every earlier one adds a row that beats the value.
+    real_solve, real_search = RowGame.solve, oracles_module.best_response_ilp
+    events = []
+
+    def solve(game):
+        out = real_solve(game)
+        if isinstance(game.row_actions[0], JointRoute):
+            events.append(("value", out[2]))
+        return out
+
+    def search(*args, **kwargs):
+        out = real_search(*args, **kwargs)
+        events.append(("search", out[1]))
+        return out
+
+    monkeypatch.setattr(RowGame, "solve", solve)
+    monkeypatch.setattr(oracles_module, "best_response_ilp", search)
+    for n_targets, seed in ((60, 1), (80, 0)):
+        del events[:]
+        s, sets = _first_placement_sets(n_targets, seed)
+        result = fc_sro(sets, s)
+        assert result.diagnostics.optimal
+        gaps = [obj - events[k - 1][1] for k, (kind, obj) in enumerate(events) if kind == "search"]
+        assert gaps[-1] <= 1e-12
+        assert all(gap > 1e-12 for gap in gaps[:-1])
+
+
 def _first_placement_sets(n_targets, seed):
     """Route sets of the generator instance's first placement, as ``resolve`` picks it."""
     s, alarm = generate_instance(GeneratorParams(n_targets=n_targets, seed=seed))
@@ -616,16 +649,91 @@ def test_oracles_count_the_pivots_of_their_lps(monkeypatch):
     monkeypatch.setattr(lp_module._SimplexState, "optimize", spy)
     s, _ = generate_instance(GeneratorParams(n_targets=20, seed=14))
     d = all_pairs_distances(s)
-    sets = routes_for(s, d, [s.ids.index("v4"), s.ids.index("v14")], s.targets)
     for run in (
-        lambda: nc_sro(sets, s),
-        lambda: pc_sro(sets, s, restarts=2),  # its team search runs on this pair
-        lambda: fc_sro(sets, s),
+        nc_sro,
+        lambda sets, s: pc_sro(sets, s, restarts=2),  # its team search runs on this pair
+        fc_sro,
     ):
+        # Fresh route sets: no NC game of theirs is solved yet.
+        sets = routes_for(s, d, [s.ids.index("v4"), s.ids.index("v14")], s.targets)
         del pivots[:]
-        result = run()
+        result = run(sets, s)
         assert result.diagnostics.lp_pivots == sum(pivots) > 0
+        # Over the same sets the NC games are not solved again, yet their
+        # pivots still count, so the oracle reports the same total.
+        nc_pivots = nc_sro(sets, s).diagnostics.lp_pivots
+        del pivots[:]
+        again = run(sets, s)
+        assert again.diagnostics.lp_pivots == result.diagnostics.lp_pivots
+        assert again.diagnostics.lp_pivots == sum(pivots) + nc_pivots
     assert "search" in pc_sro(sets, s).diagnostics.extra
+
+
+def test_resolve_solves_one_nc_game_per_route_set(monkeypatch):
+    # FC, PC and NC all start from NC, over placements that share positions:
+    # each route set's game is still solved once in the whole resolve.
+    real_solve, real_respond = RowGame.solve, pipeline.respond
+    nc_games, route_sets = [], {}
+
+    def solve(game):
+        if isinstance(game.row_actions[0], CoveringRoute):  # an NC game, not FC's master
+            nc_games.append(tuple(game.row_actions))
+        return real_solve(game)
+
+    def respond_spy(*args, **kwargs):
+        resp = real_respond(*args, **kwargs)
+        for sets in resp.route_sets.values():
+            route_sets.update((id(rs), rs) for rs in sets if rs.cover.any())
+        return resp
+
+    monkeypatch.setattr(RowGame, "solve", solve)
+    monkeypatch.setattr(pipeline, "respond", respond_spy)
+    s, alarm = generate_instance(GeneratorParams(n_targets=25, seed=0))
+    report = resolve(s, alarm, ResolutionConfig(max_placements=4, pc_restarts=1))
+    assert len(report.placements) == 4
+    assert len(nc_games) == len(route_sets)
+    assert len(set(nc_games)) == len(nc_games)
+
+
+def test_oracle_results_do_not_depend_on_earlier_placements():
+    # An NC game solved for an earlier placement is reused with its pivots,
+    # so a placement's results, pivots included, are those of a fresh cache.
+    s, alarm = generate_instance(GeneratorParams(n_targets=25, seed=2))
+    d = all_pairs_distances(s)
+    cover = min_cover(s, d).placement
+    placements = [pl.positions for _, pl in zip(range(4), enumerate_placements(
+        s, d, len(cover.positions), initial=cover))]
+    shared: dict = {}
+    for positions in placements[:-1]:
+        for scheme in ("NC", "PC", "FC"):
+            respond(s, d, alarm, positions, scheme, route_cache=shared, pc_restarts=1)
+    last = placements[-1]
+    assert any(key[0] in last for key in shared)  # some route set is reused
+    for scheme in ("FC", "PC", "NC"):
+        after = respond(s, d, alarm, last, scheme, route_cache=shared, pc_restarts=1)
+        fresh = respond(s, d, alarm, last, scheme, route_cache={}, pc_restarts=1)
+        assert after.per_signal == fresh.per_signal
+        assert after.value == fresh.value
+
+
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_pc_solves_no_response_lp_twice(monkeypatch, restarts):
+    # The committed resource's LP is reused, not solved again; every other
+    # LP of the call has new weights.
+    real = oracles_module._response_lp
+    solved = []
+
+    def spy(I, weights):
+        solved.append((I.shape, I.tobytes(), weights.tobytes()))
+        return real(I, weights)
+
+    monkeypatch.setattr(oracles_module, "_response_lp", spy)
+    for n_targets, seed in ((20, 14), (100, 42)):
+        s, sets = _first_placement_sets(n_targets, seed)
+        del solved[:]
+        result = pc_sro(sets, s, restarts=restarts)
+        assert len(result.diagnostics.extra["traces"]) == restarts + 1
+        assert len(set(solved)) == len(solved) > 0
 
 
 def test_fc_trace_is_monotone():
