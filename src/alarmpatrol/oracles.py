@@ -19,9 +19,11 @@ expected utility:
   rounds; once they find no better row, an exact branch and bound, pruned
   by the union of the remaining routes and by the sum of each remaining
   resource's best marginal route, supplies the next row or certifies the
-  value.  Both scan each resource's routes heaviest first and stop at the
-  first route whose full weight cannot beat what is in hand.  The game LP
-  lives for the whole call and resumes from its last basis each round.
+  value.  Both choose among each resource's coverage classes, its routes
+  grouped by the targets they cover where the attacker's strategy has
+  weight, scan them heaviest first and stop at the first class whose full
+  weight cannot beat what is in hand.  The game LP lives for the whole call
+  and resumes from its last basis each round.
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -29,7 +31,9 @@ support, which is the set of targets the attacker may choose; coverage is
 ``RouteSet.cover``, the boolean route-by-target matrix each set carries.
 NC's games and FC's restricted game pay 1 where a row covers a target and
 1 - pi_t where it does not; PC's response LPs use the matrices as 0/1
-indicators; the FC best response reads the same coverage from ``RouteSet.masks``.
+indicators; the FC best responses read the same coverage from
+``RouteSet.masks``, one pass per resource and round grouping the routes into
+coverage classes.
 
 Multiple signals are handled by solving one independent response game per
 signal and aggregating with the attacker committing to a target before the
@@ -206,20 +210,40 @@ def _weight_bits(w: Sequence[float], mask: int) -> float:
 
 def _setup(
     route_sets: Sequence[RouteSet], attacker: MixedStrategy, setting: PatrollingSetting
-) -> tuple[list[float], list[list[int]], list[list[float]], list[list[int]]]:
+) -> tuple[list[float], list[list[int]], list[list[int]], list[list[float]], list[list[int]]]:
     """What both FC best responses read: the weight sigma(t) pi(t) of each
     support target, where the attacker's weight must lie, and per resource
-    its routes' masks of weighted targets, full weights and order by weight."""
+    its coverage classes.
+
+    A class is one distinct value of ``mask & live``, the targets a route
+    covers where the attacker's weight lies.  ``reps`` holds each class's
+    lowest route index, and the classes come in increasing ``reps`` order,
+    with their masks, full weights and order by weight.  Routes of one class
+    add the same weight to every partial joint route, so the best responses
+    choose among classes, and map a choice back through ``reps``."""
     support = _support(route_sets)
     weight = {t: p for t, p in attacker.probs.items() if p > 0.0}
     if not weight.keys() <= set(support):
         raise ValueError("attacker weight outside the route sets' support")
     w = [weight.get(t, 0.0) * setting.value[t] for t in support]
     live = sum(1 << j for j, t in enumerate(support) if t in weight)
-    masks = [[m & live for m in rs.masks] for rs in route_sets]
+    reps, masks = [], []
+    for rs in route_sets:
+        first: dict[int, int] = {}
+        for j, m in enumerate(rs.masks):
+            first.setdefault(m & live, j)
+        masks.append(list(first))
+        reps.append(list(first.values()))
     full = [[_weight_bits(w, m) for m in ms] for ms in masks]
     orders = [sorted(range(len(fs)), key=lambda j: (-fs[j], j)) for fs in full]
-    return w, masks, full, orders
+    return w, reps, masks, full, orders
+
+
+def _joint(
+    route_sets: Sequence[RouteSet], reps: Sequence[Sequence[int]], choice: Sequence[int]
+) -> JointRoute:
+    """The joint route of one class per resource: each class's representative."""
+    return JointRoute(tuple(rs.routes[r[c]] for rs, r, c in zip(route_sets, reps, choice)))
 
 
 def _greedy(
@@ -229,13 +253,15 @@ def _greedy(
     orders: Sequence[Sequence[int]],
     first: int,
 ) -> tuple[list[int], float]:
-    """Greedy joint route (one route index per resource) and its weight.
+    """Greedy joint route (one class index per resource) and its weight.
 
     From resource ``first`` round to the one before it, each resource takes
-    the route adding the most weight, lowest index on ties.  Routes are
+    the class adding the most weight, lowest index on ties.  Classes are
     scanned heaviest first (``orders``) and the scan stops at the first
-    route whose full weight is below the best gain so far, since a route
-    never adds more than its full weight.
+    class whose full weight is below the best gain so far, since a class
+    never adds more than its full weight.  A class's index orders it as its
+    representative, the lowest index of its routes, so the choice maps back
+    to the route a scan over all routes would take.
     """
     choice = [0] * len(masks)
     cur = 0
@@ -259,14 +285,13 @@ def _greedy_response(
     """FC's cheap best response and its objective: the heaviest of the m
     ``_greedy`` joint routes, a later start winning only by more than 1e-12.
     """
-    w, masks, full, orders = _setup(route_sets, attacker, setting)
+    w, reps, masks, full, orders = _setup(route_sets, attacker, setting)
     best_choice, best_w = _greedy(masks, w, full, orders, 0)
     for first in range(1, len(masks)):
         choice, choice_w = _greedy(masks, w, full, orders, first)
         if choice_w > best_w + 1e-12:
             best_choice, best_w = choice, choice_w
-    jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
-    return jr, 1.0 - sum(w) + best_w
+    return _joint(route_sets, reps, best_choice), 1.0 - sum(w) + best_w
 
 
 def best_response_ilp(
@@ -288,14 +313,22 @@ def best_response_ilp(
     honors ``deadline`` and may return a non-optimal incumbent (flagged
     False).  The attacker's weight must lie on the route sets' support.
 
-    Each resource's routes are ranked once by their full weight, heaviest
+    The search runs over each resource's coverage classes (``_setup``), not
+    its routes, and returns each chosen class's representative.  That is the
+    answer a search over all routes gives: the routes of a class have equal
+    gains, the ``(-full, index)`` order meets a class's representative
+    before its other routes, and an identical sibling's subtree holds no
+    leaf above what its representative's subtree left in ``best_w``, so it
+    never wins the strict ``> best_w + 1e-12`` test.
+
+    Each resource's classes are ranked once by their full weight, heaviest
     first, and every scan over them (the greedy, the best-marginal bound and
-    the last resource's leaves) stops at the first route whose full weight
+    the last resource's leaves) stops at the first class whose full weight
     cannot beat what is in hand.  The weights are non-negative and summed in
-    bit order, so a route's uncovered weight never exceeds its full weight
+    bit order, so a class's uncovered weight never exceeds its full weight
     in floating point either, and the early exits change no answer.
     """
-    w, masks, full, orders = _setup(route_sets, attacker, setting)
+    w, reps, masks, full, orders = _setup(route_sets, attacker, setting)
     n_res = len(route_sets)
     best_choice, best_w = _greedy(masks, w, full, orders, 0)
 
@@ -356,8 +389,7 @@ def best_response_ilp(
                 best_w = leaf_w
                 best_choice = [*picked, j]
 
-    jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
-    return jr, 1.0 - sum(w) + best_w, not timed_out
+    return _joint(route_sets, reps, best_choice), 1.0 - sum(w) + best_w, not timed_out
 
 
 def fc_sro(

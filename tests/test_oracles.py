@@ -330,25 +330,54 @@ def _assert_pinned(sets, attacker, s):
 def test_best_response_early_exits_match_full_scan_on_generator_instances():
     # Prefixes of minimum-cover placements give m = 1-6 resources; the
     # uniform attacker ties every route covering the same number of
-    # equal-valued targets, the others tie only where the values do.
+    # equal-valued targets, the others tie only where the values do.  The
+    # focused attacker weights 1-8 targets, as the FC master's minmax
+    # strategies do, so many routes share a coverage class.
     for n, seed, deadline in ((40, 7, None), (60, 1, 2), (80, 3, 2)):
         s, _ = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
         d = all_pairs_distances(s)
         placement = min_cover(s, d, "exact").placement.positions
         all_sets = routes_for(s, d, placement, s.targets)
         rng = stream(45, "brpin", n, seed)
+        focus_rng = stream(45, "brpinfocus", n, seed)
         for m in range(1, min(6, len(all_sets)) + 1):
             sets = all_sets[:m]
             uniform = MixedStrategy({t: 1.0 / len(s.targets) for t in s.targets})
             levels = [rng.choice((1.0, 2.0, 3.0)) for _ in s.targets]
             sparse = [rng.random() if rng.random() < 0.3 else 0.0 for _ in s.targets]
             sparse[0] += 0.01
+            focus = focus_rng.sample(sorted(s.targets), focus_rng.randint(1, 8))
             for attacker in (
                 uniform,
                 MixedStrategy.from_weights(list(s.targets), levels),
                 MixedStrategy.from_weights(list(s.targets), sparse),
+                MixedStrategy.from_weights(focus, [focus_rng.random() + 0.01 for _ in focus]),
             ):
                 _assert_pinned(sets, attacker, s)
+
+
+def test_setup_groups_routes_into_coverage_classes():
+    # A class per distinct ``mask & live``, represented by its lowest route
+    # index, in increasing representative order; with weight on every
+    # target, each route of a maximal route set is its own class.
+    s, _ = generate_instance(GeneratorParams(n_targets=60, seed=1, deadline=2))
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, min_cover(s, d, "exact").placement.positions, s.targets)
+    rng = stream(47, "classes")
+    support = sets[0].targets
+    for k in (1, 3, 8, len(support)):
+        focus = rng.sample(list(support), k)
+        attacker = MixedStrategy.from_weights(focus, [rng.random() + 0.01 for _ in focus])
+        live = sum(1 << j for j, t in enumerate(support) if t in focus)
+        _, reps, masks, _, _ = oracles_module._setup(sets, attacker, s)
+        for rs, rep, ms in zip(sets, reps, masks):
+            assert sorted(ms) == sorted({m & live for m in rs.masks})
+            assert rep == sorted(rep)
+            assert rep == [min(j for j, m in enumerate(rs.masks) if m & live == c) for c in ms]
+            if k == len(support):
+                assert rep == list(range(len(rs.routes)))
+        if k == 1:
+            assert any(len(rep) < len(rs.routes) for rs, rep in zip(sets, reps))
 
 
 def test_best_response_early_exits_match_full_scan_on_random_instances():
