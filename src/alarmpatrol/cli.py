@@ -59,14 +59,32 @@ def parse_duration(text: str) -> float:
     return value
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _int_list(text: str) -> list[int]:
+    """argparse type: distinct comma-separated integers, at least one."""
+    try:
+        values = [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int list: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("must name at least one value")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeats a value: {text!r}")
+    return values
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _size_list(text: str) -> list[int]:
+    """argparse type: distinct comma-separated target counts, each >= 1."""
+    values = _int_list(text)
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {min(values)}")
+    return values
+
+
+def _seed_list(text: str) -> list[int]:
+    """argparse type: a seed count (seeds 0..count-1) or a seed list."""
     if "," in text:
-        return _parse_int_list(text)
-    return list(range(int(text)))
+        return _int_list(text)
+    return list(range(_int_at_least(1)(text)))
 
 
 def _out_dir(args) -> Path:
@@ -133,8 +151,7 @@ def cmd_mincover(args) -> int:
     payload["manifest"] = manifest
     fileio.write_json(out / "placement.json", payload)
     print(f"m={len(result.placement)} method={result.method} optimal={result.optimal}")
-    timed_out = result.method == "exact" and not result.optimal
-    return EXIT_TIMEOUT if timed_out else EXIT_OK
+    return EXIT_TIMEOUT if result.timed_out else EXIT_OK
 
 
 def cmd_routes(args) -> int:
@@ -145,12 +162,12 @@ def cmd_routes(args) -> int:
     per_signal = {}
     for s in signals:
         support = alarm.signal_support(s)
-        rs = covering_routes(setting, dist, start, support, beam_width=args.beam_width)
+        rs = covering_routes(setting, dist, start, support)
         per_signal[s] = fileio.route_set_payload(rs, setting)
     out = _out_dir(args)
     manifest = fileio.make_manifest(
         "routes",
-        {"start": args.start, "signal": args.signal, "beam_width": args.beam_width},
+        {"start": args.start, "signal": args.signal},
         args.seed,
         Path(args.instance),
         ["routes.json"],
@@ -186,7 +203,6 @@ def cmd_sro(args) -> int:
         alarm,
         positions,
         args.oracle,
-        beam_width=args.beam_width,
         pc_restarts=args.restarts,
         seed=args.seed,
         deadline=deadline,
@@ -217,8 +233,6 @@ def _resolve_config(args) -> ResolutionConfig:
     return ResolutionConfig(
         time_budget=parse_duration(args.budget),
         oracles=tuple(s.strip().upper() for s in args.oracles.split(",") if s.strip()),
-        mincover_method=args.mincover_method,
-        beam_width=args.beam_width,
         seed=args.seed,
         max_placements=args.max_placements,
         resources_per_position=args.resources_per_position,
@@ -230,8 +244,6 @@ def _config_echo(config: ResolutionConfig) -> dict:
     return {
         "time_budget": config.time_budget,
         "oracles": list(config.oracles),
-        "mincover_method": config.mincover_method,
-        "beam_width": config.beam_width,
         "max_placements": config.max_placements,
         "resources_per_position": config.resources_per_position,
         "pc_restarts": config.pc_restarts,
@@ -289,14 +301,12 @@ def aggregate_bench(runs: list[tuple[int, int, Path]]) -> str:
 
 
 def cmd_bench(args) -> int:
-    sizes = _parse_int_list(args.sizes)
-    seeds = _parse_seeds(args.seeds)
     out = _out_dir(args)
     worst = EXIT_OK
     runs: list[tuple[int, int, Path]] = []
     timings: list[tuple[int, int, float]] = []
-    for n in sizes:
-        for seed in seeds:
+    for n in args.sizes:
+        for seed in args.seeds:
             run_dir = out / f"run_t{n}_s{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
             setting, alarm = generate_instance(
@@ -382,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--start", required=True, help="start vertex id")
     p.add_argument("--signal", default=None, help="restrict to one signal id")
-    p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)
 
     p = sub.add_parser("sro", help="one signal-response oracle on one placement")
     common(p)
@@ -392,23 +401,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True, choices=["fc", "pc", "nc", "FC", "PC", "NC"])
     p.add_argument("--restarts", type=_int_at_least(0), default=0)
     p.add_argument("--budget", default=None)
-    p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)
 
     p = sub.add_parser("resolve", help="full anytime resolution flow")
     common(p)
     p.add_argument("--instance", required=True)
     p.add_argument("--oracles", default="fc,pc,nc")
     p.add_argument("--budget", default="60m")
-    p.add_argument("--mincover-method", default="auto")
     p.add_argument("--max-placements", type=_int_at_least(1), default=None)
     p.add_argument("--resources-per-position", type=_int_at_least(1), default=1)
     p.add_argument("--restarts", type=_int_at_least(0), default=0)
-    p.add_argument("--beam-width", type=_int_at_least(1), default=100_000)
 
     p = sub.add_parser("bench", help="batch runs over sizes and seeds")
     common(p)
-    p.add_argument("--sizes", required=True, help="comma-separated target counts")
-    p.add_argument("--seeds", required=True, help="count or comma-separated seeds")
+    p.add_argument("--sizes", type=_size_list, required=True,
+                   help="comma-separated target counts")
+    p.add_argument("--seeds", type=_seed_list, required=True,
+                   help="count or comma-separated seeds")
     p.add_argument("--budget", default="60s")
     p.add_argument("--oracles", default="fc,pc,nc")
     p.add_argument("--max-placements", type=_int_at_least(1), default=None)

@@ -67,6 +67,11 @@ class MinCoverResult:
     optimal: bool
     method: str
 
+    @property
+    def timed_out(self) -> bool:
+        """Whether the exact search ran out of time and returned its incumbent."""
+        return self.method == "exact" and not self.optimal
+
 
 def to_set_cover(setting: PatrollingSetting, dist: np.ndarray) -> SetCoverInstance:
     """SET-COVER instance whose candidate sets are the vertex coverage sets."""

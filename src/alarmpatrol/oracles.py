@@ -791,7 +791,6 @@ def respond(
     scheme: str,
     *,
     route_cache: dict | None = None,
-    beam_width: int = 100_000,
     pc_restarts: int = 0,
     seed: int = 0,
     deadline: float | None = None,
@@ -812,12 +811,9 @@ def respond(
         support = alarm.signal_support(s)
         sets = []
         for p in positions:
-            key = (p, s, beam_width)
-            if key not in cache:
-                cache[key] = covering_routes(
-                    setting, dist, p, support, beam_width=beam_width
-                )
-            sets.append(cache[key])
+            if (p, s) not in cache:
+                cache[p, s] = covering_routes(setting, dist, p, support)
+            sets.append(cache[p, s])
         sets = tuple(sets)
         rsets[s] = sets
         if scheme == "NC":

@@ -176,8 +176,6 @@ class ResolutionConfig:
 
     time_budget: float = 3600.0
     oracles: tuple[str, ...] = ("FC", "PC", "NC")
-    mincover_method: str = "auto"
-    beam_width: int = 100_000
     seed: int = 0
     max_placements: int | None = None
     resources_per_position: int = 1
@@ -197,8 +195,6 @@ class ResolutionConfig:
         object.__setattr__(self, "oracles", upper)
         if self.resources_per_position < 1:
             raise ValueError("resources_per_position must be >= 1")
-        if self.beam_width < 1:
-            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
         if self.pc_restarts < 0:
             raise ValueError(f"pc_restarts must be >= 0, got {self.pc_restarts}")
         if self.max_placements is not None and self.max_placements < 1:
@@ -271,8 +267,7 @@ class ResolutionReport:
     @property
     def timed_out(self) -> bool:
         """Whether an exact computation ran out of time: an oracle or the exact min cover."""
-        cover_cut = self.mincover.method == "exact" and not self.mincover.optimal
-        return cover_cut or self.timed_out_oracles > 0
+        return self.mincover.timed_out or self.timed_out_oracles > 0
 
 
 def resolve(
@@ -282,9 +277,7 @@ def resolve(
     t0 = time.monotonic()
     deadline = t0 + config.time_budget
     dist = all_pairs_distances(setting)
-    mc = min_cover(
-        setting, dist, config.mincover_method, time_budget=min(config.time_budget / 4.0, 30.0)
-    )
+    mc = min_cover(setting, dist, "auto", time_budget=min(config.time_budget / 4.0, 30.0))
     if time.monotonic() >= deadline:
         raise BudgetTooSmall("time budget exhausted during the placement step")
 
@@ -301,8 +294,7 @@ def resolve(
             if time.monotonic() >= deadline:
                 break
             resp = respond(setting, dist, alarm, resources, scheme, route_cache=route_cache,
-                           beam_width=config.beam_width, pc_restarts=config.pc_restarts,
-                           seed=config.seed, deadline=deadline)
+                           pc_restarts=config.pc_restarts, seed=config.seed, deadline=deadline)
             values[scheme] = resp.value
             report.timed_out_oracles += sum(
                 res.diagnostics.timed_out for res in resp.per_signal.values()

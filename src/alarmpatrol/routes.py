@@ -21,8 +21,9 @@ import numpy as np
 from .model import PatrollingSetting
 
 # Up to this many reachable support targets the DP is exact; beyond it the
-# per-level state set is truncated to the beam width.
+# per-level state set is truncated to BEAM_WIDTH states.
 EXACT_LIMIT = 20
+BEAM_WIDTH = 100_000
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,6 @@ def covering_routes(
     dist: np.ndarray,
     start: int,
     support: Iterable[int],
-    *,
-    beam_width: int = 100_000,
 ) -> RouteSet:
     """All maximal non-dominated covering routes from ``start``.
 
@@ -118,16 +117,11 @@ def covering_routes(
     of its targets.
 
     When more than ``EXACT_LIMIT`` support targets are reachable the per-level
-    state set is truncated to ``beam_width`` entries and the result is flagged
+    state set is truncated to ``BEAM_WIDTH`` entries and the result is flagged
     incomplete if anything was actually dropped.  A truncated DP may lack
     subsets of the sets it holds, so there the survivors of the removal test
     are also tested pairwise for containment.
-
-    Raises:
-        ValueError: ``beam_width`` is below 1.
     """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     D = dist.tolist()
     dl = setting.deadline
     support_set = set(support)
@@ -178,8 +172,8 @@ def covering_routes(
                 cur = nxt.get(nk)
                 if cur is None or nt < cur[0]:
                     nxt[nk] = (nt, key)
-        if k > EXACT_LIMIT and len(nxt) > beam_width:
-            keep = sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))[:beam_width]
+        if k > EXACT_LIMIT and len(nxt) > BEAM_WIDTH:
+            keep = sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))[:BEAM_WIDTH]
             nxt = dict(keep)
             complete = False
         level = nxt

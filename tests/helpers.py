@@ -183,13 +183,13 @@ def maximal_sets(sets: set[frozenset[int]]) -> set[frozenset[int]]:
     }
 
 
-def reference_covering_routes(setting, dist, start, support, beam_width=100_000):
+def reference_covering_routes(setting, dist, start, support):
     """``covering_routes`` as first written: each state scans all reachable
     targets, and maximality is a pairwise containment test over all sets.
 
     Returns the routes as (visits, arrivals) pairs, stay-at-start first, and
-    the ``complete`` flag.  The beam threshold is read from
-    ``alarmpatrol.routes.EXACT_LIMIT`` at call time.
+    the ``complete`` flag.  The beam threshold and width are read from
+    ``alarmpatrol.routes.EXACT_LIMIT`` and ``BEAM_WIDTH`` at call time.
     """
     from alarmpatrol import routes
 
@@ -221,8 +221,8 @@ def reference_covering_routes(setting, dist, start, support, beam_width=100_000)
                 nk = (mask | (1 << j), j)
                 if nk not in nxt or nt < nxt[nk][0]:
                     nxt[nk] = (nt, key)
-        if k > routes.EXACT_LIMIT and len(nxt) > beam_width:
-            nxt = dict(sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))[:beam_width])
+        if k > routes.EXACT_LIMIT and len(nxt) > routes.BEAM_WIDTH:
+            nxt = dict(sorted(nxt.items(), key=lambda kv: (kv[1][0], kv[0]))[:routes.BEAM_WIDTH])
             complete = False
         level = nxt
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from alarmpatrol import games, pipeline
+from alarmpatrol import games, pipeline, routes
 from alarmpatrol.cli import EXIT_NUMERIC, EXIT_TIMEOUT, aggregate_bench, main, parse_duration
 from alarmpatrol.fileio import (
     instance_to_payload,
@@ -147,7 +147,7 @@ def test_routes_and_sro(tmp_path):
     assert abs(sum(e["p"] for e in strategy) - 1.0) < 1e-9
 
 
-def test_sro_result_says_why_not_optimal(tmp_path):
+def test_sro_result_says_why_not_optimal(tmp_path, monkeypatch):
     def diagnostics(n_targets, seed, placement, *options):
         out = tmp_path / f"t{n_targets}_s{seed}"
         assert run(["gen", "--targets", str(n_targets), "--seed", str(seed), "--out", str(out)]) == 0
@@ -159,13 +159,18 @@ def test_sro_result_says_why_not_optimal(tmp_path):
         assert type(diag["lp_pivots"]) is int and diag["lp_pivots"] > 0
         return diag
 
-    fc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "fc", "--beam-width", "5")
+    def narrow_beam(*options):
+        with monkeypatch.context() as patch:
+            patch.setattr(routes, "BEAM_WIDTH", 5)
+            return diagnostics(40, 7, "v0,v1,v2", *options)
+
+    fc = narrow_beam("--oracle", "fc")
     assert fc["optimal"] is False and fc["not_optimal"] == "incomplete routes"
     fc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "fc")
     assert fc["optimal"] is True and "not_optimal" not in fc
     nc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "nc")
     assert nc["optimal"] is True and "not_optimal" not in nc and "search" not in nc
-    nc = diagnostics(40, 7, "v0,v1,v2", "--oracle", "nc", "--beam-width", "5")
+    nc = narrow_beam("--oracle", "nc")
     assert nc["optimal"] is False and nc["not_optimal"] == "incomplete routes"
     # v14 has 3 covering routes, so PC runs its two-resource search.
     pc = diagnostics(20, 14, "v4,v14", "--oracle", "pc")
@@ -212,31 +217,38 @@ def test_huge_integer_in_instance_names_the_file(tmp_path, capsys):
 
 
 def test_bad_counts_exit_2_naming_the_flag(tmp_path, capsys):
-    # A negative beam width used to slice off the beam's last states, and
-    # --max-placements -1 evaluated nothing; both exited 0.
+    # --max-placements -1 used to evaluate nothing and exit 0.  So did an
+    # empty bench list or a seed count below 1, writing a header-only
+    # bench.csv; a repeated size or seed ran one instance twice into one run
+    # directory and wrote its rows twice.  A size of 0 failed only after the
+    # sizes before it had run.
     assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
     inst = ["--instance", str(tmp_path / "instance.json"), "--out", str(tmp_path)]
-    routes = ["routes", *inst, "--start", "v0"]
     sro = ["sro", *inst, "--placement", "v0", "--oracle", "pc"]
     resolve = ["resolve", *inst]
     bench = ["bench", "--sizes", "8", "--seeds", "1", "--out", str(tmp_path)]
     for argv, flag in [
-        (routes + ["--beam-width", "0"], "--beam-width"),
-        (routes + ["--beam-width=-3"], "--beam-width"),
         (sro + ["--restarts=-2"], "--restarts"),
-        (sro + ["--beam-width", "0"], "--beam-width"),
         (resolve + ["--max-placements=-1"], "--max-placements"),
         (resolve + ["--max-placements", "0"], "--max-placements"),
         (resolve + ["--restarts=-2"], "--restarts"),
-        (resolve + ["--beam-width=-3"], "--beam-width"),
         (resolve + ["--resources-per-position", "0"], "--resources-per-position"),
         (bench + ["--max-placements", "0"], "--max-placements"),
         (bench + ["--restarts=-1"], "--restarts"),
+        (bench + ["--seeds", "0"], "--seeds"),
+        (bench + ["--seeds=-1"], "--seeds"),
+        (bench + ["--seeds", ","], "--seeds"),
+        (bench + ["--seeds", "2,2"], "--seeds"),
+        (bench + ["--sizes", ""], "--sizes"),
+        (bench + ["--sizes", "8,8"], "--sizes"),
+        (bench + ["--sizes", "8,x"], "--sizes"),
+        (bench + ["--sizes", "8,0"], "--sizes"),
     ]:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
         assert flag in capsys.readouterr().err, argv
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_bad_values_exit_2_naming_them(tmp_path, capsys):
@@ -281,6 +293,30 @@ def test_fc_mode_is_a_usage_error(tmp_path, capsys):
         assert run(argv) == 0, argv
     for name in ("result.json", "report.json", "run_t8_s0/report.json"):
         assert "fc_mode" not in json.loads((tmp_path / name).read_text())["manifest"]["config"]
+
+
+def test_beam_width_and_mincover_method_are_usage_errors(tmp_path, capsys):
+    # The beam width is routes.BEAM_WIDTH and resolve always takes the auto
+    # minimum cover, so neither is an option or a manifest key any more.
+    assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    inst = ["--instance", str(tmp_path / "instance.json"), "--out", str(tmp_path)]
+    routes_argv = ["routes", *inst, "--start", "v0"]
+    sro = ["sro", *inst, "--placement", "v0", "--oracle", "nc"]
+    resolve = ["resolve", *inst, "--oracles", "nc", "--max-placements", "1"]
+    for argv, extra in [
+        (routes_argv, ["--beam-width", "5"]),
+        (sro, ["--beam-width", "5"]),
+        (resolve, ["--beam-width=100000"]),
+        (resolve, ["--mincover-method", "greedy"]),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, *extra])
+        assert exc.value.code == 2, extra
+        assert extra[0].split("=")[0] in capsys.readouterr().err, extra
+        assert run(argv) == 0, argv
+    for name in ("routes.json", "result.json", "report.json"):
+        config = json.loads((tmp_path / name).read_text())["manifest"]["config"]
+        assert not {"beam_width", "mincover_method"} & set(config), name
 
 
 def test_sro_requires_placement(tmp_path, capsys):

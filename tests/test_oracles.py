@@ -452,9 +452,10 @@ def test_fc_not_optimal_over_incomplete_routes(monkeypatch):
     # chain two targets drops states; FC's value is then exact only over the
     # routes it was given, so it must not claim optimality.
     monkeypatch.setattr(routes, "EXACT_LIMIT", 0)
+    monkeypatch.setattr(routes, "BEAM_WIDTH", 1)
     s = make_setting(5, [(0, 1), (1, 2), (2, 3), (3, 4)], deadline=3)
     d = all_pairs_distances(s)
-    sets = tuple(covering_routes(s, d, p, s.targets, beam_width=1) for p in (1, 3))
+    sets = tuple(covering_routes(s, d, p, s.targets) for p in (1, 3))
     assert not any(rs.complete for rs in sets)
     result = fc_sro(sets, s)
     assert not result.diagnostics.timed_out
@@ -465,9 +466,10 @@ def test_fc_not_optimal_over_incomplete_routes(monkeypatch):
 def test_nc_not_optimal_over_incomplete_routes(monkeypatch):
     # As for FC above: NC's games over truncated route sets certify nothing.
     monkeypatch.setattr(routes, "EXACT_LIMIT", 0)
+    monkeypatch.setattr(routes, "BEAM_WIDTH", 1)
     s = make_setting(5, [(0, 1), (1, 2), (2, 3), (3, 4)], deadline=3)
     d = all_pairs_distances(s)
-    sets = tuple(covering_routes(s, d, p, s.targets, beam_width=1) for p in (1, 3))
+    sets = tuple(covering_routes(s, d, p, s.targets) for p in (1, 3))
     assert not any(rs.complete for rs in sets)
     result = nc_sro(sets, s)
     assert result.diagnostics.optimal is False

@@ -204,8 +204,7 @@ def test_config_validation():
     for oracles in (("FC", "FC"), ("fc", "PC", "FC"), ("nc", "NC")):
         with pytest.raises(ValueError, match=repr(oracles[-1])):
             ResolutionConfig(oracles=oracles)
-    for bad in ({"beam_width": 0}, {"beam_width": -3}, {"pc_restarts": -2},
-                {"max_placements": 0}, {"max_placements": -1}):
+    for bad in ({"pc_restarts": -2}, {"max_placements": 0}, {"max_placements": -1}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ResolutionConfig(**bad)
-    ResolutionConfig(beam_width=1, pc_restarts=0, max_placements=1)
+    ResolutionConfig(pc_restarts=0, max_placements=1)

@@ -1,5 +1,3 @@
-import pytest
-
 from alarmpatrol import (
     GeneratorParams,
     JointRoute,
@@ -173,7 +171,7 @@ def test_deterministic_output():
     assert a == b
 
 
-def test_beam_limit_flags_incomplete():
+def test_beam_limit_flags_incomplete(monkeypatch):
     # 22 leaves with loose deadlines force the beam switch; a tiny beam width
     # has to drop states and must say so.
     leaves = 22
@@ -183,22 +181,15 @@ def test_beam_limit_flags_incomplete():
         targets={i: (1.0, 50) for i in range(1, leaves + 1)},
     )
     d = all_pairs_distances(s)
-    capped = covering_routes(s, d, 0, tuple(range(1, leaves + 1)), beam_width=50)
+    monkeypatch.setattr(routes, "BEAM_WIDTH", 50)
+    capped = covering_routes(s, d, 0, tuple(range(1, leaves + 1)))
     assert not capped.complete
 
     small = covering_routes(s, d, 0, tuple(range(1, 11)))
     assert small.complete
 
 
-def test_rejects_beam_width_below_one():
-    s = make_setting(2, [(0, 1)])
-    d = all_pairs_distances(s)
-    for width in (0, -3):
-        with pytest.raises(ValueError, match="beam_width"):
-            covering_routes(s, d, 0, (0, 1), beam_width=width)
-
-
-def test_matches_reference_dp_at_generator_scale():
+def test_matches_reference_dp_at_generator_scale(monkeypatch):
     # The slack-ordered successor lists and the one-target-removal maximality
     # test must return exactly what the full scan and the pairwise filter do:
     # the same visits, arrivals and flag, for complete sets and for sets the
@@ -216,8 +207,9 @@ def test_matches_reference_dp_at_generator_scale():
         for start, targets in ((0, support), (mid, support), (mid, off_support)):
             for width in (100_000, 50, 5, 1):
                 case = (n, seed, deadline, start, len(targets), width)
-                rs = covering_routes(s, d, start, targets, beam_width=width)
-                want, complete = reference_covering_routes(s, d, start, targets, width)
+                monkeypatch.setattr(routes, "BEAM_WIDTH", width)
+                rs = covering_routes(s, d, start, targets)
+                want, complete = reference_covering_routes(s, d, start, targets)
                 assert [(r.visits, r.arrivals) for r in rs.routes] == want, case
                 assert rs.complete == complete, case
                 truncated += not complete
@@ -235,12 +227,13 @@ def test_covered_targets_are_the_reachable_ones(monkeypatch):
     ]
 
     def incomplete_sets(beam_width):
+        monkeypatch.setattr(routes, "BEAM_WIDTH", beam_width)
         count = 0
         for s, alarm in instances:
             d = all_pairs_distances(s)
             support = alarm.signal_support("s0")
             for start in range(0, s.n, 5):
-                rs = covering_routes(s, d, start, support, beam_width=beam_width)
+                rs = covering_routes(s, d, start, support)
                 reachable = [d[start][t] <= s.deadline[t] for t in rs.targets]
                 assert rs.cover.any(axis=0).tolist() == reachable
                 count += not rs.complete
