@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
@@ -301,6 +302,13 @@ def aggregate_bench(runs: list[tuple[int, int, Path]]) -> str:
 
 
 def cmd_bench(args) -> int:
+    # Parsed before the first run directory is made: a bad flag writes nothing.
+    config = ResolutionConfig(
+        time_budget=parse_duration(args.budget),
+        oracles=tuple(s.strip().upper() for s in args.oracles.split(",") if s.strip()),
+        max_placements=args.max_placements,
+        pc_restarts=args.restarts,
+    )
     out = _out_dir(args)
     worst = EXIT_OK
     runs: list[tuple[int, int, Path]] = []
@@ -316,15 +324,8 @@ def cmd_bench(args) -> int:
                 "bench/gen", {"targets": n, "deadline": args.deadline}, seed, None, ["instance.json"]
             )
             fileio.save_instance(setting, alarm, run_dir / "instance.json", gen_manifest)
-            config = ResolutionConfig(
-                time_budget=parse_duration(args.budget),
-                oracles=tuple(s.strip().upper() for s in args.oracles.split(",") if s.strip()),
-                seed=seed,
-                max_placements=args.max_placements,
-                pc_restarts=args.restarts,
-            )
             t0 = time.monotonic()
-            report = resolve(setting, alarm, config)
+            report = resolve(setting, alarm, replace(config, seed=seed))
             elapsed = time.monotonic() - t0
             manifest = fileio.make_manifest(
                 "bench/resolve",

@@ -279,14 +279,29 @@ def _greedy(
     return choice, _weight_bits(w, cur)
 
 
-def _greedy_response(
+def _round_start(
     route_sets: Sequence[RouteSet], attacker: MixedStrategy, setting: PatrollingSetting
+) -> tuple[tuple, tuple[list[int], float]]:
+    """What both FC best responses start from: the ``_setup`` for this
+    attacker and its greedy joint route ``_greedy(..., 0)``.  ``fc_sro``
+    builds it once per round and hands it to both as ``_start``."""
+    setup = _setup(route_sets, attacker, setting)
+    w, _, masks, full, orders = setup
+    return setup, _greedy(masks, w, full, orders, 0)
+
+
+def _greedy_response(
+    route_sets: Sequence[RouteSet],
+    attacker: MixedStrategy,
+    setting: PatrollingSetting,
+    _start: tuple | None = None,
 ) -> tuple[JointRoute, float]:
     """FC's cheap best response and its objective: the heaviest of the m
     ``_greedy`` joint routes, a later start winning only by more than 1e-12.
     """
-    w, reps, masks, full, orders = _setup(route_sets, attacker, setting)
-    best_choice, best_w = _greedy(masks, w, full, orders, 0)
+    (w, reps, masks, full, orders), (best_choice, best_w) = _start or _round_start(
+        route_sets, attacker, setting
+    )
     for first in range(1, len(masks)):
         choice, choice_w = _greedy(masks, w, full, orders, first)
         if choice_w > best_w + 1e-12:
@@ -300,6 +315,7 @@ def best_response_ilp(
     setting: PatrollingSetting,
     *,
     deadline: float | None = None,
+    _start: tuple | None = None,
 ) -> tuple[JointRoute, float, bool]:
     """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t), exactly.
 
@@ -327,10 +343,14 @@ def best_response_ilp(
     cannot beat what is in hand.  The weights are non-negative and summed in
     bit order, so a class's uncovered weight never exceeds its full weight
     in floating point either, and the early exits change no answer.
+
+    ``_start`` is ``fc_sro``'s ``_round_start`` for this attacker, which
+    its greedy response has already used.
     """
-    w, reps, masks, full, orders = _setup(route_sets, attacker, setting)
+    (w, reps, masks, full, orders), (best_choice, best_w) = _start or _round_start(
+        route_sets, attacker, setting
+    )
     n_res = len(route_sets)
-    best_choice, best_w = _greedy(masks, w, full, orders, 0)
 
     suffix = [0] * (n_res + 1)
     for i in range(n_res - 1, -1, -1):
@@ -457,10 +477,11 @@ def fc_sro(
         if deadline is not None and time.monotonic() > deadline:
             not_optimal = "timeout"
             break
-        br, objective = _greedy_response(route_sets, attacker, setting)
+        start = _round_start(route_sets, attacker, setting)
+        br, objective = _greedy_response(route_sets, attacker, setting, start)
         if br in rows or objective <= value + 1e-12:
             br, objective, certified = best_response_ilp(
-                route_sets, attacker, setting, deadline=deadline
+                route_sets, attacker, setting, deadline=deadline, _start=start
             )
             if not certified:
                 not_optimal = "timeout"

@@ -273,6 +273,19 @@ def test_bad_values_exit_2_naming_them(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_bench_checks_budget_and_oracles_before_writing(tmp_path, capsys):
+    # Both used to be parsed per instance, after the first run directory and
+    # its instance.json had been written.
+    for i, (flag, word) in enumerate(
+        [(["--budget", "abc"], "duration"), (["--oracles", "fc,fc"], "more than once")]
+    ):
+        out = tmp_path / str(i)
+        out.mkdir()
+        assert run(["bench", "--sizes", "8", "--seeds", "1", *flag, "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 def test_fc_mode_is_a_usage_error(tmp_path, capsys):
     # FC has one loop, certified by its exact best response, so the option
     # that chose between an exact and a heuristic loop is gone, and so is its

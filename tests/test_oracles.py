@@ -621,6 +621,35 @@ def test_fc_stops_when_the_exact_response_ties_the_value(monkeypatch):
         assert all(gap > 1e-12 for gap in gaps[:-1])
 
 
+def test_fc_groups_the_routes_once_per_round(monkeypatch):
+    # A round's greedy response and its exact search share one set-up, also
+    # in the round the exact search certifies; the search answers as it does
+    # when it sets up on its own.
+    real_setup, real_search = oracles_module._setup, oracles_module.best_response_ilp
+    setups, searches = [], []
+
+    def setup(*args):
+        setups.append(args)
+        return real_setup(*args)
+
+    def search(*args, **kwargs):
+        out = real_search(*args, **kwargs)
+        searches.append((args, out))
+        return out
+
+    monkeypatch.setattr(oracles_module, "_setup", setup)
+    monkeypatch.setattr(oracles_module, "best_response_ilp", search)
+    for n_targets, seed in ((40, 7), (60, 1)):
+        s, sets = _first_placement_sets(n_targets, seed)
+        del setups[:], searches[:]
+        result = fc_sro(sets, s)
+        assert result.diagnostics.optimal
+        assert len(setups) == result.diagnostics.iterations
+        assert searches
+        for args, out in searches:
+            assert real_search(*args) == out
+
+
 def _first_placement_sets(n_targets, seed):
     """Route sets of the generator instance's first placement, as ``resolve`` picks it."""
     s, alarm = generate_instance(GeneratorParams(n_targets=n_targets, seed=seed))

@@ -10,6 +10,7 @@ from alarmpatrol.routes import CoveringRoute
 from alarmpatrol.seeding import stream
 from helpers import (
     brute_route_cover_sets,
+    cycle_setting,
     make_setting,
     maximal_sets,
     random_setting,
@@ -243,3 +244,58 @@ def test_covered_targets_are_the_reachable_ones(monkeypatch):
     monkeypatch.setattr(routes, "EXACT_LIMIT", 0)
     assert incomplete_sets(1) > 0
     assert incomplete_sets(3) > 0
+
+
+def _star(leaves, deadline):
+    return make_setting(
+        leaves + 1,
+        [(0, i) for i in range(1, leaves + 1)],
+        targets={i: (1.0, deadline) for i in range(1, leaves + 1)},
+    )
+
+
+def _broom(leaves, handle):
+    # A star whose leaves only a first visit can make, and a path of
+    # ``handle`` targets hanging off its centre, all reachable in one route.
+    n = 1 + leaves + handle
+    edges = [(0, i) for i in range(1, leaves + 2)] + [(i - 1, i) for i in range(leaves + 2, n)]
+    targets = {i: (1.0, 1 if i <= leaves else handle + 2) for i in range(1, n)}
+    return make_setting(n, edges, targets)
+
+
+def test_long_routes_and_wide_supports(monkeypatch):
+    # Routes of 8 to 12 visits and supports with more than 64 reachable
+    # targets, from starts on and off the support: no fixed-width encoding
+    # of the covered sets may overflow.  Checked against the permutation
+    # search where it is fast, and against the reference DP at the default
+    # beam and at widths 5 and 1 applied to every call.
+    cases = [
+        (cycle_setting(12, deadline=11), 0, tuple(range(12)), True),
+        (cycle_setting(14, deadline=10), 0, tuple(range(1, 14)), True),
+        (cycle_setting(16, deadline=15), 1, tuple(range(0, 16, 2)), True),
+        (_star(9, 16), 0, tuple(range(1, 10)), False),
+        (_broom(66, 7), 0, tuple(range(1, 74)), True),
+        (_star(70, 3), 0, tuple(range(1, 71)), False),
+    ]
+    widest = 0
+    for s, start, support, brute in cases:
+        d = all_pairs_distances(s)
+        widest = max(widest, sum(d[start][t] <= s.deadline[t] for t in support))
+        if brute:
+            _check_by_permutation_search(s, d, start, support)
+    assert widest > 64
+
+    beams = [(routes.EXACT_LIMIT, routes.BEAM_WIDTH), (0, 5), (0, 1)]
+    longest = truncated = 0
+    for s, start, support, _ in cases:
+        d = all_pairs_distances(s)
+        for limit, width in beams:
+            monkeypatch.setattr(routes, "EXACT_LIMIT", limit)
+            monkeypatch.setattr(routes, "BEAM_WIDTH", width)
+            rs = covering_routes(s, d, start, support)
+            want, complete = reference_covering_routes(s, d, start, support)
+            assert [(r.visits, r.arrivals) for r in rs.routes] == want, (s.n, start, width)
+            assert rs.complete == complete, (s.n, start, width)
+            longest = max(longest, *(len(r.visits) for r in rs.routes))
+            truncated += not complete
+    assert longest >= 12 and truncated >= 10
