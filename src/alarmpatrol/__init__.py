@@ -43,6 +43,7 @@ from .oracles import (
     nc_sro,
     pc_sro,
     respond,
+    unprotected,
 )
 from .pipeline import (
     GeneratorParams,
@@ -99,4 +100,5 @@ __all__ = [
     "solve_zero_sum",
     "to_set_cover",
     "tree_min_cover",
+    "unprotected",
 ]

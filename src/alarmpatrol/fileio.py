@@ -15,6 +15,8 @@ import math
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .mincover import CoveringPlacement, MinCoverResult, OverlapMetrics
 from .model import AlarmSystem, PatrollingSetting, build_alarm, build_setting
@@ -216,7 +218,6 @@ def oracle_payload(
     setting: PatrollingSetting,
 ) -> dict[str, Any]:
     """Serialize one per-signal oracle result; strategies refer to route indices."""
-    index = [{r: i for i, r in enumerate(rs.routes)} for rs in route_sets]
     payload: dict[str, Any] = {
         "value": result.value,
         "diagnostics": {
@@ -234,25 +235,19 @@ def oracle_payload(
     if "search" in result.diagnostics.extra:
         payload["diagnostics"]["search"] = result.diagnostics.extra["search"]
     if result.joint is not None:
-        entries = []
-        for jr, p in result.joint.probs.items():
-            entries.append(
-                {
-                    "routes": [index[i][r] for i, r in enumerate(jr.routes)],
-                    "p": p,
-                }
-            )
+        entries = [
+            {"routes": [rs.routes.index(r) for rs, r in zip(route_sets, jr.routes)], "p": p}
+            for jr, p in result.joint.probs.items()
+        ]
         entries.sort(key=lambda e: e["routes"])
         payload["strategy"] = {"joint": entries}
     else:
-        per_res = []
-        for i, sigma in enumerate(result.per_resource):
-            rows = [
-                {"route": index[i][r], "p": p} for r, p in sigma.probs.items()
+        payload["strategy"] = {
+            "per_resource": [
+                [{"route": int(i), "p": float(x[i])} for i in np.flatnonzero(x)]
+                for x in result.per_resource
             ]
-            rows.sort(key=lambda e: e["route"])
-            per_res.append(rows)
-        payload["strategy"] = {"per_resource": per_res}
+        }
     return payload
 
 

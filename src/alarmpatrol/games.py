@@ -10,13 +10,14 @@ generation needs.  A new row is one new LP column, inserted before the value
 variable and priced against the solved tableau's basis
 (``lp._SimplexState.add_column``); it enters at zero level, so the old basis
 stays primal feasible and the next solve resumes phase 2 from it instead of
-starting over.  ``solve_zero_sum`` is a game solved once.
+starting over.  ``solve_zero_sum`` is a game solved once.  Both return the
+strategies as probability arrays over the rows and the columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -26,13 +27,21 @@ PROB_CLIP = 1e-9
 VALUE_TOL = 1e-6
 
 
+def normalized(weights: Sequence[float]) -> np.ndarray:
+    """Probabilities from weights: stray tiny weights clipped to 0, the rest renormalized."""
+    w = np.asarray(weights, dtype=float)
+    w = np.where(w < PROB_CLIP, 0.0, w)
+    total = w.sum()
+    if total <= 0.0:
+        raise ValueError("mixed strategy needs positive total weight")
+    return w / total
+
+
 @dataclass(frozen=True)
 class MatrixGame:
-    """Defender-utility matrix with optional action labels."""
+    """Defender-utility matrix: one row per defender action, one column per attacker action."""
 
     payoff: np.ndarray
-    row_actions: tuple[Hashable, ...] | None = None
-    col_actions: tuple[Hashable, ...] | None = None
 
     def __post_init__(self) -> None:
         payoff = np.asarray(self.payoff, dtype=float)
@@ -45,32 +54,12 @@ class MatrixGame:
 
 @dataclass(frozen=True)
 class MixedStrategy:
-    """Probability distribution over hashable actions; stores the support only."""
+    """Probability distribution over hashable actions; stores the support only.
 
-    probs: dict[Any, float] = field(default_factory=dict)
+    FC returns its joint strategy as one, over ``JointRoute`` actions.
+    """
 
-    def prob(self, action: Any) -> float:
-        return self.probs.get(action, 0.0)
-
-    def support(self) -> tuple[Any, ...]:
-        return tuple(self.probs)
-
-    @classmethod
-    def pure(cls, action: Any) -> "MixedStrategy":
-        return cls({action: 1.0})
-
-    @classmethod
-    def from_weights(
-        cls, actions: Sequence[Any], weights: Sequence[float]
-    ) -> "MixedStrategy":
-        """Build a distribution, clipping stray tiny weights and renormalizing."""
-        w = np.asarray(weights, dtype=float)
-        w = np.where(w < PROB_CLIP, 0.0, w)
-        total = w.sum()
-        if total <= 0.0:
-            raise ValueError("mixed strategy needs positive total weight")
-        w = w / total
-        return cls({a: float(p) for a, p in zip(actions, w) if p > 0.0})
+    probs: dict[Any, float]
 
 
 class RowGame:
@@ -85,32 +74,30 @@ class RowGame:
 
     def __init__(self, game: MatrixGame):
         self.payoff = game.payoff
-        self.row_actions = list(game.row_actions or range(len(game.payoff)))
-        self.col_actions = game.col_actions or tuple(range(game.payoff.shape[1]))
         self.shift = float(min(0.0, game.payoff.min()))
         self.pivots = 0
         self._tableau = None
 
-    def add_row(self, u: np.ndarray, action: Hashable | None = None) -> None:
-        """Give the defender row ``u`` (one payoff per column), labelled ``action``."""
+    def add_row(self, u: np.ndarray) -> None:
+        """Give the defender row ``u``, one payoff per column."""
         u = np.asarray(u, dtype=float)
         if u.shape != self.payoff.shape[1:] or not np.all(np.isfinite(u)):
             raise ValueError("a row needs one finite payoff per column")
         at = len(self.payoff)
         self.payoff = np.vstack([self.payoff, u])
-        self.row_actions.append(at if action is None else action)
         if self._tableau is not None:
             # The LP column of the row: -(u - shift) in the column rows, 1 in sum x = 1.
             self._tableau.add_column(np.append(-(u - self.shift), 1.0), 0.0, at)
 
-    def solve(self) -> tuple[MixedStrategy, MixedStrategy, float]:
+    def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Maxmin/minmax pair and game value over the current rows.
 
         The row player maximizes the minimal column payoff; the column
         strategy is the attacker minmax distribution (the one row generation
         best-responds to), read from the duals of the per-column constraints.
-        Raises ArithmeticError unless each strategy guarantees the value
-        within ``VALUE_TOL`` against every reply.
+        Both come back ``normalized``, as arrays over the rows and the
+        columns.  Raises ArithmeticError unless each strategy guarantees the
+        value within ``VALUE_TOL`` against every reply.
         """
         U = self.payoff
         n_rows, n_cols = U.shape
@@ -141,11 +128,9 @@ class RowGame:
         if gap > VALUE_TOL:
             raise ArithmeticError(f"strategies miss the game value by {gap} > {VALUE_TOL}")
 
-        row = MixedStrategy.from_weights(self.row_actions, x)
-        col = MixedStrategy.from_weights(self.col_actions, y)
-        return row, col, value
+        return normalized(x), normalized(y), value
 
 
-def solve_zero_sum(game: MatrixGame) -> tuple[MixedStrategy, MixedStrategy, float]:
+def solve_zero_sum(game: MatrixGame) -> tuple[np.ndarray, np.ndarray, float]:
     """Maxmin/minmax pair and game value for a constant-sum game (``RowGame.solve``)."""
     return RowGame(game).solve()

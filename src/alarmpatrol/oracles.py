@@ -35,9 +35,17 @@ indicators; the FC best responses read the same coverage from
 ``RouteSet.masks``, one pass per resource and round grouping the routes into
 coverage classes.
 
+Strategies are arrays over route-set rows.  NC and PC return one
+probability array per resource over its route set's rows.  FC's master and
+best responses know a joint route as a tuple of rows, one per resource,
+and the attacker as an array over the support; FC returns a joint strategy
+over ``JointRoute`` objects built for its support only.  One function,
+``unprotected``, turns either kind into each support target's probability
+of staying unprotected, which every result carries as ``uncovered``.
+
 Multiple signals are handled by solving one independent response game per
 signal and aggregating with the attacker committing to a target before the
-signal realizes.
+signal realizes, from the results' ``uncovered`` arrays.
 """
 
 from __future__ import annotations
@@ -49,10 +57,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .games import MatrixGame, MixedStrategy, RowGame
+from .games import MatrixGame, MixedStrategy, RowGame, normalized
 from .lp import LinearProgram, lp_solve
 from .model import AlarmSystem, PatrollingSetting
-from .routes import CoveringRoute, JointRoute, RouteSet, covering_routes
+from .routes import JointRoute, RouteSet, covering_routes
 from .seeding import stream
 
 CONVERGENCE_EPS = 1e-7
@@ -107,11 +115,18 @@ def _diagnostics(
 
 @dataclass
 class OracleResult:
-    """Strategies plus defender value for one signal under one scheme."""
+    """Strategies plus defender value for one signal under one scheme.
+
+    NC and PC fill ``per_resource``, one probability array per resource over
+    its route set's rows; FC fills ``joint``, a distribution over the
+    ``JointRoute`` objects of its support.  ``uncovered`` holds, per support
+    target, the probability that the strategies leave it unprotected.
+    """
 
     value: float
     diagnostics: OracleDiagnostics
-    per_resource: tuple[MixedStrategy, ...] | None = None
+    uncovered: np.ndarray
+    per_resource: tuple[np.ndarray, ...] | None = None
     joint: MixedStrategy | None = None
 
 
@@ -122,38 +137,37 @@ def _support(route_sets: Sequence[RouteSet]) -> tuple[int, ...]:
     return route_sets[0].targets
 
 
-def _uncovered(strategies: MixedStrategy | Sequence[MixedStrategy], t: int) -> float:
-    """Probability that no route drawn from ``strategies`` covers target ``t``.
+def unprotected(draws: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray | float:
+    """Probability that each support target stays unprotected.
 
-    Takes one joint strategy or a sequence of independent per-resource ones.
+    ``draws`` are independent random choices, each a coverage matrix (one
+    row per action, one column per support target) and a probability array
+    over its rows.  A target stays unprotected when no draw covers it: the
+    product over the draws of 1 - coverage, clipped to [0, 1].  NC and PC
+    draw once per resource, ``(rs.cover, x)``; FC draws once, from the
+    coverage rows of its joint routes.  No draws give 1.0.
     """
-    if isinstance(strategies, MixedStrategy):
-        strategies = (strategies,)
-    uncov = 1.0
-    for sigma in strategies:
-        uncov *= 1.0 - sum(p for r, p in sigma.probs.items() if t in r.covered)
-    return uncov
+    miss = 1.0
+    for cover, x in draws:
+        miss = miss * np.clip(1.0 - x @ cover, 0.0, 1.0)
+    return miss
 
 
 def evaluate_profile(
-    strategies: MixedStrategy | Sequence[MixedStrategy],
-    setting: PatrollingSetting,
-    support: Iterable[int],
+    uncovered: np.ndarray, setting: PatrollingSetting, support: Sequence[int]
 ) -> float:
     """Defender value when the attacker observes the strategies and best-responds.
 
-    Accepts either one joint strategy over ``JointRoute`` actions or a
-    sequence of independent per-resource strategies over ``CoveringRoute``.
+    ``uncovered`` is ``unprotected``'s answer, index-aligned with ``support``.
     """
-    worst = 0.0
-    for t in sorted(support):
-        worst = max(worst, setting.value[t] * _uncovered(strategies, t))
-    return 1.0 - worst
+    pi = np.array([setting.value[t] for t in support])
+    return 1.0 - float(np.max(pi * uncovered, initial=0.0))
 
 
-def _nc_game(rs: RouteSet, setting: PatrollingSetting) -> tuple[MixedStrategy, int]:
+def _nc_game(rs: RouteSet, setting: PatrollingSetting) -> tuple[np.ndarray, int]:
     """One resource's maxmin on the targets its routes cover, and its pivots.
 
+    The strategy is a read-only probability array over the route set's rows.
     Solved once per route set and setting: the answer is kept on the route
     set, whose lifetime is the route cache's, and a later call returns it
     with the pivots the solve made.
@@ -162,18 +176,15 @@ def _nc_game(rs: RouteSet, setting: PatrollingSetting) -> tuple[MixedStrategy, i
         return rs._nc[1], rs._nc[2]
     cols = np.flatnonzero(rs.cover.any(axis=0))
     if not cols.size:
-        row, pivots = MixedStrategy.pure(rs.routes[0]), 0
+        x, pivots = np.eye(1, len(rs.routes))[0], 0
     else:
         pi = np.array([setting.value[rs.targets[j]] for j in cols])
-        game = RowGame(MatrixGame(
-            np.where(rs.cover[:, cols], 1.0, 1.0 - pi),
-            row_actions=tuple(rs.routes),
-            col_actions=tuple(rs.targets[j] for j in cols),
-        ))
-        row, _, _ = game.solve()
+        game = RowGame(MatrixGame(np.where(rs.cover[:, cols], 1.0, 1.0 - pi)))
+        x, _, _ = game.solve()
         pivots = game.pivots
-    object.__setattr__(rs, "_nc", (setting, row, pivots))
-    return row, pivots
+    x.flags.writeable = False
+    object.__setattr__(rs, "_nc", (setting, x, pivots))
+    return x, pivots
 
 
 def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> OracleResult:
@@ -185,18 +196,19 @@ def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> Oracle
     Each route set's game is solved once (``_nc_game``).
     """
     support = _support(route_sets)
-    strategies: list[MixedStrategy] = []
+    strategies: list[np.ndarray] = []
     pivots = 0
     for rs in route_sets:
-        row, game_pivots = _nc_game(rs, setting)
-        strategies.append(row)
+        x, game_pivots = _nc_game(rs, setting)
+        strategies.append(x)
         pivots += game_pivots
-    value = evaluate_profile(strategies, setting, support)
+    uncovered = unprotected((rs.cover, x) for rs, x in zip(route_sets, strategies))
+    value = evaluate_profile(uncovered, setting, support)
     n_routes = sum(len(rs.routes) for rs in route_sets)
     diag = _diagnostics(
         route_sets, iterations=len(route_sets), routes_generated=n_routes, lp_pivots=pivots
     )
-    return OracleResult(value, diag, per_resource=tuple(strategies))
+    return OracleResult(value, diag, uncovered, per_resource=tuple(strategies))
 
 
 def _weight_bits(w: Sequence[float], mask: int) -> float:
@@ -209,11 +221,12 @@ def _weight_bits(w: Sequence[float], mask: int) -> float:
 
 
 def _setup(
-    route_sets: Sequence[RouteSet], attacker: MixedStrategy, setting: PatrollingSetting
+    route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
 ) -> tuple[list[float], list[list[int]], list[list[int]], list[list[float]], list[list[int]]]:
     """What both FC best responses read: the weight sigma(t) pi(t) of each
-    support target, where the attacker's weight must lie, and per resource
-    its coverage classes.
+    support target, where the attacker's weight lies, and per resource its
+    coverage classes.  ``attacker`` holds sigma, one probability per support
+    target.
 
     A class is one distinct value of ``mask & live``, the targets a route
     covers where the attacker's weight lies.  ``reps`` holds each class's
@@ -222,11 +235,11 @@ def _setup(
     add the same weight to every partial joint route, so the best responses
     choose among classes, and map a choice back through ``reps``."""
     support = _support(route_sets)
-    weight = {t: p for t, p in attacker.probs.items() if p > 0.0}
-    if not weight.keys() <= set(support):
-        raise ValueError("attacker weight outside the route sets' support")
-    w = [weight.get(t, 0.0) * setting.value[t] for t in support]
-    live = sum(1 << j for j, t in enumerate(support) if t in weight)
+    if np.shape(attacker) != (len(support),):
+        raise ValueError("attacker needs one probability per support target")
+    probs = np.asarray(attacker, dtype=float).tolist()
+    w = [p * setting.value[t] if p > 0.0 else 0.0 for p, t in zip(probs, support)]
+    live = sum(1 << j for j, p in enumerate(probs) if p > 0.0)
     reps, masks = [], []
     for rs in route_sets:
         first: dict[int, int] = {}
@@ -239,11 +252,10 @@ def _setup(
     return w, reps, masks, full, orders
 
 
-def _joint(
-    route_sets: Sequence[RouteSet], reps: Sequence[Sequence[int]], choice: Sequence[int]
-) -> JointRoute:
-    """The joint route of one class per resource: each class's representative."""
-    return JointRoute(tuple(rs.routes[r[c]] for rs, r, c in zip(route_sets, reps, choice)))
+def _joint(reps: Sequence[Sequence[int]], choice: Sequence[int]) -> tuple[int, ...]:
+    """The joint route of one class per resource, as route-set rows: each
+    class's representative."""
+    return tuple(r[c] for r, c in zip(reps, choice))
 
 
 def _greedy(
@@ -280,7 +292,7 @@ def _greedy(
 
 
 def _round_start(
-    route_sets: Sequence[RouteSet], attacker: MixedStrategy, setting: PatrollingSetting
+    route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
 ) -> tuple[tuple, tuple[list[int], float]]:
     """What both FC best responses start from: the ``_setup`` for this
     attacker and its greedy joint route ``_greedy(..., 0)``.  ``fc_sro``
@@ -292,10 +304,10 @@ def _round_start(
 
 def _greedy_response(
     route_sets: Sequence[RouteSet],
-    attacker: MixedStrategy,
+    attacker: np.ndarray,
     setting: PatrollingSetting,
     _start: tuple | None = None,
-) -> tuple[JointRoute, float]:
+) -> tuple[tuple[int, ...], float]:
     """FC's cheap best response and its objective: the heaviest of the m
     ``_greedy`` joint routes, a later start winning only by more than 1e-12.
     """
@@ -306,17 +318,17 @@ def _greedy_response(
         choice, choice_w = _greedy(masks, w, full, orders, first)
         if choice_w > best_w + 1e-12:
             best_choice, best_w = choice, choice_w
-    return _joint(route_sets, reps, best_choice), 1.0 - sum(w) + best_w
+    return _joint(reps, best_choice), 1.0 - sum(w) + best_w
 
 
 def best_response_ilp(
     route_sets: Sequence[RouteSet],
-    attacker: MixedStrategy,
+    attacker: np.ndarray,
     setting: PatrollingSetting,
     *,
     deadline: float | None = None,
     _start: tuple | None = None,
-) -> tuple[JointRoute, float, bool]:
+) -> tuple[tuple[int, ...], float, bool]:
     """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t), exactly.
 
     A depth-first branch and bound over per-resource route choices, with
@@ -327,7 +339,8 @@ def best_response_ilp(
     uncovered route weight; the search order and strict improvement fix
     which optimum is returned.  The subproblem is NP-hard in general, so it
     honors ``deadline`` and may return a non-optimal incumbent (flagged
-    False).  The attacker's weight must lie on the route sets' support.
+    False).  ``attacker`` is sigma, one probability per support target, and
+    the joint route comes back as one route-set row per resource.
 
     The search runs over each resource's coverage classes (``_setup``), not
     its routes, and returns each chosen class's representative.  That is the
@@ -409,7 +422,7 @@ def best_response_ilp(
                 best_w = leaf_w
                 best_choice = [*picked, j]
 
-    return _joint(route_sets, reps, best_choice), 1.0 - sum(w) + best_w, not timed_out
+    return _joint(reps, best_choice), 1.0 - sum(w) + best_w, not timed_out
 
 
 def fc_sro(
@@ -435,7 +448,9 @@ def fc_sro(
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
     resumes phase 2 from that basis, which stays feasible, so a round costs
-    a few pivots rather than a cold two-phase solve.
+    a few pivots rather than a cold two-phase solve.  Rows are joint routes
+    as tuples of route-set rows; only the returned support becomes
+    ``JointRoute`` objects.
 
     ``diagnostics.optimal`` is True only for a converged run over complete
     route sets; otherwise ``diagnostics.not_optimal`` is "timeout" (the
@@ -447,55 +462,58 @@ def fc_sro(
         # Signal with empty support: nothing to protect, nothing to attack.
         jr = JointRoute(tuple(rs.routes[0] for rs in route_sets))
         diag = _diagnostics(route_sets, routes_generated=1)
-        return OracleResult(1.0, diag, joint=MixedStrategy.pure(jr))
+        return OracleResult(1.0, diag, np.ones(0), joint=MixedStrategy({jr: 1.0}))
 
-    # One payoff row per joint route: its coverage is the OR of the chosen
-    # routes' rows of the route-set matrices.
+    # The master's rows, in order, with their coverage: the OR of the chosen
+    # rows of the route-set matrices.
     pi = np.array([setting.value[t] for t in targets])
-    index = [{r: i for i, r in enumerate(rs.routes)} for rs in route_sets]
+    covers: dict[tuple[int, ...], np.ndarray] = {}
 
-    def payoff_row(jr: JointRoute) -> np.ndarray:
-        covered = np.logical_or.reduce(
-            [rs.cover[ix[r]] for rs, ix, r in zip(route_sets, index, jr.routes)]
+    def new_row(choice: tuple[int, ...]) -> np.ndarray:
+        """Record joint route ``choice`` as the next row; its payoffs."""
+        covers[choice] = np.logical_or.reduce(
+            [rs.cover[i] for rs, i in zip(route_sets, choice)]
         )
-        return np.where(covered, 1.0, 1.0 - pi)
+        return np.where(covers[choice], 1.0, 1.0 - pi)
 
+    # Each resource's most likely NC route, the first on ties.
     nc = nc_sro(route_sets, setting)
-    picks = [
-        rs.routes[max(range(len(rs.routes)), key=lambda i: (sigma.prob(rs.routes[i]), -i))]
-        for rs, sigma in zip(route_sets, nc.per_resource)
-    ]
-    first = JointRoute(tuple(picks))
-    game = RowGame(MatrixGame(payoff_row(first)[None], row_actions=(first,), col_actions=targets))
-    rows = {first}
+    first = tuple(int(np.argmax(x)) for x in nc.per_resource)
+    game = RowGame(MatrixGame(new_row(first)[None]))
 
     trace: list[float] = []
     not_optimal = None
     while True:
-        row_strategy, attacker, value = game.solve()
+        x, attacker, value = game.solve()
         trace.append(value)
         if deadline is not None and time.monotonic() > deadline:
             not_optimal = "timeout"
             break
         start = _round_start(route_sets, attacker, setting)
         br, objective = _greedy_response(route_sets, attacker, setting, start)
-        if br in rows or objective <= value + 1e-12:
+        if br in covers or objective <= value + 1e-12:
             br, objective, certified = best_response_ilp(
                 route_sets, attacker, setting, deadline=deadline, _start=start
             )
             if not certified:
                 not_optimal = "timeout"
                 break
-            if br in rows or objective <= value + 1e-12:
+            if br in covers or objective <= value + 1e-12:
                 break
-        rows.add(br)
-        game.add_row(payoff_row(br), br)
+        game.add_row(new_row(br))
 
+    rows = list(covers)
+    support = np.flatnonzero(x)
+    joint = MixedStrategy({
+        JointRoute(tuple(rs.routes[i] for rs, i in zip(route_sets, rows[k]))): float(x[k])
+        for k in support
+    })
+    uncovered = unprotected([(np.array([covers[rows[k]] for k in support]), x[support])])
     diag = _diagnostics(
         route_sets, not_optimal, iterations=len(trace), routes_generated=len(rows),
         trace=tuple(trace), lp_pivots=game.pivots + nc.diagnostics.lp_pivots,
     )
-    return OracleResult(value, diag, joint=row_strategy)
+    return OracleResult(value, diag, uncovered, joint=joint)
 
 
 def _random_simplex(size: int, rng) -> np.ndarray:
@@ -651,20 +669,14 @@ def pc_sro(
     targets = _support(route_sets)
     if not targets:
         # Signal with empty support: nothing to protect, nothing to attack.
-        stay = tuple(MixedStrategy.pure(rs.routes[0]) for rs in route_sets)
+        stay = tuple(np.eye(1, len(rs.routes))[0] for rs in route_sets)
         diag = _diagnostics(
             route_sets, trace=(1.0,), routes_generated=sum(len(rs.routes) for rs in route_sets)
         )
-        return OracleResult(1.0, diag, per_resource=stay)
+        return OracleResult(1.0, diag, np.ones(0), per_resource=stay)
     m = len(route_sets)
     pi = np.array([setting.value[t] for t in targets])
     indicators = [rs.cover.astype(float) for rs in route_sets]
-
-    def value_of(profile: list[np.ndarray]) -> float:
-        uncov = np.ones(len(targets))
-        for I, x in zip(indicators, profile):
-            uncov *= np.clip(1.0 - I.T @ x, 0.0, 1.0)
-        return 1.0 - float(np.max(pi * uncov))
 
     timed_out = False
     pivots = 0
@@ -676,7 +688,7 @@ def pc_sro(
 
     def run(profile: list[np.ndarray]) -> tuple[list[np.ndarray], float, list[float], bool]:
         nonlocal pivots
-        val = value_of(profile)
+        val = evaluate_profile(unprotected(zip(indicators, profile)), setting, targets)
         hist = [val]
         converged = False
         # Response LPs whose weights no commit has changed since they were
@@ -688,13 +700,10 @@ def pc_sro(
             best_i, best_val = -1, val
             for i in range(m):
                 if i not in solved:
-                    uncov_others = np.ones(len(targets))
-                    for j in range(m):
-                        if j != i:
-                            uncov_others *= np.clip(
-                                1.0 - indicators[j].T @ profile[j], 0.0, 1.0
-                            )
-                    x_new, v, lp_pivots = _response_lp(indicators[i], pi * uncov_others)
+                    others = unprotected(
+                        draw for j, draw in enumerate(zip(indicators, profile)) if j != i
+                    )
+                    x_new, v, lp_pivots = _response_lp(indicators[i], pi * others)
                     pivots += lp_pivots
                     solved[i] = x_new, v
                 cand = 1.0 - solved[i][1]
@@ -705,18 +714,13 @@ def pc_sro(
                 break
             profile[best_i] = solved[best_i][0]
             solved = {best_i: solved[best_i]}
-            val = value_of(profile)
+            val = evaluate_profile(unprotected(zip(indicators, profile)), setting, targets)
             hist.append(val)
         return profile, val, hist, converged
 
     nc = nc_sro(route_sets, setting)
     pivots += nc.diagnostics.lp_pivots
-    start = [
-        np.array([sigma.prob(r) for r in rs.routes])
-        for rs, sigma in zip(route_sets, nc.per_resource)
-    ]
-
-    profiles = [start] + [
+    profiles = [list(nc.per_resource)] + [
         [_random_simplex(len(rs.routes), stream(seed, "pc-restart", k, i)) for i, rs in enumerate(route_sets)]
         for k in range(restarts)
     ]
@@ -744,7 +748,8 @@ def pc_sro(
         )
         pivots += search_pivots
         if found_val > best_val + CONVERGENCE_EPS:
-            best_profile, best_val = found, value_of(found)
+            best_val = evaluate_profile(unprotected(zip(indicators, found)), setting, targets)
+            best_profile = found
             best_hist = best_hist + [best_val]
         extra["search"] = {
             "nodes": nodes,
@@ -760,15 +765,13 @@ def pc_sro(
     else:
         not_optimal = "local fixed point" if all_converged else "iteration cap"
 
-    strategies = tuple(
-        MixedStrategy.from_weights(rs.routes, x)
-        for rs, x in zip(route_sets, best_profile)
-    )
+    strategies = tuple(normalized(x) for x in best_profile)
+    uncovered = unprotected(zip(indicators, strategies))
     diag = _diagnostics(
         route_sets, not_optimal, iterations=iterations, trace=tuple(best_hist), extra=extra,
         routes_generated=sum(len(rs.routes) for rs in route_sets), lp_pivots=pivots,
     )
-    return OracleResult(best_val, diag, per_resource=strategies)
+    return OracleResult(best_val, diag, uncovered, per_resource=strategies)
 
 
 @dataclass
@@ -781,27 +784,22 @@ class SignalResponse:
     route_sets: dict[str, tuple[RouteSet, ...]]
 
 
-def uncovered_probability(result: OracleResult, t: int) -> float:
-    """Probability that target ``t`` stays unprotected under an oracle's strategies."""
-    return _uncovered(
-        result.joint if result.joint is not None else result.per_resource, t
-    )
-
-
 def aggregate_value(
     setting: PatrollingSetting,
     alarm: AlarmSystem,
     per_signal: Mapping[str, OracleResult],
 ) -> float:
-    """Attacker picks the target before the signal realizes; signals stay exogenous."""
-    worst = 0.0
-    for t in setting.targets:
-        u = sum(
-            alarm.prob[s][t] * uncovered_probability(per_signal[s], t)
-            for s in alarm.target_support(t)
-        )
-        worst = max(worst, setting.value[t] * u)
-    return 1.0 - worst
+    """Attacker picks the target before the signal realizes; signals stay exogenous.
+
+    A target stays unprotected with probability sum_s p(s | t) times its
+    ``uncovered`` entry under signal s's result.
+    """
+    u = np.zeros(setting.n)
+    for s in alarm.signals:
+        support = list(alarm.signal_support(s))
+        u[support] += np.array([alarm.prob[s][t] for t in support]) * per_signal[s].uncovered
+    targets = list(setting.targets)
+    return evaluate_profile(u[targets], setting, targets)
 
 
 def respond(

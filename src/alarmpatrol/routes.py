@@ -16,8 +16,9 @@ target, which one sort merging the two finds.
 
 Every route set carries its coverage once, built with the set: as a
 read-only boolean matrix with one row per route and one column per support
-target, from which the oracles derive their payoff matrices and LP
-coefficients, and as one integer bitmask per route for the FC best response.
+target, from which the oracles derive their payoff matrices, LP
+coefficients and unprotected probabilities, and as one integer bitmask per
+route for the FC best response's bit search.
 """
 
 from __future__ import annotations
@@ -47,24 +48,21 @@ class CoveringRoute:
     start: int
     visits: tuple[int, ...]
     arrivals: tuple[int, ...]
-    covered: frozenset[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "covered", frozenset(self.visits))
 
 
 @dataclass(frozen=True)
 class JointRoute:
-    """One covering route per resource, index-aligned with the placement."""
+    """One covering route per resource, index-aligned with the placement.
+
+    ``covered`` is the union of the routes' visits.  The oracles work on
+    route-set rows; FC builds joint routes only for the support it returns.
+    """
 
     routes: tuple[CoveringRoute, ...]
     covered: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        cov: set[int] = set()
-        for r in self.routes:
-            cov |= r.covered
-        object.__setattr__(self, "covered", frozenset(cov))
+        object.__setattr__(self, "covered", frozenset(t for r in self.routes for t in r.visits))
 
 
 @dataclass(frozen=True)

@@ -302,17 +302,22 @@ def support_enumeration_value(U: np.ndarray, tol: float = 1e-8) -> float:
 # -- best response and team maxmin oracles -----------------------------------
 
 
+def on_support(route_sets, probs) -> np.ndarray:
+    """An attacker strategy ``{target: probability}`` as the oracles take it:
+    one probability per target of the route sets' support."""
+    return np.array([probs.get(t, 0.0) for t in route_sets[0].targets])
+
+
 def brute_best_response_value(route_sets, attacker, setting) -> float:
-    """Maximum of 1 - sum_t sigma(t) pi(t) (1 - covered) over all joint tuples."""
-    targets = [t for t in attacker.probs]
+    """Maximum of 1 - sum_t sigma(t) pi(t) (1 - covered) over all joint tuples.
+
+    ``attacker`` holds sigma, one probability per support target.
+    """
+    weight = [(t, p) for t, p in zip(route_sets[0].targets, attacker) if p > 0.0]
     best = -math.inf
     for combo in itertools.product(*[rs.routes for rs in route_sets]):
-        covered = set()
-        for r in combo:
-            covered |= r.covered
-        val = 1.0 - sum(
-            attacker.prob(t) * setting.value[t] for t in targets if t not in covered
-        )
+        covered = {t for r in combo for t in r.visits}
+        val = 1.0 - sum(p * setting.value[t] for t, p in weight if t not in covered)
         best = max(best, val)
     return best
 
@@ -321,7 +326,7 @@ def _dedupe_covers(route_set, support):
     """Distinct, non-dominated coverage vectors of one resource's routes."""
     covers = []
     for r in route_set.routes:
-        cov = frozenset(r.covered & set(support))
+        cov = frozenset(set(r.visits) & set(support))
         if cov not in covers:
             covers.append(cov)
     return [c for c in covers if not any(c < o for o in covers)]

@@ -17,7 +17,6 @@ import pytest
 from alarmpatrol import (
     GeneratorParams,
     MatrixGame,
-    MixedStrategy,
     ResolutionConfig,
     all_pairs_distances,
     cycle_min_cover,
@@ -37,6 +36,7 @@ from alarmpatrol import (
     best_response_ilp,
 )
 from alarmpatrol.cli import main as cli_main
+from alarmpatrol.games import normalized
 from alarmpatrol.routes import covering_routes
 from alarmpatrol.seeding import stream
 from helpers import (
@@ -166,7 +166,7 @@ def test_criterion_5_best_response_exactness():
                 continue
             checked += 1
             weights = [rng.random() for _ in s.targets]
-            attacker = MixedStrategy.from_weights(list(s.targets), weights)
+            attacker = normalized(weights)  # one probability per target of the support
             _, objective, ok = best_response_ilp(sets, attacker, s)
             assert ok
             brute = brute_best_response_value(sets, attacker, s)

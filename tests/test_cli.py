@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from alarmpatrol import games, pipeline, routes
+from alarmpatrol import all_pairs_distances, games, pipeline, respond, routes
 from alarmpatrol.cli import EXIT_NUMERIC, EXIT_TIMEOUT, aggregate_bench, main, parse_duration
 from alarmpatrol.fileio import (
     instance_to_payload,
@@ -145,6 +145,60 @@ def test_routes_and_sro(tmp_path):
     assert 0.0 <= result["value"] <= 1.0
     strategy = result["signals"]["s0"]["strategy"]["joint"]
     assert abs(sum(e["p"] for e in strategy) - 1.0) < 1e-9
+
+
+def _value_from_result(result, instance) -> float:
+    """The aggregate value recomputed from a result file's route sets and
+    strategies alone, with the instance's target values and signal table."""
+    value = {t["id"]: t["value"] for t in instance["targets"]}
+    unprotected = {t: 0.0 for t in value}
+    for sig in instance["signals"]:
+        entry = result["signals"][sig["id"]]
+        visits = [[set(r["visits"]) for r in rs["routes"]] for rs in entry["route_sets"]]
+        strategy = entry["strategy"]
+        for t, p_sig in sig["probs"].items():
+            if p_sig <= 0.0:
+                continue
+            if "joint" in strategy:
+                miss = 1.0 - sum(
+                    e["p"] for e in strategy["joint"]
+                    if any(t in visits[i][r] for i, r in enumerate(e["routes"]))
+                )
+            else:
+                miss = 1.0
+                for i, rows in enumerate(strategy["per_resource"]):
+                    miss *= 1.0 - sum(e["p"] for e in rows if t in visits[i][e["route"]])
+            unprotected[t] += p_sig * miss
+    return 1.0 - max(value[t] * unprotected[t] for t in value)
+
+
+def test_sro_strategies_reproduce_the_value(tmp_path):
+    # Each oracle's written strategies give back its value; FC's joint
+    # strategy in memory gives back its per-signal value through
+    # ``JointRoute.covered``.
+    assert run(["gen", "--targets", "20", "--seed", "14", "--out", str(tmp_path)]) == 0
+    inst = tmp_path / "instance.json"
+    assert run(["mincover", "--instance", str(inst), "--out", str(tmp_path)]) == 0
+    instance = json.loads(inst.read_text())
+    for oracle, options in (("nc", []), ("pc", ["--restarts", "2", "--seed", "14"]), ("fc", [])):
+        out = tmp_path / oracle
+        assert run([
+            "sro", "--instance", str(inst), "--placement-file", str(tmp_path / "placement.json"),
+            "--oracle", oracle, "--out", str(out), *options,
+        ]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert abs(_value_from_result(result, instance) - result["value"]) <= 1e-12, oracle
+
+    setting, alarm = load_instance(inst)
+    placement = json.loads((tmp_path / "placement.json").read_text())["positions"]
+    positions = [setting.index_of(v) for v in placement]
+    resp = respond(setting, all_pairs_distances(setting), alarm, positions, "FC")
+    for s, res in resp.per_signal.items():
+        worst = 0.0
+        for t in alarm.signal_support(s):
+            cover = sum(p for jr, p in res.joint.probs.items() if t in jr.covered)
+            worst = max(worst, setting.value[t] * (1.0 - cover))
+        assert abs((1.0 - worst) - res.value) <= 1e-9
 
 
 def test_sro_result_says_why_not_optimal(tmp_path, monkeypatch):

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from alarmpatrol import MatrixGame, MixedStrategy, RowGame, games, lp_solve, solve_zero_sum
-from alarmpatrol.games import VALUE_TOL
+from alarmpatrol import MatrixGame, RowGame, games, lp_solve, solve_zero_sum
+from alarmpatrol.games import VALUE_TOL, normalized
 from helpers import support_enumeration_value
 
 
@@ -12,17 +12,17 @@ def test_matching_pennies_protection_game():
     # r1 protects t1 only, r2 protects t2 only, both values 1: the fair coin
     # is the unique equilibrium with value 1/2 (closed-form LP solution).
     game = MatrixGame(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    row, col, value = solve_zero_sum(game)
+    x, y, value = solve_zero_sum(game)
     assert value == pytest.approx(0.5, abs=1e-9)
-    assert row.prob(0) == pytest.approx(0.5, abs=1e-9)
-    assert col.prob(1) == pytest.approx(0.5, abs=1e-9)
+    assert x[0] == pytest.approx(0.5, abs=1e-9)
+    assert y[1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_dominant_row():
     game = MatrixGame(np.array([[1.0, 1.0, 1.0], [0.2, 0.9, 0.4]]))
-    row, _, value = solve_zero_sum(game)
+    x, _, value = solve_zero_sum(game)
     assert value == pytest.approx(1.0, abs=1e-9)
-    assert row.probs == {0: 1.0}
+    assert x.tolist() == [1.0, 0.0]
 
 
 def test_random_games_match_support_enumeration():
@@ -39,9 +39,7 @@ def test_duality_gap_small():
     rng = np.random.default_rng(5)
     for _ in range(30):
         U = rng.uniform(0, 1, (5, 5))
-        row, col, value = solve_zero_sum(MatrixGame(U))
-        x = np.array([row.prob(i) for i in range(5)])
-        y = np.array([col.prob(j) for j in range(5)])
+        x, y, value = solve_zero_sum(MatrixGame(U))
         # Guarantees of the two strategies straddle the value.
         assert (x @ U).min() >= value - 1e-7
         assert (U @ y).max() <= value + 1e-7
@@ -71,19 +69,19 @@ def test_corrupted_solution_fails_the_certificate(monkeypatch, changes):
 def test_scaling_payoffs():
     rng = np.random.default_rng(9)
     U = rng.uniform(0, 1, (4, 4))
-    row1, col1, v1 = solve_zero_sum(MatrixGame(U))
-    row2, col2, v2 = solve_zero_sum(MatrixGame(3.0 * U))
+    x1, y1, v1 = solve_zero_sum(MatrixGame(U))
+    x2, y2, v2 = solve_zero_sum(MatrixGame(3.0 * U))
     assert v2 == pytest.approx(3.0 * v1, abs=1e-7)
-    assert set(row1.probs) == set(row2.probs)
-    assert set(col1.probs) == set(col2.probs)
+    assert np.array_equal(x1 > 0.0, x2 > 0.0)
+    assert np.array_equal(y1 > 0.0, y2 > 0.0)
 
 
 def test_strategy_cleanup():
-    sigma = MixedStrategy.from_weights(["a", "b", "c"], [0.5, 1e-12, 0.5])
-    assert set(sigma.probs) == {"a", "c"}
-    assert sum(sigma.probs.values()) == pytest.approx(1.0, abs=1e-12)
+    x = normalized([0.5, 1e-12, 0.5])
+    assert x.tolist() == [0.5, 0.0, 0.5]
+    assert x.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        MixedStrategy.from_weights(["a"], [0.0])
+        normalized([0.0])
 
 
 def test_row_support_no_larger_than_columns():
@@ -94,8 +92,8 @@ def test_row_support_no_larger_than_columns():
         rows = int(rng.integers(2, 9))
         cols = int(rng.integers(1, 5))
         U = rng.uniform(0.01, 1, (rows, cols))
-        row, _, _ = solve_zero_sum(MatrixGame(U))
-        assert len(row.probs) <= cols
+        x, _, _ = solve_zero_sum(MatrixGame(U))
+        assert np.count_nonzero(x) <= cols
 
 
 def test_rejects_bad_matrices():
@@ -105,10 +103,9 @@ def test_rejects_bad_matrices():
         MatrixGame(np.array([[np.nan]]))
 
 
-def _assert_certified(U, row, col, value):
+def _assert_certified(U, x, y, value):
     """Both strategies guarantee ``value`` within ``VALUE_TOL`` on ``U``."""
-    x = np.array([row.prob(i) for i in range(len(U))])
-    y = np.array([col.prob(j) for j in range(U.shape[1])])
+    assert x.shape == (len(U),) and y.shape == (U.shape[1],)
     assert x.sum() == pytest.approx(1.0) and y.sum() == pytest.approx(1.0)
     assert (x @ U).min() >= value - VALUE_TOL
     assert (U @ y).max() <= value + VALUE_TOL
@@ -149,22 +146,21 @@ def test_row_game_matches_cold_solves_as_rows_grow(monkeypatch):
                 game.add_row(u)
                 resumed += 1
             del cold_solves[:]
-            row, col, value = game.solve()
+            x, y, value = game.solve()
             assert len(cold_solves) == (k == 0)
             _, _, ref = solve_zero_sum(MatrixGame(U))
             assert abs(value - ref) <= 1e-12, trial
-            _assert_certified(U, row, col, value)
+            _assert_certified(U, x, y, value)
     assert resumed >= 1500 and repeats >= 200 and below_shift >= 100
 
 
-def test_row_game_labels_rows_and_rejects_bad_rows():
-    game = RowGame(MatrixGame(np.array([[1.0, 0.0]]), row_actions=("a",), col_actions=("s", "t")))
+def test_row_game_solves_to_arrays_and_rejects_bad_rows():
+    game = RowGame(MatrixGame(np.array([[1.0, 0.0]])))
     game.solve()
-    game.add_row(np.array([0.0, 1.0]), "b")
-    row, col, value = game.solve()
+    game.add_row(np.array([0.0, 1.0]))
+    x, y, value = game.solve()
     assert value == pytest.approx(0.5)
-    assert row.probs == pytest.approx({"a": 0.5, "b": 0.5})
-    assert col.probs == pytest.approx({"s": 0.5, "t": 0.5})
+    assert x == pytest.approx([0.5, 0.5]) and y == pytest.approx([0.5, 0.5])
     for bad in (np.array([1.0]), np.array([np.nan, 1.0]), np.ones((1, 2))):
         with pytest.raises(ValueError):
-            game.add_row(bad, "c")
+            game.add_row(bad)

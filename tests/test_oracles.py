@@ -9,7 +9,6 @@ from alarmpatrol import (
     GeneratorParams,
     JointRoute,
     MatrixGame,
-    MixedStrategy,
     ResolutionConfig,
     RowGame,
     aggregate_value,
@@ -31,12 +30,13 @@ from alarmpatrol import (
     routes,
     solve_zero_sum,
     to_set_cover,
+    unprotected,
 )
 from alarmpatrol import lp as lp_module
 from alarmpatrol import oracles as oracles_module
 from alarmpatrol import pipeline
-from alarmpatrol.games import VALUE_TOL
-from alarmpatrol.oracles import SEARCH_MAX_ROUTES, _greedy_response, uncovered_probability
+from alarmpatrol.games import VALUE_TOL, normalized
+from alarmpatrol.oracles import SEARCH_MAX_ROUTES, _greedy_response
 from alarmpatrol.routes import CoveringRoute, RouteSet
 from alarmpatrol.seeding import stream
 from helpers import (
@@ -44,6 +44,7 @@ from helpers import (
     grid_team_maxmin,
     joint_enumeration_value,
     make_setting,
+    on_support,
     payoff_matrix,
     random_setting,
     routes_for,
@@ -56,46 +57,64 @@ def _r(start, *visits):
     return CoveringRoute(start, tuple(visits), arrivals)
 
 
-# -- evaluate_profile ---------------------------------------------------------
+def _joint_route(sets, rows):
+    """The ``JointRoute`` of one route-set row per resource."""
+    return JointRoute(tuple(rs.routes[i] for rs, i in zip(sets, rows, strict=True)))
+
+
+# -- unprotected and evaluate_profile ------------------------------------------
 
 
 def test_evaluate_full_coverage():
     s = make_setting(2, [(0, 1)])
-    jr = JointRoute((_r(0, 0, 1),))
-    assert evaluate_profile(MixedStrategy.pure(jr), s, s.targets) == 1.0
+    rs = RouteSet((_r(0, 0, 1),), 0, True, s.targets)
+    assert evaluate_profile(unprotected([(rs.cover, np.ones(1))]), s, s.targets) == 1.0
 
 
 def test_evaluate_no_coverage_floor():
     s = make_setting(2, [(0, 1)], targets={0: (0.8, 1), 1: (0.5, 1)})
-    sigma = MixedStrategy.pure(CoveringRoute(0, (), ()))
-    assert evaluate_profile([sigma], s, s.targets) == pytest.approx(0.2)
+    rs = RouteSet((CoveringRoute(0, (), ()),), 0, True, s.targets)
+    got = evaluate_profile(unprotected([(rs.cover, np.ones(1))]), s, s.targets)
+    assert got == pytest.approx(0.2)
 
 
 def test_evaluate_two_resources_half_coverage():
     # Single target, both resources cover it with marginal probability 1/2:
     # 1 - 0.5 * 0.5 = 0.75 straight from the formula.
     s = make_setting(2, [(0, 1)], targets={1: (1.0, 1)})
-    hit, miss = _r(0, 1), CoveringRoute(0, (), ())
-    sigma = MixedStrategy({hit: 0.5, miss: 0.5})
-    assert evaluate_profile([sigma, sigma], s, (1,)) == pytest.approx(0.75)
+    rs = RouteSet((_r(0, 1), CoveringRoute(0, (), ())), 0, True, (1,))
+    half = np.array([0.5, 0.5])
+    assert unprotected([(rs.cover, half)] * 2) == pytest.approx([0.25])
+    assert evaluate_profile(unprotected([(rs.cover, half)] * 2), s, (1,)) == pytest.approx(0.75)
 
 
 def test_evaluate_matches_attacker_enumeration():
+    # Independent per-resource strategies (NC, PC) draw once per resource;
+    # a joint strategy (FC) draws once, from the coverage rows of its joint
+    # routes.  Both are checked target by target against the routes' visits.
     for trial in range(10):
         rng = stream(31, "eval", trial)
         s = random_setting(7, rng, deadlines=(1, 2))
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [0, s.n - 1], s.targets)
-        profile = []
-        for rs in sets:
-            weights = [rng.random() for _ in rs.routes]
-            profile.append(MixedStrategy.from_weights(rs.routes, weights))
-        got = evaluate_profile(profile, s, s.targets)
+        profile = [normalized([rng.random() for _ in rs.routes]) for rs in sets]
+        got = evaluate_profile(unprotected(zip((rs.cover for rs in sets), profile)), s, s.targets)
         best = 0.0
         for t in s.targets:
             uncov = 1.0
-            for sigma in profile:
-                uncov *= 1.0 - sum(p for r, p in sigma.probs.items() if t in r.covered)
+            for rs, x in zip(sets, profile):
+                uncov *= 1.0 - sum(p for r, p in zip(rs.routes, x) if t in r.visits)
+            best = max(best, s.value[t] * uncov)
+        assert got == pytest.approx(1.0 - best, abs=1e-12)
+
+        rows = sorted({tuple(rng.randrange(len(rs.routes)) for rs in sets) for _ in range(5)})
+        q = normalized([rng.random() for _ in rows])
+        cover = np.array([np.logical_or.reduce([rs.cover[i] for rs, i in zip(sets, jr)])
+                          for jr in rows])
+        got = evaluate_profile(unprotected([(cover, q)]), s, s.targets)
+        best = 0.0
+        for t in s.targets:
+            uncov = 1.0 - sum(p for jr, p in zip(rows, q) if t in _joint_route(sets, jr).covered)
             best = max(best, s.value[t] * uncov)
         assert got == pytest.approx(1.0 - best, abs=1e-12)
 
@@ -113,7 +132,7 @@ def test_nc_single_resource_matches_plain_game():
         result = nc_sro(sets, s)
         # Oracle value over the full support equals the plain zero-sum value
         # over all support targets (uncoverable columns only cap the value).
-        U = payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
+        U = payoff_matrix([set(r.visits) for r in sets[0].routes], sorted(s.targets), s.value)
         _, _, v = solve_zero_sum(MatrixGame(U))
         assert result.value == pytest.approx(v, abs=1e-7)
 
@@ -141,7 +160,7 @@ def test_nc_disjoint_clusters_take_the_minimum():
     result = nc_sro(sets, s)
     values = []
     for rs, cluster in zip(sets, ({0, 1, 2}, {5, 6, 7})):
-        U = payoff_matrix([r.covered for r in rs.routes], sorted(cluster), s.value)
+        U = payoff_matrix([set(r.visits) for r in rs.routes], sorted(cluster), s.value)
         values.append(solve_zero_sum(MatrixGame(U))[2])
     assert result.value == pytest.approx(min(values), abs=1e-7)
 
@@ -153,30 +172,31 @@ def test_best_response_pure_attacker():
     s = make_setting(3, [(0, 1), (1, 2)])
     d = all_pairs_distances(s)
     sets = routes_for(s, d, [1], s.targets)
-    jr, obj, ok = best_response_ilp(sets, MixedStrategy.pure(2), s)
+    jr, obj, ok = best_response_ilp(sets, on_support(sets, {2: 1.0}), s)
     assert ok and obj == pytest.approx(1.0)
-    assert 2 in jr.covered
+    assert 2 in _joint_route(sets, jr).covered
 
 
 def test_best_response_separable_resources():
     s = make_setting(4, [(0, 1), (1, 2), (2, 3)])
     d = all_pairs_distances(s)
     sets = routes_for(s, d, [0, 3], s.targets)
-    attacker = MixedStrategy({0: 0.5, 3: 0.5})
+    attacker = on_support(sets, {0: 0.5, 3: 0.5})
     jr, obj, ok = best_response_ilp(sets, attacker, s)
     assert ok and obj == pytest.approx(1.0)
-    assert {0, 3} <= jr.covered
+    assert {0, 3} <= _joint_route(sets, jr).covered
 
 
 def test_best_response_rejects_attacker_weight_off_the_support():
     s = make_setting(3, [(0, 1), (1, 2)])
     d = all_pairs_distances(s)
     sets = (covering_routes(s, d, 1, (0, 1)),)
-    with pytest.raises(ValueError, match="outside the route sets' support"):
-        best_response_ilp(sets, MixedStrategy({0: 0.5, 2: 0.5}), s)
-    # Zero weight off the support is no weight at all.
-    jr, obj, ok = best_response_ilp(sets, MixedStrategy({0: 1.0, 2: 0.0}), s)
-    assert ok and obj == pytest.approx(1.0) and 0 in jr.covered
+    # The attacker is one probability per support target: weights over all
+    # three targets put weight off the two-target support.
+    with pytest.raises(ValueError, match="one probability per support target"):
+        best_response_ilp(sets, np.array([0.5, 0.0, 0.5]), s)
+    jr, obj, ok = best_response_ilp(sets, np.array([1.0, 0.0]), s)
+    assert ok and obj == pytest.approx(1.0) and 0 in _joint_route(sets, jr).covered
 
 
 def test_best_response_matches_brute_force():
@@ -187,8 +207,7 @@ def test_best_response_matches_brute_force():
         m = rng.randrange(2, 4)
         starts = [rng.randrange(s.n) for _ in range(m)]
         sets = routes_for(s, d, starts, s.targets)
-        weights = [rng.random() for _ in s.targets]
-        attacker = MixedStrategy.from_weights(list(s.targets), weights)
+        attacker = normalized([rng.random() for _ in s.targets])
         _, obj, ok = best_response_ilp(sets, attacker, s)
         assert ok
         assert obj == pytest.approx(brute_best_response_value(sets, attacker, s), abs=1e-9)
@@ -213,13 +232,14 @@ def test_best_response_matches_brute_force_many_resources():
         )
         weights = [rng.random() if rng.random() < 0.8 else 0.0 for _ in range(n)]
         weights[0] += 0.01
-        attacker = MixedStrategy.from_weights(list(range(n)), weights)
+        attacker = normalized(weights)  # the support is every target
         jr, obj, ok = best_response_ilp(sets, attacker, s)
         assert ok
         brute = brute_best_response_value(sets, attacker, s)
         assert abs(obj - brute) <= 1e-12
+        covered = _joint_route(sets, jr).covered
         assert obj == pytest.approx(1.0 - sum(
-            attacker.prob(t) * s.value[t] for t in range(n) if t not in jr.covered
+            attacker[t] * s.value[t] for t in range(n) if t not in covered
         ), abs=1e-12)
 
 
@@ -231,7 +251,7 @@ def test_best_response_heuristic_restarts_greedy_from_each_resource():
         RouteSet((_r(0, 0, 1), _r(0, 2)), 0, True, (0, 1, 2)),
         RouteSet((_r(1, 0, 1),), 1, True, (0, 1, 2)),
     )
-    attacker = MixedStrategy({0: 0.3, 1: 0.3, 2: 0.4})
+    attacker = np.array([0.3, 0.3, 0.4])
     exact_jr, exact_obj, ok = best_response_ilp(sets, attacker, s)
     jr, obj = _greedy_response(sets, attacker, s)
     assert ok
@@ -264,9 +284,8 @@ def _full_scan_greedy(masks, w, first):
 
 def _full_scan_weights(route_sets, attacker, setting):
     support = route_sets[0].targets
-    weight = {t: p for t, p in attacker.probs.items() if p > 0.0}
-    w = [weight.get(t, 0.0) * setting.value[t] for t in support]
-    live = sum(1 << j for j, t in enumerate(support) if t in weight)
+    w = [p * setting.value[t] if p > 0.0 else 0.0 for p, t in zip(attacker.tolist(), support)]
+    live = sum(1 << j for j, p in enumerate(attacker) if p > 0.0)
     return w, [[m & live for m in rs.masks] for rs in route_sets]
 
 
@@ -277,8 +296,7 @@ def _full_scan_greedy_response(route_sets, attacker, setting):
         choice, choice_w = _full_scan_greedy(masks, w, first)
         if choice_w > best_w + 1e-12:
             best_choice, best_w = choice, choice_w
-    jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
-    return jr, 1.0 - sum(w) + best_w
+    return tuple(best_choice), 1.0 - sum(w) + best_w
 
 
 def _full_scan_best_response(route_sets, attacker, setting):
@@ -314,8 +332,7 @@ def _full_scan_best_response(route_sets, attacker, setting):
         for j in reversed(orders[i]):
             gain = _full_scan_weight(w, ms[j] & ~cur_mask)
             stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (j,)))
-    jr = JointRoute(tuple(rs.routes[c] for rs, c in zip(route_sets, best_choice)))
-    return jr, 1.0 - total_w + best_w, True
+    return tuple(best_choice), 1.0 - total_w + best_w, True
 
 
 def _assert_pinned(sets, attacker, s):
@@ -342,16 +359,18 @@ def test_best_response_early_exits_match_full_scan_on_generator_instances():
         focus_rng = stream(45, "brpinfocus", n, seed)
         for m in range(1, min(6, len(all_sets)) + 1):
             sets = all_sets[:m]
-            uniform = MixedStrategy({t: 1.0 / len(s.targets) for t in s.targets})
+            uniform = np.full(len(s.targets), 1.0 / len(s.targets))
             levels = [rng.choice((1.0, 2.0, 3.0)) for _ in s.targets]
             sparse = [rng.random() if rng.random() < 0.3 else 0.0 for _ in s.targets]
             sparse[0] += 0.01
             focus = focus_rng.sample(sorted(s.targets), focus_rng.randint(1, 8))
             for attacker in (
                 uniform,
-                MixedStrategy.from_weights(list(s.targets), levels),
-                MixedStrategy.from_weights(list(s.targets), sparse),
-                MixedStrategy.from_weights(focus, [focus_rng.random() + 0.01 for _ in focus]),
+                normalized(levels),
+                normalized(sparse),
+                on_support(sets, dict(zip(focus, normalized(
+                    [focus_rng.random() + 0.01 for _ in focus]
+                )))),
             ):
                 _assert_pinned(sets, attacker, s)
 
@@ -367,7 +386,7 @@ def test_setup_groups_routes_into_coverage_classes():
     support = sets[0].targets
     for k in (1, 3, 8, len(support)):
         focus = rng.sample(list(support), k)
-        attacker = MixedStrategy.from_weights(focus, [rng.random() + 0.01 for _ in focus])
+        attacker = on_support(sets, dict(zip(focus, normalized([rng.random() + 0.01 for _ in focus]))))
         live = sum(1 << j for j, t in enumerate(support) if t in focus)
         _, reps, masks, _, _ = oracles_module._setup(sets, attacker, s)
         for rs, rep, ms in zip(sets, reps, masks):
@@ -398,7 +417,7 @@ def test_best_response_early_exits_match_full_scan_on_random_instances():
         )
         weights = [rng.choice((0.0, 1.0, 1.0, 2.0)) for _ in range(n)]
         weights[0] += 1.0
-        _assert_pinned(sets, MixedStrategy.from_weights(list(range(n)), weights), s)
+        _assert_pinned(sets, normalized(weights), s)
 
 
 # -- FC ------------------------------------------------------------------------
@@ -420,7 +439,7 @@ def test_fc_single_resource_reduces_to_zero_sum():
         s = random_setting(8, rng, deadlines=(1, 2))
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [rng.randrange(s.n)], s.targets)
-        U = payoff_matrix([r.covered for r in sets[0].routes], sorted(s.targets), s.value)
+        U = payoff_matrix([set(r.visits) for r in sets[0].routes], sorted(s.targets), s.value)
         _, _, v = solve_zero_sum(MatrixGame(U))
         result = fc_sro(sets, s)
         assert result.diagnostics.optimal
@@ -496,12 +515,11 @@ def test_pc_past_deadline_says_timeout():
     assert diag.not_optimal == "timeout" and diag.timed_out
     assert diag.iterations == 0 and len(diag.extra["traces"]) == 1
     assert "search" not in diag.extra
-    for sigma, rs in zip(result.per_resource, sets, strict=True):
-        assert set(sigma.probs) <= set(rs.routes)
-        assert sum(sigma.probs.values()) == pytest.approx(1.0)
-    assert result.value == pytest.approx(
-        evaluate_profile(result.per_resource, s, s.targets), abs=1e-12
-    )
+    for x, rs in zip(result.per_resource, sets, strict=True):
+        assert x.shape == (len(rs.routes),) and x.min() >= 0.0
+        assert x.sum() == pytest.approx(1.0)
+    draws = zip((rs.cover for rs in sets), result.per_resource)
+    assert result.value == pytest.approx(evaluate_profile(unprotected(draws), s, s.targets), abs=1e-12)
     assert result.value == pytest.approx(nc_sro(sets, s).value, abs=1e-12)
     resp = respond(s, d, single_signal(s), [1, 3], "PC", deadline=time.monotonic() - 1.0)
     assert resp.per_signal["s0"].diagnostics.timed_out
@@ -513,7 +531,7 @@ def test_exact_best_response_leaves_no_reference_cycles():
     s, _ = generate_instance(GeneratorParams(n_targets=80, seed=0))
     d = all_pairs_distances(s)
     sets = routes_for(s, d, min_cover(s, d, "exact").placement.positions, s.targets)
-    attacker = MixedStrategy({t: 1.0 / len(s.targets) for t in s.targets})
+    attacker = np.full(len(s.targets), 1.0 / len(s.targets))
     gc.disable()
     try:
         gc.collect()
@@ -591,25 +609,45 @@ def test_fc_exact_search_adds_the_row_greedy_missed(monkeypatch):
     assert result.value == pytest.approx(expected, abs=1e-12)
 
 
+def _spy_solves(monkeypatch, on_solve):
+    """Call ``on_solve(game, out, rs)`` after every ``RowGame.solve``, where
+    ``rs`` is the route set whose NC game it is, or None for FC's master."""
+    real_solve, real_nc_game = RowGame.solve, oracles_module._nc_game
+    inside = []
+
+    def nc_game(rs, setting):
+        inside.append(rs)
+        try:
+            return real_nc_game(rs, setting)
+        finally:
+            inside.pop()
+
+    def solve(game):
+        out = real_solve(game)
+        on_solve(game, out, inside[-1] if inside else None)
+        return out
+
+    monkeypatch.setattr(oracles_module, "_nc_game", nc_game)
+    monkeypatch.setattr(RowGame, "solve", solve)
+
+
 def test_fc_stops_when_the_exact_response_ties_the_value(monkeypatch):
     # The exact objective bounds FC from above, so once it is within 1e-12
     # of the master value the value is certified: only the last exact search
     # may tie, and every earlier one adds a row that beats the value.
-    real_solve, real_search = RowGame.solve, oracles_module.best_response_ilp
+    real_search = oracles_module.best_response_ilp
     events = []
 
-    def solve(game):
-        out = real_solve(game)
-        if isinstance(game.row_actions[0], JointRoute):
+    def solve(game, out, nc_rs):
+        if nc_rs is None:
             events.append(("value", out[2]))
-        return out
 
     def search(*args, **kwargs):
         out = real_search(*args, **kwargs)
         events.append(("search", out[1]))
         return out
 
-    monkeypatch.setattr(RowGame, "solve", solve)
+    _spy_solves(monkeypatch, solve)
     monkeypatch.setattr(oracles_module, "best_response_ilp", search)
     for n_targets, seed in ((60, 1), (80, 0)):
         del events[:]
@@ -665,27 +703,26 @@ def test_fc_master_matches_cold_solves_on_benchmark_placements(monkeypatch):
     # row the resumed master's value equals a cold solve of the same rows to
     # 1e-12 and both strategies pass the certificate; on 40/s7 the master
     # pivots at most a quarter as often as cold solves of its rounds would.
-    real = RowGame.solve
+    real_solve = RowGame.solve
     rounds = []
+    pivots_so_far = {}
 
-    def checked(game):
-        before = game.pivots
-        row, col, value = real(game)
-        if isinstance(game.row_actions[0], JointRoute):  # FC's master, not an NC game
+    def checked(game, out, nc_rs):
+        x, y, value = out
+        if nc_rs is None:  # FC's master, not an NC game
             cold = RowGame(MatrixGame(game.payoff))
-            _, _, ref = cold.solve()
+            _, _, ref = real_solve(cold)
             assert abs(value - ref) <= 1e-12
             U = game.payoff
-            x = np.array([row.prob(jr) for jr in game.row_actions])
-            y = np.array([col.prob(t) for t in game.col_actions])
             assert (x @ U).min() >= value - VALUE_TOL
             assert (U @ y).max() <= value + VALUE_TOL
-            rounds.append((game.pivots - before, cold.pivots))
-        return row, col, value
+            rounds.append((game.pivots - pivots_so_far.get(id(game), 0), cold.pivots))
+            pivots_so_far[id(game)] = game.pivots
 
-    monkeypatch.setattr(RowGame, "solve", checked)
+    _spy_solves(monkeypatch, checked)
     for n_targets, seed in ((40, 7), (60, 1), (70, 1), (80, 0), (80, 3)):
         del rounds[:]
+        pivots_so_far.clear()  # a new master may reuse an old one's id
         s, sets = _first_placement_sets(n_targets, seed)
         result = fc_sro(sets, s)
         assert result.diagnostics.optimal
@@ -732,13 +769,12 @@ def test_oracles_count_the_pivots_of_their_lps(monkeypatch):
 def test_resolve_solves_one_nc_game_per_route_set(monkeypatch):
     # FC, PC and NC all start from NC, over placements that share positions:
     # each route set's game is still solved once in the whole resolve.
-    real_solve, real_respond = RowGame.solve, pipeline.respond
+    real_respond = pipeline.respond
     nc_games, route_sets = [], {}
 
-    def solve(game):
-        if isinstance(game.row_actions[0], CoveringRoute):  # an NC game, not FC's master
-            nc_games.append(tuple(game.row_actions))
-        return real_solve(game)
+    def solve(game, out, nc_rs):
+        if nc_rs is not None:  # an NC game, not FC's master
+            nc_games.append(id(nc_rs))
 
     def respond_spy(*args, **kwargs):
         resp = real_respond(*args, **kwargs)
@@ -746,13 +782,13 @@ def test_resolve_solves_one_nc_game_per_route_set(monkeypatch):
             route_sets.update((id(rs), rs) for rs in sets if rs.cover.any())
         return resp
 
-    monkeypatch.setattr(RowGame, "solve", solve)
+    _spy_solves(monkeypatch, solve)
     monkeypatch.setattr(pipeline, "respond", respond_spy)
     s, alarm = generate_instance(GeneratorParams(n_targets=25, seed=0))
     report = resolve(s, alarm, ResolutionConfig(max_placements=4, pc_restarts=1))
     assert len(report.placements) == 4
     assert len(nc_games) == len(route_sets)
-    assert len(set(nc_games)) == len(nc_games)
+    assert set(nc_games) == set(route_sets)
 
 
 def test_oracle_results_do_not_depend_on_earlier_placements():
@@ -772,7 +808,14 @@ def test_oracle_results_do_not_depend_on_earlier_placements():
     for scheme in ("FC", "PC", "NC"):
         after = respond(s, d, alarm, last, scheme, route_cache=shared, pc_restarts=1)
         fresh = respond(s, d, alarm, last, scheme, route_cache={}, pc_restarts=1)
-        assert after.per_signal == fresh.per_signal
+        assert after.per_signal.keys() == fresh.per_signal.keys()
+        for sig, a in after.per_signal.items():
+            b = fresh.per_signal[sig]
+            assert (a.value, a.diagnostics, a.joint) == (b.value, b.diagnostics, b.joint)
+            assert np.array_equal(a.uncovered, b.uncovered)
+            assert (a.per_resource is None) == (b.per_resource is None)
+            for x, y in zip(a.per_resource or (), b.per_resource or (), strict=True):
+                assert np.array_equal(x, y)
         assert after.value == fresh.value
 
 
@@ -959,6 +1002,16 @@ def test_multi_signal_aggregation_by_direct_enumeration():
         ],
     )
     d = all_pairs_distances(s)
+
+    def uncovered(result, sets, t):
+        """Enumerated from the strategies and the routes' visits."""
+        if result.joint is not None:
+            return 1.0 - sum(p for jr, p in result.joint.probs.items() if t in jr.covered)
+        u = 1.0
+        for rs, x in zip(sets, result.per_resource, strict=True):
+            u *= 1.0 - sum(p for r, p in zip(rs.routes, x) if t in r.visits)
+        return u
+
     for scheme in ("NC", "PC", "FC"):
         resp = respond(s, d, alarm, [1, 3], scheme)
         worst = 0.0
@@ -967,7 +1020,7 @@ def test_multi_signal_aggregation_by_direct_enumeration():
             for sig in alarm.signals:
                 p = alarm.prob[sig].get(t, 0.0)
                 if p > 0.0:
-                    u += p * uncovered_probability(resp.per_signal[sig], t)
+                    u += p * uncovered(resp.per_signal[sig], resp.route_sets[sig], t)
             worst = max(worst, s.value[t] * u)
         assert resp.value == pytest.approx(1.0 - worst, abs=1e-12)
         assert resp.value == pytest.approx(
@@ -1010,7 +1063,9 @@ def test_empty_support_signal_is_harmless():
     past = time.monotonic() - 1.0
     pc = pc_sro(sets, s, restarts=2, deadline=past)
     assert pc.value == 1.0 and pc.diagnostics.optimal and pc.diagnostics.iterations == 0
-    assert [sigma.probs for sigma in pc.per_resource] == [{rs.routes[0]: 1.0} for rs in sets]
+    assert [x.tolist() for x in pc.per_resource] == [
+        [1.0] + [0.0] * (len(rs.routes) - 1) for rs in sets
+    ]
     assert all(not rs.routes[0].visits for rs in sets)
     resp = respond(s, d, alarm, [0, 2], "PC", pc_restarts=2, deadline=past)
     assert resp.per_signal["dead"].diagnostics.optimal

@@ -61,10 +61,11 @@ def test_start_on_target_includes_singleton():
 
 
 def test_covers_predicates():
+    # A joint route covers the union of its routes' visits.
     r12 = CoveringRoute(0, (1, 2), (1, 2))
     empty = CoveringRoute(0, (), ())
-    assert 2 in r12.covered and 3 not in r12.covered
-    assert 1 not in empty.covered
+    assert JointRoute((r12, empty)).covered == {1, 2}
+    assert JointRoute((empty,)).covered == frozenset()
     jr = JointRoute((CoveringRoute(0, (1,), (1,)), CoveringRoute(3, (2,), (1,))))
     assert 2 in jr.covered and 1 in jr.covered and 0 not in jr.covered
 
@@ -90,10 +91,10 @@ def _check_by_permutation_search(s, d, start, support):
 
     feasible = brute_route_cover_sets(s, d, start, support)
     expected = maximal_sets(feasible)
-    got = {r.covered for r in rs.routes if r.visits}
+    got = {frozenset(r.visits) for r in rs.routes if r.visits}
     # Dominance: returned sets are exactly the maximal feasible ones
     # (modulo the always-present stay-put sentinel).
-    sentinel_cov = rs.routes[0].covered
+    sentinel_cov = frozenset(rs.routes[0].visits)
     assert got - {sentinel_cov} <= expected
     assert expected <= got
     # Completeness: every feasible covered set is inside some returned one.
@@ -131,7 +132,7 @@ def _cover_matches_routes(rs, support):
     assert rs.cover.flags.writeable is False
     for i, r in enumerate(rs.routes):
         for j, t in enumerate(rs.targets):
-            assert rs.cover[i, j] == (t in r.covered)
+            assert rs.cover[i, j] == (t in r.visits)
 
 
 def test_cover_matrix_matches_covered_sets():
