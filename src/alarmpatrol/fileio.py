@@ -235,6 +235,9 @@ def oracle_payload(
     if "search" in result.diagnostics.extra:
         payload["diagnostics"]["search"] = result.diagnostics.extra["search"]
     if result.joint is not None:
+        # A route set holds each visit sequence once (``covering_routes``
+        # drops repeats of the stay-at-start route), so ``index`` finds the
+        # row FC chose.
         entries = [
             {"routes": [rs.routes.index(r) for rs, r in zip(route_sets, jr.routes)], "p": p}
             for jr, p in result.joint.probs.items()

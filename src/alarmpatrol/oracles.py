@@ -153,14 +153,12 @@ def unprotected(draws: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray | 
     return miss
 
 
-def evaluate_profile(
-    uncovered: np.ndarray, setting: PatrollingSetting, support: Sequence[int]
-) -> float:
+def evaluate_profile(uncovered: np.ndarray, pi: np.ndarray) -> float:
     """Defender value when the attacker observes the strategies and best-responds.
 
-    ``uncovered`` is ``unprotected``'s answer, index-aligned with ``support``.
+    ``uncovered`` is ``unprotected``'s answer and ``pi`` the support targets'
+    values, index-aligned.
     """
-    pi = np.array([setting.value[t] for t in support])
     return 1.0 - float(np.max(pi * uncovered, initial=0.0))
 
 
@@ -203,7 +201,7 @@ def nc_sro(route_sets: Sequence[RouteSet], setting: PatrollingSetting) -> Oracle
         strategies.append(x)
         pivots += game_pivots
     uncovered = unprotected((rs.cover, x) for rs, x in zip(route_sets, strategies))
-    value = evaluate_profile(uncovered, setting, support)
+    value = evaluate_profile(uncovered, np.array([setting.value[t] for t in support]))
     n_routes = sum(len(rs.routes) for rs in route_sets)
     diag = _diagnostics(
         route_sets, iterations=len(route_sets), routes_generated=n_routes, lp_pivots=pivots
@@ -688,7 +686,7 @@ def pc_sro(
 
     def run(profile: list[np.ndarray]) -> tuple[list[np.ndarray], float, list[float], bool]:
         nonlocal pivots
-        val = evaluate_profile(unprotected(zip(indicators, profile)), setting, targets)
+        val = evaluate_profile(unprotected(zip(indicators, profile)), pi)
         hist = [val]
         converged = False
         # Response LPs whose weights no commit has changed since they were
@@ -714,7 +712,7 @@ def pc_sro(
                 break
             profile[best_i] = solved[best_i][0]
             solved = {best_i: solved[best_i]}
-            val = evaluate_profile(unprotected(zip(indicators, profile)), setting, targets)
+            val = evaluate_profile(unprotected(zip(indicators, profile)), pi)
             hist.append(val)
         return profile, val, hist, converged
 
@@ -748,7 +746,7 @@ def pc_sro(
         )
         pivots += search_pivots
         if found_val > best_val + CONVERGENCE_EPS:
-            best_val = evaluate_profile(unprotected(zip(indicators, found)), setting, targets)
+            best_val = evaluate_profile(unprotected(zip(indicators, found)), pi)
             best_profile = found
             best_hist = best_hist + [best_val]
         extra["search"] = {
@@ -799,7 +797,7 @@ def aggregate_value(
         support = list(alarm.signal_support(s))
         u[support] += np.array([alarm.prob[s][t] for t in support]) * per_signal[s].uncovered
     targets = list(setting.targets)
-    return evaluate_profile(u[targets], setting, targets)
+    return evaluate_profile(u[targets], np.array([setting.value[t] for t in targets]))
 
 
 def respond(

@@ -57,6 +57,10 @@ def _r(start, *visits):
     return CoveringRoute(start, tuple(visits), arrivals)
 
 
+def _values(setting, targets):
+    return np.array([setting.value[t] for t in targets])
+
+
 def _joint_route(sets, rows):
     """The ``JointRoute`` of one route-set row per resource."""
     return JointRoute(tuple(rs.routes[i] for rs, i in zip(sets, rows, strict=True)))
@@ -68,13 +72,13 @@ def _joint_route(sets, rows):
 def test_evaluate_full_coverage():
     s = make_setting(2, [(0, 1)])
     rs = RouteSet((_r(0, 0, 1),), 0, True, s.targets)
-    assert evaluate_profile(unprotected([(rs.cover, np.ones(1))]), s, s.targets) == 1.0
+    assert evaluate_profile(unprotected([(rs.cover, np.ones(1))]), _values(s, s.targets)) == 1.0
 
 
 def test_evaluate_no_coverage_floor():
     s = make_setting(2, [(0, 1)], targets={0: (0.8, 1), 1: (0.5, 1)})
     rs = RouteSet((CoveringRoute(0, (), ()),), 0, True, s.targets)
-    got = evaluate_profile(unprotected([(rs.cover, np.ones(1))]), s, s.targets)
+    got = evaluate_profile(unprotected([(rs.cover, np.ones(1))]), _values(s, s.targets))
     assert got == pytest.approx(0.2)
 
 
@@ -85,7 +89,7 @@ def test_evaluate_two_resources_half_coverage():
     rs = RouteSet((_r(0, 1), CoveringRoute(0, (), ())), 0, True, (1,))
     half = np.array([0.5, 0.5])
     assert unprotected([(rs.cover, half)] * 2) == pytest.approx([0.25])
-    assert evaluate_profile(unprotected([(rs.cover, half)] * 2), s, (1,)) == pytest.approx(0.75)
+    assert evaluate_profile(unprotected([(rs.cover, half)] * 2), _values(s, (1,))) == pytest.approx(0.75)
 
 
 def test_evaluate_matches_attacker_enumeration():
@@ -98,7 +102,8 @@ def test_evaluate_matches_attacker_enumeration():
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [0, s.n - 1], s.targets)
         profile = [normalized([rng.random() for _ in rs.routes]) for rs in sets]
-        got = evaluate_profile(unprotected(zip((rs.cover for rs in sets), profile)), s, s.targets)
+        draws = zip((rs.cover for rs in sets), profile)
+        got = evaluate_profile(unprotected(draws), _values(s, s.targets))
         best = 0.0
         for t in s.targets:
             uncov = 1.0
@@ -111,7 +116,7 @@ def test_evaluate_matches_attacker_enumeration():
         q = normalized([rng.random() for _ in rows])
         cover = np.array([np.logical_or.reduce([rs.cover[i] for rs, i in zip(sets, jr)])
                           for jr in rows])
-        got = evaluate_profile(unprotected([(cover, q)]), s, s.targets)
+        got = evaluate_profile(unprotected([(cover, q)]), _values(s, s.targets))
         best = 0.0
         for t in s.targets:
             uncov = 1.0 - sum(p for jr, p in zip(rows, q) if t in _joint_route(sets, jr).covered)
@@ -519,7 +524,8 @@ def test_pc_past_deadline_says_timeout():
         assert x.shape == (len(rs.routes),) and x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0)
     draws = zip((rs.cover for rs in sets), result.per_resource)
-    assert result.value == pytest.approx(evaluate_profile(unprotected(draws), s, s.targets), abs=1e-12)
+    got = evaluate_profile(unprotected(draws), _values(s, s.targets))
+    assert result.value == pytest.approx(got, abs=1e-12)
     assert result.value == pytest.approx(nc_sro(sets, s).value, abs=1e-12)
     resp = respond(s, d, single_signal(s), [1, 3], "PC", deadline=time.monotonic() - 1.0)
     assert resp.per_signal["s0"].diagnostics.timed_out
@@ -774,7 +780,7 @@ def test_resolve_solves_one_nc_game_per_route_set(monkeypatch):
 
     def solve(game, out, nc_rs):
         if nc_rs is not None:  # an NC game, not FC's master
-            nc_games.append(id(nc_rs))
+            nc_games.append((id(nc_rs), nc_rs.routes))
 
     def respond_spy(*args, **kwargs):
         resp = real_respond(*args, **kwargs)
@@ -788,7 +794,10 @@ def test_resolve_solves_one_nc_game_per_route_set(monkeypatch):
     report = resolve(s, alarm, ResolutionConfig(max_placements=4, pc_restarts=1))
     assert len(report.placements) == 4
     assert len(nc_games) == len(route_sets)
-    assert set(nc_games) == set(route_sets)
+    assert {i for i, _ in nc_games} == set(route_sets)
+    # Placements that share a position share its route set, so no two NC
+    # games are over the same routes.
+    assert len({routes for _, routes in nc_games}) == len(nc_games)
 
 
 def test_oracle_results_do_not_depend_on_earlier_placements():
