@@ -12,6 +12,9 @@ variable and priced against the solved tableau's basis
 stays primal feasible and the next solve resumes phase 2 from it instead of
 starting over.  ``solve_zero_sum`` is a game solved once.  Both return the
 strategies as probability arrays over the rows and the columns.
+
+Every LP the oracles solve is a ``RowGame``'s (NC's games, PC's response
+games, FC's master): zero-rhs rows and sum x = 1, ``lp_solve``'s row form.
 """
 
 from __future__ import annotations

@@ -7,35 +7,33 @@ Bland's rule after a run of degenerate pivots, so repeated solves of the same
 program agree bit for bit and cycling cannot occur.
 
 The tableau is dense and column-major, and a pivot updates only the
-columns where the normalised pivot row is nonzero, which on PC's response
-LPs is about one column in seven.  This is exact: in every other column a
-full update would subtract ``factor * 0 = ±0``, which changes no value but
-at most the sign of a zero, and each updated cell takes the same product
-and difference, with the same two roundings, as in a full update.  Pricing
-and the ratio test do not see the sign of a zero, so the pivots are those of
-a full update, and ``x`` and the duals are returned without negative zeros,
-so they match it bit for bit too.
+columns where the normalised pivot row is nonzero: on PC's response games a
+median of one column in 25 and a mean of one in four.  This is exact: in
+every other column a full update would subtract ``factor * 0 = ±0``, which
+changes no value but at most the sign of a zero, and each updated cell
+takes the same product and difference, with the same two roundings, as in a
+full update.  Pricing and the ratio test do not see the sign of a zero, so
+the pivots are those of a full update, and ``x`` and the duals are returned
+without negative zeros, so they match it bit for bit too.
 
-The tableau is written from two row masks: ``flip`` (rhs < 0; a -0.0 rhs is
-not flipped) and ``art_rows`` (the flipped inequality rows and every equality
-row, each given the next artificial column in row order).  The program is
-copied in with array assignments, flipped rows are multiplied by -1.0, which
-is exact, and the slacks (-1 on a flipped row, else +1), artificials and
-starting basis are set by fancy index.  Phase 1's row starts from its cost
-row and adds the artificial rows one by one in row order, the same additions
-in the same order as pricing every row against the basis (``a - (-1.0 * t)``
-is ``a + t`` exactly), so the tableau, both reduced-cost rows and every pivot
+Every right-hand side is non-negative (``-0.0`` counts as zero); a negative
+one raises ``ValueError``.  Row i's column ``n + i`` is then its starting
+basic column: a +1 slack for an ``A_ub`` row, an artificial for an ``A_eq``
+row.  The program is copied in with array assignments and that identity
+block set by fancy index.  Phase 1's row starts from its cost row and adds
+the equality rows one by one in row order, the same additions in the same
+order as pricing every row against the basis (``a - (-1.0 * t)`` is
+``a + t`` exactly), so the tableau, both reduced-cost rows and every pivot
 equal those of a row-by-row build bit for bit; a test pins them to it.
 
 An optimal solution carries its solved tableau, which can take a new
 structural column and resume phase 2 (column generation).  The tableau's
-columns at the starting basis (the slacks, and the artificials of the rows
-that needed one) hold B^-1, so the new column a is B^-1 a read from them,
-with a row negated for its rhs negating its entry of a first.  Their phase-2
-reduced costs are minus the row prices, because their costs are 0, so the
-new column's reduced cost is ``cost + r2[starting-basis cols] @ a``.  The
-column enters nonbasic, at zero level, so the basic solution and with it
-primal feasibility are unchanged, and phase 2 resumes from the old basis.
+columns at the starting basis (the slacks and the artificials) hold B^-1,
+so the new column a is B^-1 a read from them.  Their phase-2 reduced costs
+are minus the row prices, because their costs are 0, so the new column's
+reduced cost is ``cost + r2[starting-basis cols] @ a``.  The column enters
+nonbasic, at zero level, so the basic solution and with it primal
+feasibility are unchanged, and phase 2 resumes from the old basis.
 The pivot limit and the degenerate-run count that switches to Bland's rule
 start afresh in each resumed solve.
 """
@@ -80,56 +78,42 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
     b_ub = np.zeros(0) if lp.b_ub is None else np.asarray(lp.b_ub, dtype=float)
     A_eq = np.zeros((0, n)) if lp.A_eq is None else np.asarray(lp.A_eq, dtype=float)
     b_eq = np.zeros(0) if lp.b_eq is None else np.asarray(lp.b_eq, dtype=float)
-    if not (
-        np.all(np.isfinite(c))
-        and np.all(np.isfinite(A_ub))
-        and np.all(np.isfinite(b_ub))
-        and np.all(np.isfinite(A_eq))
-        and np.all(np.isfinite(b_eq))
-    ):
+    if not all(np.all(np.isfinite(a)) for a in (c, A_ub, b_ub, A_eq, b_eq)):
         raise ValueError("linear program coefficients must be finite")
+    if np.any(b_ub < 0) or np.any(b_eq < 0):
+        raise ValueError("right-hand sides must be non-negative")
 
     m1 = A_ub.shape[0]
     b = np.concatenate([b_ub, b_eq])
     m = b.shape[0]
-    # Rows with a negative rhs are negated (a -0.0 rhs is not).  A negated
-    # inequality row gets a -1 slack and an artificial, every equality row
-    # an artificial, and each other row's +1 slack starts basic.
-    flip = b < 0
-    art_rows = np.concatenate([np.flatnonzero(flip[:m1]), np.arange(m1, m)])
-    ub = np.arange(m1)
-    art_cols = n + m1 + np.arange(art_rows.size)
-    ncols = n + m1 + art_rows.size
+    # Row i's slack (an A_ub row) or artificial (an A_eq row) is column n + i
+    # and starts basic.
+    ncols = n + m
+    basis = n + np.arange(m)
     # Column-major, so a pivot's update gathers and writes whole columns.
     T = np.zeros((m, ncols + 1), order="F")
     T[:m1, :n] = A_ub
     T[m1:, :n] = A_eq
     T[:, -1] = b
-    T[flip, :n] *= -1.0
-    T[flip, -1] *= -1.0
-    T[ub, n + ub] = np.where(flip[:m1], -1.0, 1.0)
-    T[art_rows, art_cols] = 1.0
-    basis = n + np.arange(m)
-    basis[art_rows] = art_cols
+    T[np.arange(m), basis] = 1.0
 
     # Reduced-cost rows.  Every starting basic column is a slack or an
     # artificial, where phase 2's costs are 0, so only phase 1's row is priced
-    # against the starting basis: its cost row plus each artificial row, in
+    # against the starting basis: its cost row plus each equality row, in
     # row order.
     r1 = np.zeros(ncols + 1)
-    r1[art_cols] = -1.0
-    for i in art_rows:
+    r1[n + m1 : ncols] = -1.0
+    for i in range(m1, m):
         r1 += T[i]
     r2 = np.zeros(ncols + 1)
     r2[:n] = c
 
     # Phase 1's row is updated only while phase 1 needs it.
-    extra = [r1, r2] if art_rows.size else [r2]
+    extra = [r1, r2] if m > m1 else [r2]
     state = _SimplexState(T=T, basis=basis, extra=extra, switch=10 * (m + ncols))
-    state.c, state.m1 = c, m1
-    state.start, state.sign = basis.copy(), np.where(flip, -1.0, 1.0)
+    state.c, state.m1, state.start = c, m1, basis.copy()
 
-    if art_rows.size:
+    if m > m1:
         # Artificials start basic and are dropped once they leave, so entering
         # candidates are always structural or slack columns.
         _run(state, r1, art_limit=n + m1)
@@ -157,9 +141,8 @@ class _SimplexState:
     """A tableau, its basis and the reduced-cost rows its pivots update.
 
     ``lp_solve`` also sets ``c`` (the structural costs), ``m1`` (the number
-    of ``A_ub`` rows), ``start`` (each row's starting basic column) and
-    ``sign`` (-1.0 on the rows negated for their rhs), which ``optimize``
-    and ``add_column`` read.
+    of ``A_ub`` rows) and ``start`` (each row's starting basic column), which
+    ``optimize`` and ``add_column`` read.
     """
 
     def __init__(self, T: np.ndarray, basis: np.ndarray, extra: list[np.ndarray], switch: int):
@@ -184,10 +167,11 @@ class _SimplexState:
         x = np.zeros(n)
         structural = self.basis < n
         x[self.basis[structural]] = self.T[structural, -1]
-        x += 0.0  # -0.0 becomes 0.0; see the module docstring
+        # A basic value rounded below zero reads as 0, and -0.0 as 0.0 (module
+        # docstring).
+        x = np.maximum(x, 0.0) + 0.0
         # Dual of inequality row i is minus the final reduced cost of its slack
-        # column; a row negated for its rhs also negated its slack, so the sign
-        # works out the same.  Subtracting from 0.0 leaves no -0.0 either.
+        # column.  Subtracting from 0.0 leaves no -0.0.
         duals = 0.0 - r2[n : n + m1]
         return LinearProgramSolution(
             status="optimal", x=x, objective=float(self.c @ x), duals=duals,
@@ -203,7 +187,7 @@ class _SimplexState:
         """
         if self.T.shape[0] != self.start.shape[0]:
             raise ValueError("cannot add a column once a redundant row was dropped")
-        a = self.sign * np.asarray(a, dtype=float)
+        a = np.asarray(a, dtype=float)
         r2 = self.extra[-1]
         self.T = _with_column(self.T, at, self.T[:, self.start] @ a)
         self.extra[-1] = _with_column(r2, at, cost + r2[self.start] @ a)

@@ -8,12 +8,12 @@ expected utility:
   reach, once per route set, and NC, PC and FC share that solution; the
   attacker then best-responds to the product distribution.
 * PC: team maxmin of independently randomizing resources.  Alternating best
-  responses (one LP per resource per round, updating the resource with the
-  largest improvement, with random restarts) reach a local fixed point; the
-  committed resource's LP is reused in the next round, since no other
-  resource moved its weights.  For two resources at micro scale a spatial
-  branch and bound over one resource's strategy simplex then certifies or
-  improves it to the global team maxmin.
+  responses (one response game per resource per round, updating the
+  resource with the largest improvement, with random restarts) reach a local
+  fixed point; the committed resource's game is reused in the next round,
+  since no other resource moved its weights.  For two resources at micro
+  scale a spatial branch and bound over one resource's strategy simplex then
+  certifies or improves it to the global team maxmin.
 * FC: maxmin over joint routes via row generation, alternating a
   constant-sum game LP with a best response.  Greedy joint routes drive the
   rounds; once they find no better row, an exact branch and bound, pruned
@@ -30,8 +30,9 @@ call are built for the same signal and so share ``targets``, the signal's
 support, which is the set of targets the attacker may choose; coverage is
 ``RouteSet.cover``, the boolean route-by-target matrix each set carries.
 NC's games and FC's restricted game pay 1 where a row covers a target and
-1 - pi_t where it does not; PC's response LPs use the matrices as 0/1
-indicators; the FC best responses read the same coverage from
+1 - pi_t where it does not; PC's response games pay the same with the
+weights pi_t times the other resources' uncovered probabilities in place of
+pi_t; the FC best responses read the same coverage from
 ``RouteSet.masks``, one pass per resource and round grouping the routes into
 coverage classes.
 
@@ -58,13 +59,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .games import MatrixGame, MixedStrategy, RowGame, normalized
-from .lp import LinearProgram, lp_solve
 from .model import AlarmSystem, PatrollingSetting
 from .routes import JointRoute, RouteSet, covering_routes
 from .seeding import stream
 
 CONVERGENCE_EPS = 1e-7
-PC_MAX_ITERATIONS = 200  # alternating-LP rounds per PC run
+PC_MAX_ITERATIONS = 200  # alternating rounds per PC run
 # The PC team-maxmin search runs for two resources when the smaller route set
 # has at most SEARCH_MAX_ROUTES routes; it closes once no box's upper bound
 # exceeds the best value found by more than SEARCH_GAP, and gives up
@@ -82,10 +82,11 @@ class OracleDiagnostics:
     ``not_optimal`` is None for a certified value and otherwise says why not:
     "timeout", "incomplete routes" (any oracle), "local fixed point",
     "iteration cap" or "search node cap" (PC).
-    ``lp_pivots`` sums the pivots of the LPs the oracle solved: NC's games,
-    PC's response LPs and FC's master, plus the NC start of PC and FC.  An
-    NC game already solved for the route set counts the pivots it took
-    then; a PC response LP reused from the previous round counts none.
+    ``lp_pivots`` sums the pivots of the games the oracle solved: NC's
+    games, PC's response games and FC's master, plus the NC start of PC and
+    FC.  An NC game already solved for the route set counts the pivots it
+    took then; a PC response game reused from the previous round counts
+    none.
     """
 
     iterations: int = 0
@@ -519,24 +520,23 @@ def _random_simplex(size: int, rng) -> np.ndarray:
     return draws / draws.sum()
 
 
-def _response_lp(I: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _response_game(I: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Best strategy of one resource against per-target weights.
 
-    Minimizes v subject to v >= w_t (1 - sum_r I[r,t] x_r) and sum x = 1;
-    returns the strategy, v and the LP's pivots.
+    Minimizes v = max_t w_t (1 - sum_r I[r,t] x_r) over the simplex: NC's
+    game with w_t in place of pi_t, v one minus its value.  Returns the
+    strategy, v and the game's pivots.  The simplex returns the first of
+    many optimal strategies it reaches, so the rows go in heaviest first (by
+    the weight each route covers, ties in route-set order): in route-set
+    order that strategy parks its spare mass on the stay-at-start route, and
+    PC then settles on lower fixed points more often than higher ones.
     """
-    n_r, n_t = I.shape
-    c = np.zeros(n_r + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-I.T * weights[:, None], -np.ones((n_t, 1))])
-    b_ub = -weights
-    A_eq = np.hstack([np.ones((1, n_r)), np.zeros((1, 1))])
-    sol = lp_solve(
-        LinearProgram(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(1))
-    )
-    if sol.status != "optimal":
-        raise ArithmeticError(f"team response LP status {sol.status}")
-    return sol.x[:n_r], float(sol.x[-1]), sol.pivots
+    order = np.argsort(-(I @ weights), kind="stable")
+    game = RowGame(MatrixGame(np.where(I[order] > 0, 1.0, 1.0 - weights)))
+    x_sorted, _, value = game.solve()
+    x = np.empty_like(x_sorted)
+    x[order] = x_sorted
+    return x, 1.0 - value, game.pivots
 
 
 def _undominated(I: np.ndarray) -> list[int]:
@@ -573,13 +573,13 @@ def _team_search(
     longest edge.  Over a box, target t's uncovered probability under a is
     at least 1 - qbar_t, where qbar_t, a's largest coverage of t in the box,
     is a fractional knapsack: the lower bounds plus the remaining mass poured
-    into the routes covering t.  The other resource's response LP against
+    into the routes covering t.  The other resource's response game against
     weights pi_t (1 - qbar_t) therefore bounds every value in the box from
-    above, and its LP at one point of the box gives a feasible profile.
+    above, and its game at one point of the box gives a feasible profile.
     Best-first from the incumbent ``profile`` of value ``value``; returns the
     best profile and its value, the boxes evaluated, the proven upper bound
     on the team maxmin, whether the bound is within SEARCH_GAP of the best
-    value, and the pivots of the search's LPs.
+    value, and the pivots of the search's games.
     """
     a = 0 if len(indicators[0]) <= len(indicators[1]) else 1
     keep = _undominated(indicators[a])
@@ -591,10 +591,10 @@ def _team_search(
         slack = 1.0 - lo.sum()
         width = hi - lo
         qbar = A.T @ lo + np.minimum(slack, A.T @ width)
-        _, v_bound, bound_pivots = _response_lp(B, pi * (1.0 - qbar))
+        _, v_bound, bound_pivots = _response_game(B, pi * (1.0 - qbar))
         total = width.sum()
         x = lo + width * (slack / total) if total > 0.0 else lo
-        y, v, point_pivots = _response_lp(B, pi * (1.0 - A.T @ x))
+        y, v, point_pivots = _response_game(B, pi * (1.0 - A.T @ x))
         pivots += bound_pivots + point_pivots
         if 1.0 - v > value:
             full = np.zeros(len(indicators[a]))
@@ -640,10 +640,11 @@ def pc_sro(
     """Partial coordination: team maxmin of independently randomizing resources.
 
     Fixing all strategies but one makes the team program linear in the free
-    resource; each round solves those m LPs and commits the resource with the
-    largest improvement, which makes the value trace non-strictly monotone.
-    The committed resource's LP is not solved again next round: no other
-    resource moved, so its weights, and its answer, are the same.
+    resource: it is a response game (``_response_game``, rows heaviest
+    first).  Each round solves those m games and commits the resource with
+    the largest improvement, which makes the value trace non-strictly
+    monotone.  The committed resource's game is not solved again next round:
+    no other resource moved, so its weights, and its answer, are the same.
     Starts from the NC solution and optionally repeats from random strategy
     profiles, keeping the best run.  That run stops at a fixed point,
     which may be local.  For two resources whose smaller route set has at
@@ -655,7 +656,7 @@ def pc_sro(
     instant) has passed, no further round or restart starts and the search
     is skipped: the best profile so far is returned, flagged "timeout".
 
-    ``diagnostics.optimal`` is True only for one resource (a single LP is
+    ``diagnostics.optimal`` is True only for one resource (a single game is
     global) or when the search closed its bound gap, and never over
     incomplete route sets.  Otherwise ``diagnostics.not_optimal`` says why:
     "timeout", "local fixed point", "iteration cap", "search node cap" or
@@ -689,7 +690,7 @@ def pc_sro(
         val = evaluate_profile(unprotected(zip(indicators, profile)), pi)
         hist = [val]
         converged = False
-        # Response LPs whose weights no commit has changed since they were
+        # Response games whose weights no commit has changed since they were
         # solved: after a commit, only the committed resource's.
         solved: dict[int, tuple[np.ndarray, float]] = {}
         for _ in range(PC_MAX_ITERATIONS):
@@ -701,7 +702,7 @@ def pc_sro(
                     others = unprotected(
                         draw for j, draw in enumerate(zip(indicators, profile)) if j != i
                     )
-                    x_new, v, lp_pivots = _response_lp(indicators[i], pi * others)
+                    x_new, v, lp_pivots = _response_game(indicators[i], pi * others)
                     pivots += lp_pivots
                     solved[i] = x_new, v
                 cand = 1.0 - solved[i][1]
@@ -757,7 +758,7 @@ def pc_sro(
         if not closed:
             not_optimal = "search node cap"
     elif m == 1:
-        # One resource: the first LP round is already the global optimum.
+        # One resource: the first round is already the global optimum.
         if not all_converged:
             not_optimal = "iteration cap"
     else:

@@ -337,15 +337,19 @@ def _team_value(pi, q1, q2) -> float:
 
 
 def _best_response_lp(pi, indicator, fixed_uncov) -> float:
-    """Exact inner optimum for the second resource given the first's marginals."""
+    """Exact inner optimum for the second resource given the first's marginals.
+
+    Minimizes v subject to w_t sum_r (1 - I[r,t]) x_r - v <= 0 per target and
+    sum x = 1, which is v >= w_t (1 - sum_r I[r,t] x_r) with zero rhs.
+    """
     n_r, n_t = indicator.shape
     w = pi * fixed_uncov
     c = np.zeros(n_r + 1)
     c[-1] = -1.0
-    A_ub = np.hstack([-indicator.T * w[:, None], -np.ones((n_t, 1))])
+    A_ub = np.hstack([(1.0 - indicator.T) * w[:, None], -np.ones((n_t, 1))])
     A_eq = np.hstack([np.ones((1, n_r)), np.zeros((1, 1))])
     sol = lp_solve(
-        LinearProgram(c=c, A_ub=A_ub, b_ub=-w, A_eq=A_eq, b_eq=np.ones(1))
+        LinearProgram(c=c, A_ub=A_ub, b_ub=np.zeros(n_t), A_eq=A_eq, b_eq=np.ones(1))
     )
     assert sol.status == "optimal"
     return 1.0 - float(sol.x[-1])
@@ -468,8 +472,8 @@ def dense_pivot(state, i: int, q: int) -> None:
 def rowwise_lp_solve(prog):
     """``lp.lp_solve`` with the tableau built row by row from a list of row kinds.
 
-    The construction as it was before the tableau was written with row
-    masks; the reference its results must match bit for bit.  Pivoting and
+    The construction as it was before the tableau was written with array
+    assignments; the reference its results must match bit for bit.  Pivoting and
     the phase loops are the module's own.
     """
     from alarmpatrol import lp
@@ -482,35 +486,21 @@ def rowwise_lp_solve(prog):
     b_eq = np.zeros(0) if prog.b_eq is None else np.asarray(prog.b_eq, dtype=float)
     m1, m2 = A_ub.shape[0], A_eq.shape[0]
     m = m1 + m2
-    rows, kinds = [], []
-    for i in range(m1):
-        a, b = A_ub[i], b_ub[i]
-        if b < 0:
-            rows.append((-a, -b))
-            kinds.append("ge")
-        else:
-            rows.append((a, b))
-            kinds.append("le")
-    for i in range(m2):
-        a, b = A_eq[i], b_eq[i]
-        rows.append((-a, -b) if b < 0 else (a, b))
-        kinds.append("eq")
+    rows = [(A_ub[i], b_ub[i], "le") for i in range(m1)]
+    rows += [(A_eq[i], b_eq[i], "eq") for i in range(m2)]
 
-    n_art = sum(1 for k in kinds if k != "le")
-    ncols = n + m1 + n_art
+    ncols = n + m1 + m2
     T = np.zeros((m, ncols + 1), order="F")
     basis = np.empty(m, dtype=int)
     art_cols: list[int] = []
     next_art = n + m1
-    for i, ((a, b), kind) in enumerate(zip(rows, kinds)):
+    for i, (a, b, kind) in enumerate(rows):
         T[i, :n] = a
         T[i, -1] = b
         if kind == "le":
             T[i, n + i] = 1.0
             basis[i] = n + i
         else:
-            if kind == "ge":
-                T[i, n + i] = -1.0
             T[i, next_art] = 1.0
             basis[i] = next_art
             art_cols.append(next_art)
@@ -556,8 +546,7 @@ def rowwise_lp_solve(prog):
     x = np.zeros(n)
     for i in range(state.T.shape[0]):
         if state.basis[i] < n:
-            x[state.basis[i]] = state.T[i, -1]
-    x += 0.0
+            x[state.basis[i]] = max(state.T[i, -1], 0.0) + 0.0
     duals = 0.0 - r2[n : n + m1]
     return lp.LinearProgramSolution(
         status="optimal", x=x, objective=float(c @ x), duals=duals, pivots=state.pivots

@@ -41,11 +41,14 @@ def test_simple_bound():
 
 
 def test_infeasible_pair():
+    # x <= 0 and x = 1.
     sol = lp_solve(
         LinearProgram(
             c=np.array([1.0]),
-            A_ub=np.array([[1.0], [-1.0]]),
-            b_ub=np.array([0.0, -1.0]),
+            A_ub=np.array([[1.0]]),
+            b_ub=np.array([0.0]),
+            A_eq=np.array([[1.0]]),
+            b_eq=np.array([1.0]),
         )
     )
     assert sol.status == "infeasible"
@@ -84,7 +87,7 @@ def test_redundant_equalities():
 
 def test_equality_rows_without_columns():
     # No column can enter: the rows hold only when every rhs is 0.
-    for b_eq in ([1.0], [0.0, -2.0]):
+    for b_eq in ([1.0], [0.0, 2.0]):
         sol = lp_solve(LinearProgram(c=np.zeros(0), A_eq=np.zeros((len(b_eq), 0)),
                                      b_eq=np.array(b_eq)))
         assert sol.status == "infeasible" and sol.x is None
@@ -98,6 +101,24 @@ def test_equality_rows_without_columns():
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         lp_solve(LinearProgram(c=np.array([np.inf])))
+
+
+def test_rejects_negative_rhs():
+    # One row form: every rhs >= 0, and -0.0 is zero.
+    one = np.ones((1, 2))
+    for b_ub, b_eq in (([-1e-300], None), (None, [-1.0]), ([1.0, -0.5], [-0.0])):
+        prog = LinearProgram(
+            c=np.ones(2),
+            A_ub=None if b_ub is None else np.ones((len(b_ub), 2)),
+            b_ub=None if b_ub is None else np.array(b_ub),
+            A_eq=None if b_eq is None else one,
+            b_eq=None if b_eq is None else np.array(b_eq),
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            lp_solve(prog)
+    sol = lp_solve(LinearProgram(c=np.ones(2), A_ub=one, b_ub=np.array([-0.0]),
+                                 A_eq=one, b_eq=np.array([-0.0])))
+    assert sol.status == "optimal" and sol.objective == 0.0
 
 
 def test_beale_degenerate_instance():
@@ -145,55 +166,60 @@ def test_feasible_solutions_satisfy_constraints():
 
 
 def _random_lp(rng, kind):
-    """Small LP of one of four kinds.
+    """Small LP of one of four kinds, every rhs >= 0.
 
-    The feasible kinds are built around a point x0 >= 0, so many of their
-    rows have a negative rhs, and are capped by sum(x) <= n.
+    The feasible kinds are built around a point x0 >= 0, each row's rhs
+    clipped at zero, so many rows pass through the origin, and are capped by
+    sum(x) <= n.  Only contradictory equality rows make a program infeasible.
     """
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 7))
     c = rng.uniform(-1.0, 1.0, n)
+    eq = {}
     if kind == "general":
         A = rng.uniform(-1.0, 1.0, (m, n))
-        b = A @ rng.uniform(0.0, 1.0, n) + rng.uniform(0.0, 0.3, m)
+        b = np.maximum(A @ rng.uniform(0.0, 1.0, n) + rng.uniform(0.0, 0.3, m), 0.0)
     elif kind == "degenerate":
         # Small integers, tight at an integer x0 and with a repeated row, give
         # ties and degenerate vertices.
         A = rng.integers(-2, 3, (m, n)).astype(float)
-        b = A @ rng.integers(0, 2, n)
+        b = np.maximum(A @ rng.integers(0, 2, n), 0.0)
         A = np.vstack([A, A[:1]])
         b = np.append(b, b[0])
     elif kind == "infeasible":
-        # x_0 <= 1 and x_0 >= 2 written as -x_0 <= -2.
+        # e @ x = s and 2 e @ x = 2 s + t for e, s, t > 0.
         A = rng.uniform(-1.0, 1.0, (m, n))
-        b = rng.uniform(-0.5, 1.0, m)
-        A = np.vstack([A, np.eye(n)[0], -np.eye(n)[0]])
-        b = np.append(b, [1.0, -2.0])
+        b = rng.uniform(0.0, 1.0, m)
+        e = rng.uniform(0.1, 1.0, n)
+        s = rng.uniform(0.1, 1.0)
+        eq = {"A_eq": np.vstack([e, 2.0 * e]),
+              "b_eq": np.array([s, 2.0 * s + rng.uniform(0.1, 1.0)])}
     else:  # unbounded: x_0 enters no row and is rewarded
         A = rng.uniform(-1.0, 1.0, (m, n))
         A[:, 0] = -np.abs(A[:, 0])
-        b = rng.uniform(-0.5, 1.0, m)
+        b = rng.uniform(0.0, 1.0, m)
         c[0] = 1.0
     if kind in ("general", "degenerate"):
         A = np.vstack([A, np.ones(n)])
         b = np.append(b, float(n))
-    return LinearProgram(c=c, A_ub=A, b_ub=b)
+    return LinearProgram(c=c, A_ub=A, b_ub=b, **eq)
 
 
 def test_matches_highs_with_duals_certifying_optimality():
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2024)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    negative_rhs = 0
+    zero_rhs = 0
     for trial in range(300):
         lp = _random_lp(rng, ("general", "degenerate", "infeasible", "unbounded")[trial % 4])
-        ref = optimize.linprog(-lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, method="highs")
+        rows = dict(A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq, method="highs")
+        ref = optimize.linprog(-lp.c, **rows)
         if ref.status == 0:
             status = "optimal"
         else:
             # HiGHS may report an unbounded LP as infeasible, or as "infeasible
             # or unbounded"; a zero objective tells the two apart.
-            zero = optimize.linprog(0 * lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, method="highs")
+            zero = optimize.linprog(0 * lp.c, **rows)
             status = "unbounded" if zero.status == 0 else "infeasible"
         sol = lp_solve(lp)
         assert sol.status == status, trial
@@ -201,7 +227,8 @@ def test_matches_highs_with_duals_certifying_optimality():
         if sol.status != "optimal":
             assert sol.duals is None
             continue
-        negative_rhs += bool((lp.b_ub < 0).any())
+        # Optimal programs have inequality rows only, so their duals certify.
+        zero_rhs += bool((lp.b_ub == 0).any())
         assert sol.objective == pytest.approx(-ref.fun, abs=1e-9)
         y = sol.duals
         assert y.shape == lp.b_ub.shape
@@ -209,22 +236,7 @@ def test_matches_highs_with_duals_certifying_optimality():
         assert np.all(lp.A_ub.T @ y >= lp.c - 1e-9)
         assert abs(lp.b_ub @ y - lp.c @ sol.x) <= 1e-9
     assert seen["optimal"] >= 100 and min(seen.values()) >= 50
-    assert negative_rhs >= 100
-
-
-def test_duals_of_negated_rows():
-    # maximize x0 + x1  s.t.  x0 + 2 x1 <= 4,  -x0 <= -1 (x0 >= 1),
-    # x0 <= 3: x = (3, 1/2), the first and third rows bind with duals 1/2 and
-    # 1/2, and the negated row is slack.
-    sol = lp_solve(
-        LinearProgram(
-            c=np.array([1.0, 1.0]),
-            A_ub=np.array([[1.0, 2.0], [-1.0, 0.0], [1.0, 0.0]]),
-            b_ub=np.array([4.0, -1.0, 3.0]),
-        )
-    )
-    assert sol.x == pytest.approx([3.0, 0.5])
-    assert sol.duals == pytest.approx([0.5, 0.0, 0.5])
+    assert zero_rhs >= 100
 
 
 def _same_as_dense_pivot(prog: LinearProgram):
@@ -249,17 +261,19 @@ def _assert_bit_equal(got, ref):
 
 
 def _mixed_lp(rng):
-    """Feasible, bounded LP with "ge", "eq" and redundant rows.
+    """Feasible, bounded LP with zero-rhs, "eq" and redundant rows.
 
-    Sparse small-integer rows through an integer point x0 >= 0 give pivot
-    rows with many zero columns, ties and degenerate vertices; the last
-    equality row is the sum of two others.
+    Sparse small-integer rows through an integer point x0 >= 0, their rhs
+    clipped at zero, give pivot rows with many zero columns, ties and
+    degenerate vertices; equality rows are signed so that x0 meets them with
+    a rhs >= 0, and the last is the sum of two others.
     """
     n = int(rng.integers(3, 10))
     x0 = rng.integers(0, 3, n)
     A = rng.integers(-3, 4, (int(rng.integers(2, 8)), n)) * (rng.random((1, n)) < 0.6)
-    b = A @ x0 + rng.integers(0, 2, len(A))
+    b = np.maximum(A @ x0 + rng.integers(0, 2, len(A)), 0)
     E = rng.integers(-2, 3, (int(rng.integers(2, 4)), n)) * (rng.random((1, n)) < 0.6)
+    E = E * np.where(E @ x0 < 0, -1, 1)[:, None]
     E = np.vstack([E, E[0] + E[1]])
     A = np.vstack([A, np.ones(n)])
     b = np.append(b, 3 * n)
@@ -274,7 +288,7 @@ def _mixed_lp(rng):
 
 def test_pivot_matches_dense_update_on_random_lps():
     rng = np.random.default_rng(10)
-    negative_rhs = optimal = 0
+    zero_rhs = optimal = 0
     for trial in range(300):
         if trial % 3:
             prog = _mixed_lp(rng)
@@ -282,9 +296,9 @@ def test_pivot_matches_dense_update_on_random_lps():
             kind = ("general", "degenerate", "infeasible", "unbounded")[trial // 3 % 4]
             prog = _random_lp(rng, kind)
         sol = _same_as_dense_pivot(prog)
-        negative_rhs += bool((prog.b_ub < 0).any())
+        zero_rhs += bool((prog.b_ub == 0).any())
         optimal += sol.status == "optimal"
-    assert optimal >= 200 and negative_rhs >= 150
+    assert optimal >= 200 and zero_rhs >= 150
 
 
 def test_pivot_matches_dense_update_past_bland_switch():
@@ -317,7 +331,6 @@ def _placement_lps(monkeypatch, n_targets, seed, sros):
         programs[-1].append(prog)
         return lp_solve(prog)
 
-    monkeypatch.setattr(oracles, "lp_solve", record)
     monkeypatch.setattr(games, "lp_solve", record)
     for sro in sros:
         programs.append([])
@@ -328,10 +341,16 @@ def _placement_lps(monkeypatch, n_targets, seed, sros):
 
 @pytest.mark.parametrize("n_targets, seed", [(150, 11), (100, 42)])
 def test_pivot_matches_dense_update_on_pc_and_nc_lps(n_targets, seed, monkeypatch):
-    # The response LPs and NC games PC solves.
+    # The response games and NC games PC solves, one cold LP each.
+    real, responses = oracles._response_game, []
+
+    def count(I, weights):
+        responses.append(I.shape)
+        return real(I, weights)
+
+    monkeypatch.setattr(oracles, "_response_game", count)
     (programs,) = _placement_lps(monkeypatch, n_targets, seed, (pc_sro,))
-    responses = sum(prog.c[-1] < 0.0 for prog in programs)  # NC games maximize +v
-    assert responses >= 2 and len(programs) > responses
+    assert len(responses) >= 2 and len(programs) > len(responses)
     for prog in programs:
         assert _same_as_dense_pivot(prog).status == "optimal"
 
@@ -365,21 +384,26 @@ def _same_as_rowwise(prog: LinearProgram):
 def _row_kinds_lp(rng):
     """LP over small integers that mixes every row kind the tableau tells apart.
 
-    Inequality rows have positive, negative and -0.0 rhs, or there are none;
-    equality rows have negative rhs and the last is the sum of two others, so
-    a feasible program keeps an artificial basic after phase 1 and drops its
-    row.  A shifted rhs can make the rows contradict, and without the cap on
-    sum(x) the objective can grow without bound.
+    Inequality rows have positive, 0.0 and -0.0 rhs, or there are none;
+    equality rows are signed so that an integer point x0 >= 0 meets them with
+    a rhs >= 0, and the last is the sum of two others, so a feasible program
+    keeps an artificial basic after phase 1 and drops its row.  One program
+    in five adds 1 to that last rhs, which contradicts the others, and an
+    inequality rhs below the row's value at x0 can cut x0 off; without the
+    cap on sum(x) the objective can grow without bound.
     """
     n = int(rng.integers(2, 8))
     x0 = rng.integers(0, 3, n)
     E = rng.integers(-2, 3, (int(rng.integers(2, 4)), n))
-    E = np.vstack([E, E[0] + E[1]]) * rng.choice([-1, 1], (len(E) + 1, 1))
-    prog = {"c": rng.integers(-3, 4, n).astype(float), "A_eq": E.astype(float),
-            "b_eq": (E @ x0).astype(float)}
+    E = E * np.where(E @ x0 < 0, -1, 1)[:, None]
+    E = np.vstack([E, E[0] + E[1]])
+    b_eq = (E @ x0).astype(float)
+    if rng.random() < 0.2:
+        b_eq[-1] += 1.0
+    prog = {"c": rng.integers(-3, 4, n).astype(float), "A_eq": E.astype(float), "b_eq": b_eq}
     if rng.random() < 0.75:
         A = rng.integers(-3, 4, (int(rng.integers(1, 7)), n)) * (rng.random((1, n)) < 0.7)
-        b = (A @ x0 + rng.integers(-1, 2, len(A))).astype(float)
+        b = np.maximum(A @ x0 + rng.integers(-1, 2, len(A)), 0).astype(float)
         b[rng.random(len(b)) < 0.3] = -0.0
         if rng.random() < 0.5:
             A = np.vstack([A, np.ones(n)])
@@ -388,29 +412,36 @@ def _row_kinds_lp(rng):
     return LinearProgram(**prog)
 
 
-def _negated_rows_lp(rng):
-    """Bounded LP whose many float rows mostly have a negative rhs.
+def _many_eq_rows_lp(rng):
+    """Bounded LP with 8 to 12 float equality rows through a point x0 >= 0.
 
     Phase 1's row then sums 8 or more artificial rows whose entries round,
-    so the order of that sum shows in the last bits.  One program in five
-    asks a positive row to sum to -1, which no x >= 0 meets.
+    so the order of that sum shows in the last bits; with more equality rows
+    than columns some are redundant and dropped.  One program in five asks
+    the first equality row to also equal its rhs plus 1, which no x meets.
     """
-    n = int(rng.integers(3, 9))
-    A = rng.uniform(-1.0, 0.5, (int(rng.integers(10, 25)), n))
-    b = A @ rng.uniform(0.0, 1.0, n) + rng.uniform(0.0, 0.2, len(A))
+    n = int(rng.integers(3, 15))
+    x0 = rng.uniform(0.0, 1.0, n)
+    A = rng.uniform(-1.0, 0.5, (int(rng.integers(2, 10)), n))
+    b = np.maximum(A @ x0 + rng.uniform(0.0, 0.2, len(A)), 0.0)
+    E = rng.uniform(0.0, 1.0, (int(rng.integers(8, 13)), n))
+    b_eq = E @ x0
+    if rng.random() < 0.2:
+        E = np.vstack([E, E[0]])
+        b_eq = np.append(b_eq, b_eq[0] + 1.0)
     return LinearProgram(
         c=rng.uniform(-1.0, 1.0, n),
         A_ub=np.vstack([A, np.ones(n)]),
         b_ub=np.append(b, float(n)),
-        A_eq=rng.uniform(0.5, 1.0, (1, n)),
-        b_eq=np.array([-1.0]) if rng.random() < 0.2 else np.array([1.0]),
+        A_eq=E,
+        b_eq=b_eq,
     )
 
 
 def test_masked_tableau_matches_rowwise_build_on_random_lps():
     rng = np.random.default_rng(14)
     seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    zero_rhs = negative_rhs = negative_eq_rhs = no_ub = 0
+    signed_zero_rhs = zero_rhs = many_eq = no_ub = 0
     for trial in range(800):
         if trial % 4 == 0:
             prog = _random_lp(rng, ("general", "degenerate", "infeasible", "unbounded")[trial // 4 % 4])
@@ -419,21 +450,21 @@ def test_masked_tableau_matches_rowwise_build_on_random_lps():
         elif trial % 4 == 2:
             prog = _row_kinds_lp(rng)
         else:
-            prog = _negated_rows_lp(rng)
+            prog = _many_eq_rows_lp(rng)
         seen[_same_as_rowwise(prog).status] += 1
         if prog.A_ub is None:
             no_ub += 1
         else:
-            zero_rhs += bool(np.signbit(prog.b_ub[prog.b_ub == 0.0]).any())
-            negative_rhs += bool((prog.b_ub < 0).any())
-        negative_eq_rhs += prog.A_eq is not None and bool((prog.b_eq < 0).any())
+            signed_zero_rhs += bool(np.signbit(prog.b_ub[prog.b_ub == 0.0]).any())
+            zero_rhs += bool((~np.signbit(prog.b_ub[prog.b_ub == 0.0])).any())
+        many_eq += prog.A_eq is not None and len(prog.A_eq) >= 8
     assert min(seen.values()) >= 60, seen
-    assert min(zero_rhs, negative_rhs, negative_eq_rhs, no_ub) >= 30
+    assert min(signed_zero_rhs, zero_rhs, many_eq, no_ub) >= 30
 
 
 def test_masked_tableau_matches_rowwise_build_on_edge_programs():
-    # No rows at all; only -0.0 rhs, which are not negated, so phase 1 never
-    # runs; and Beale's cycling example, which reaches the Bland fallback.
+    # No rows at all; only -0.0 rhs, so phase 1 never runs; and Beale's
+    # cycling example, which reaches the Bland fallback.
     for prog in (
         LinearProgram(c=np.array([0.0, -1.0])),
         LinearProgram(c=np.array([1.0])),
@@ -496,7 +527,7 @@ def test_added_columns_resume_to_the_cold_optimum():
             elif trial % 3 == 1:
                 prog = _row_kinds_lp(rng)
             else:
-                prog = _negated_rows_lp(rng)
+                prog = _many_eq_rows_lp(rng)
             n = len(prog.c)
             order = [int(j) for j in rng.permutation(n)]
             # No program without columns has equality rows only (nothing to price).

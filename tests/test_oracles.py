@@ -830,16 +830,16 @@ def test_oracle_results_do_not_depend_on_earlier_placements():
 
 @pytest.mark.parametrize("restarts", [0, 2])
 def test_pc_solves_no_response_lp_twice(monkeypatch, restarts):
-    # The committed resource's LP is reused, not solved again; every other
-    # LP of the call has new weights.
-    real = oracles_module._response_lp
+    # The committed resource's game is reused, not solved again; every other
+    # game of the call has new weights.
+    real = oracles_module._response_game
     solved = []
 
     def spy(I, weights):
         solved.append((I.shape, I.tobytes(), weights.tobytes()))
         return real(I, weights)
 
-    monkeypatch.setattr(oracles_module, "_response_lp", spy)
+    monkeypatch.setattr(oracles_module, "_response_game", spy)
     for n_targets, seed in ((20, 14), (100, 42)):
         s, sets = _first_placement_sets(n_targets, seed)
         del solved[:]
@@ -859,6 +859,44 @@ def test_fc_trace_is_monotone():
 
 
 # -- PC ------------------------------------------------------------------------
+
+
+def test_response_game_matches_highs_on_the_min_v_program():
+    # PC's response game against HiGHS on the program it stands for: minimize
+    # v subject to v >= w_t (1 - sum_r I[r,t] x_r) and sum x = 1.  Row 0 is an
+    # empty stay route, another row repeats a third, and some weights are 0.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(22)
+    for trial in range(200):
+        n_r, n_t = int(rng.integers(3, 10)), int(rng.integers(1, 9))
+        I = (rng.random((n_r, n_t)) < rng.uniform(0.1, 0.7)).astype(float)
+        I[0] = 0.0
+        src, dst = rng.choice(np.arange(1, n_r), 2, replace=False)
+        I[dst] = I[src]
+        w = rng.uniform(0.0, 1.0, n_t)
+        w[rng.random(n_t) < 0.25] = 0.0
+        ref = optimize.linprog(
+            np.append(np.zeros(n_r), 1.0),
+            A_ub=np.hstack([-I.T * w[:, None], -np.ones((n_t, 1))]),
+            b_ub=-w,
+            A_eq=np.append(np.ones(n_r), 0.0)[None],
+            b_eq=[1.0],
+            method="highs",
+        )
+        assert ref.status == 0
+        x, v, _ = oracles_module._response_game(I, w)
+        assert v == pytest.approx(ref.fun, abs=1e-9), trial
+        assert x.shape == (n_r,) and np.all(x >= 0.0) and x.sum() == pytest.approx(1.0, abs=1e-12)
+        assert float(np.max(w * (1.0 - x @ I))) == pytest.approx(v, abs=1e-9), trial
+
+
+def test_response_game_breaks_ties_heaviest_row_first():
+    # Target 2 is covered by no route, so v = 0.9 whatever the strategy; the
+    # response must put its mass on the heaviest route, not the stay route.
+    I = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    x, v, _ = oracles_module._response_game(I, np.array([0.2, 0.3, 0.9]))
+    assert v == pytest.approx(0.9, abs=1e-12)
+    assert x.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_pc_single_resource_fixed_point():
@@ -904,7 +942,7 @@ def test_pc_traces_monotone_and_above_nc():
 def test_pc_near_grid_team_maxmin_micro():
     # Every instance here has at most four routes per resource, so PC's
     # branch and bound runs and must land on the grid oracle's team maxmin,
-    # whichever fixed point the alternating LPs and restarts reached.
+    # whichever fixed point the alternating rounds and restarts reached.
     checked = 0
     trial = 0
     while checked < 4:
@@ -923,7 +961,7 @@ def test_pc_near_grid_team_maxmin_micro():
 
 
 def test_pc_search_certifies_team_maxmin_past_local_fixed_point():
-    # Criterion 7's instance 29: every alternating-LP run stops at a local
+    # Criterion 7's instance 29: every alternating run stops at a local
     # fixed point well below the grid value; the search must close the gap.
     rng = stream(107, "grid", 29)
     s = random_setting(rng.randrange(5, 9), rng, deadlines=(1, 2))
