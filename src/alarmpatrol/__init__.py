@@ -31,7 +31,7 @@ from .model import (
     all_pairs_distances,
     build_alarm,
     build_setting,
-    coverage_set,
+    reach,
 )
 from .oracles import (
     OracleResult,
@@ -80,7 +80,6 @@ __all__ = [
     "best_response_ilp",
     "build_alarm",
     "build_setting",
-    "coverage_set",
     "covering_routes",
     "cycle_min_cover",
     "enumerate_placements",
@@ -95,6 +94,7 @@ __all__ = [
     "nc_sro",
     "overlap_metrics",
     "pc_sro",
+    "reach",
     "resolve",
     "respond",
     "solve_zero_sum",

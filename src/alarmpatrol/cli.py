@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--targets", type=int, required=True)
     p.add_argument("--avg-degree", type=float, default=3.0)
-    p.add_argument("--deadline", type=int, default=None)
+    p.add_argument("--deadline", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("mincover", help="minimum covering placement")
     common(p)
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", default="60s")
     p.add_argument("--oracles", default="fc,pc,nc")
     p.add_argument("--max-placements", type=_int_at_least(1), default=None)
-    p.add_argument("--deadline", type=int, default=None)
+    p.add_argument("--deadline", type=_int_at_least(1), default=None)
     p.add_argument("--restarts", type=_int_at_least(0), default=0)
 
     return parser

@@ -1,11 +1,11 @@
 """Minimum covering placements.
 
 The general problem maps directly onto SET-COVER: the targets are the
-universe and every vertex contributes its coverage set.  This module provides
-the greedy approximation with a local-search cleanup, an exact depth-first
-branch-and-bound, the linear-time-ish dynamic program for trees (with a
-cycle reduction on top of it), and the overlap indicators used to profile a
-placement.
+universe and every vertex contributes its row of ``model.reach``.  This
+module provides the greedy approximation with a local-search cleanup, an
+exact depth-first branch-and-bound, the linear-time-ish dynamic program for
+trees (with a cycle reduction on top of it), and the overlap indicators used
+to profile a placement.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import PatrollingSetting, coverage_set
+from .model import PatrollingSetting, reach
 
 INF = math.inf
 
@@ -74,15 +74,17 @@ class MinCoverResult:
 
 
 def to_set_cover(setting: PatrollingSetting, dist: np.ndarray) -> SetCoverInstance:
-    """SET-COVER instance whose candidate sets are the vertex coverage sets."""
-    masks: dict[int, int] = {}
-    for v in range(setting.n):
-        row = dist[v]
-        mask = sum(
-            1 << j for j, t in enumerate(setting.targets) if row[t] <= setting.deadline[t]
-        )
-        if mask:
-            masks[v] = mask
+    """SET-COVER instance whose candidate sets are the rows of ``reach``.
+
+    Each row is packed into an integer, bit j for column j; vertices that
+    reach no target are left out.
+    """
+    cover = reach(setting, dist)
+    packed = np.packbits(cover, axis=1, bitorder="little")
+    masks = {
+        v: int.from_bytes(packed[v].tobytes(), "little")
+        for v in np.flatnonzero(cover.any(axis=1)).tolist()
+    }
     return SetCoverInstance(masks, (1 << len(setting.targets)) - 1)
 
 
@@ -367,13 +369,13 @@ def overlap_metrics(
 ) -> OverlapMetrics:
     """Count coverings beyond one per target for a placement.
 
-    eta sums |coverage_set(p)| over positions minus |T|; tau divides by |T|;
+    eta sums the ``reach`` rows of the positions minus |T|; tau divides by |T|;
     tau_hat normalizes by (|T|-m)(m-1) and is 0 by convention when m <= 1 or
     m = |T| (degenerate denominator).
     """
     n_targets = len(setting.targets)
     m = len(placement)
-    eta = sum(len(coverage_set(setting, dist, p)) for p in placement.positions) - n_targets
+    eta = int(reach(setting, dist[list(placement.positions)]).sum()) - n_targets
     tau = eta / n_targets if n_targets else 0.0
     if m <= 1 or n_targets == m:
         tau_hat = 0.0

@@ -4,11 +4,14 @@ Vertices carry opaque string ids in the file format and are mapped to dense
 integer indices internally; all structures keep the id list so results can be
 reported in the original vocabulary.  Every type here is immutable after
 construction.
+
+Distances come from one BFS run a level at a time over all sources, and
+``reach`` turns them into the one coverage predicate: vertex ``v`` reaches
+target ``t`` within ``t``'s deadline.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -189,7 +192,7 @@ def build_setting(
         adj_sets[v].add(u)
     adj = tuple(tuple(sorted(s)) for s in adj_sets)
 
-    if ids and not _connected(adj):
+    if ids and (_hops(len(ids), canon, [0]) < 0).any():
         raise DisconnectedGraph("graph is not connected")
 
     return PatrollingSetting(
@@ -242,48 +245,41 @@ def build_alarm(
     return AlarmSystem(signals=tuple(order), prob=prob)
 
 
-def _connected(adj: Sequence[Sequence[int]]) -> bool:
-    n = len(adj)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
+def _hops(n: int, edges: Sequence[tuple[int, int]], sources: Sequence[int]) -> np.ndarray:
+    """Hop counts from each source (rows) to every vertex, -1 where unreachable.
+
+    One level-synchronous BFS for all sources at once: the next level is
+    every unseen vertex adjacent to the frontier, found by one product with
+    the float32 adjacency matrix.
+    """
+    e = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = 1.0
+    dist = np.full((len(sources), n), -1, dtype=np.int64)
+    frontier = np.zeros((len(sources), n), dtype=bool)
+    frontier[np.arange(len(sources)), sources] = True
+    level = 0
+    while frontier.any():
+        dist[frontier] = level
+        level += 1
+        frontier = (frontier.astype(np.float32) @ adj > 0) & (dist < 0)
+    return dist
 
 
 def all_pairs_distances(setting: PatrollingSetting) -> np.ndarray:
-    """Hop-count distance matrix via one BFS per vertex.
+    """Hop-count distance matrix, one BFS level at a time over all sources.
 
     Edges are unit cost by construction, so BFS levels are exact shortest
     traveling costs.
     """
-    n = setting.n
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in setting.adj[u]:
-                if row[v] < 0:
-                    row[v] = du + 1
-                    queue.append(v)
-    return dist
+    return _hops(setting.n, setting.edges, range(setting.n))
 
 
-def coverage_set(setting: PatrollingSetting, dist: np.ndarray, v: int) -> tuple[int, ...]:
-    """Targets a resource placed on ``v`` can reach within their deadlines."""
-    if not 0 <= v < setting.n:
-        raise UnknownVertex(f"vertex index {v} out of range")
-    row = dist[v]
-    return tuple(t for t in setting.targets if row[t] <= setting.deadline[t])
+def reach(setting: PatrollingSetting, dist: np.ndarray) -> np.ndarray:
+    """Boolean vertex x target matrix: ``v`` reaches ``setting.targets[j]`` by its deadline.
 
+    The one coverage predicate of the placement layer.  Rows follow the rows
+    of ``dist``, so a subset of its rows gives those vertices' rows.
+    """
+    targets = list(setting.targets)
+    return dist[:, targets] <= np.array([setting.deadline[t] for t in targets], dtype=np.int64)

@@ -275,7 +275,8 @@ def test_bad_counts_exit_2_naming_the_flag(tmp_path, capsys):
     # empty bench list or a seed count below 1, writing a header-only
     # bench.csv; a repeated size or seed ran one instance twice into one run
     # directory and wrote its rows twice.  A size of 0 failed only after the
-    # sizes before it had run.
+    # sizes before it had run.  A --deadline of 0 failed only after bench had
+    # made its first run directory, naming target v0 instead of the flag.
     assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
     inst = ["--instance", str(tmp_path / "instance.json"), "--out", str(tmp_path)]
     sro = ["sro", *inst, "--placement", "v0", "--oracle", "pc"]
@@ -297,12 +298,15 @@ def test_bad_counts_exit_2_naming_the_flag(tmp_path, capsys):
         (bench + ["--sizes", "8,8"], "--sizes"),
         (bench + ["--sizes", "8,x"], "--sizes"),
         (bench + ["--sizes", "8,0"], "--sizes"),
+        (bench + ["--deadline", "0"], "--deadline"),
+        (["gen", "--targets", "8", "--deadline", "0", "--out", str(tmp_path)], "--deadline"),
     ]:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
         assert flag in capsys.readouterr().err, argv
     assert not (tmp_path / "bench.csv").exists()
+    assert not (tmp_path / "run_t8_s0").exists()
 
 
 def test_bad_values_exit_2_naming_them(tmp_path, capsys):

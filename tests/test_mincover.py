@@ -7,7 +7,6 @@ from alarmpatrol import (
     GeneratorParams,
     SetCoverInstance,
     all_pairs_distances,
-    coverage_set,
     cycle_min_cover,
     exact_cover,
     generate_instance,
@@ -15,6 +14,7 @@ from alarmpatrol import (
     local_search_improve,
     min_cover,
     overlap_metrics,
+    reach,
     to_set_cover,
     tree_min_cover,
 )
@@ -58,9 +58,10 @@ def test_every_target_in_own_candidate_set():
     inst = to_set_cover(s, d)
     for j, t in enumerate(s.targets):
         assert inst.masks[t] >> j & 1
+    cover = reach(s, d)
     for v in range(s.n):
         mask = inst.masks.get(v, 0)
-        assert {t for j, t in enumerate(s.targets) if mask >> j & 1} == set(coverage_set(s, d, v))
+        assert [bool(mask >> j & 1) for j in range(len(s.targets))] == cover[v].tolist()
 
 
 def test_greedy_trace():

@@ -5,8 +5,9 @@ from alarmpatrol import (
     all_pairs_distances,
     build_alarm,
     build_setting,
-    coverage_set,
     generate_instance,
+    reach,
+    to_set_cover,
 )
 from alarmpatrol.model import (
     BadDeadline,
@@ -17,7 +18,6 @@ from alarmpatrol.model import (
     DisconnectedGraph,
     UnknownSignal,
     UnknownTarget,
-    UnknownVertex,
 )
 from helpers import (
     brute_distance,
@@ -44,6 +44,36 @@ def test_triangle_all_targets():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraph):
         build_setting(["a", "b"], [], [("a", 1.0, 1), ("b", 1.0, 1)])
+    # Edges in more than one component: two paths, a path plus an isolated
+    # vertex, and a path plus an isolated vertex 0, where the search starts.
+    for n, edges in (
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+        (5, [(0, 1), (1, 2), (2, 3)]),
+        (5, [(1, 2), (2, 3), (3, 4)]),
+    ):
+        with pytest.raises(DisconnectedGraph):
+            make_setting(n, edges)
+
+
+def test_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    outcomes = set()
+    for trial in range(60):
+        rng = stream(29, "connected", trial)
+        n = rng.randrange(1, 16)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [e for e in pairs if rng.random() < 2.0 / n]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(edges)
+        connected = nx.is_connected(graph)
+        outcomes.add(connected)
+        if connected:
+            assert make_setting(n, edges).edges == tuple(edges)
+        else:
+            with pytest.raises(DisconnectedGraph):
+                make_setting(n, edges)
+    assert outcomes == {True, False}
 
 
 def test_bad_value_and_deadline():
@@ -101,10 +131,12 @@ def test_distances_match_networkx():
         n = rng.randrange(1, 30)
         settings.append(random_setting(n, rng))
         settings.append(make_setting(n, random_tree_edges(n, rng)))
+        settings.append(random_setting(n, rng, target_fraction=0.6))
         if n >= 3:
             settings.append(cycle_setting(n))
     for n, seed in ((20, 14), (40, 7), (80, 3)):
         settings.append(generate_instance(GeneratorParams(n_targets=n, seed=seed))[0])
+    zero_rows = 0
     for s in settings:
         graph = nx.Graph()
         graph.add_nodes_from(range(s.n))
@@ -114,6 +146,16 @@ def test_distances_match_networkx():
         assert [[d[u][v] for v in range(s.n)] for u in range(s.n)] == [
             [expected[u][v] for v in range(s.n)] for u in range(s.n)
         ]
+        cover = reach(s, d)
+        assert cover.tolist() == [
+            [expected[v][t] <= s.deadline[t] for t in s.targets] for v in range(s.n)
+        ]
+        packed = {
+            v: sum(1 << j for j in range(len(s.targets)) if cover[v, j]) for v in range(s.n)
+        }
+        assert to_set_cover(s, d).masks == {v: mask for v, mask in packed.items() if mask}
+        zero_rows += 0 in packed.values()
+    assert zero_rows > 0
 
 
 def test_signal_supports():
@@ -144,28 +186,22 @@ def test_alarm_validation():
         build_alarm(non_target, [("s0", {"v0": 0.5, "v1": 0.5})])
 
 
-def test_coverage_set_examples():
+def test_reach_examples():
     path3 = make_setting(3, [(0, 1), (1, 2)])
-    d = all_pairs_distances(path3)
-    assert 1 in coverage_set(path3, d, 1)  # self-coverage at distance 0
-    assert coverage_set(path3, d, 1) == (0, 1, 2)
+    cover = reach(path3, all_pairs_distances(path3))
+    assert cover[1, 1]  # self-coverage at distance 0
+    assert cover[1].tolist() == [True, True, True]
 
     path5 = make_setting(5, [(i, i + 1) for i in range(4)])
-    d5 = all_pairs_distances(path5)
-    assert len(coverage_set(path5, d5, 0)) == 2
-    with pytest.raises(UnknownVertex):
-        coverage_set(path5, d5, 9)
+    cover5 = reach(path5, all_pairs_distances(path5))
+    assert cover5.shape == (5, 5) and cover5[0].sum() == 2
 
 
 def test_every_target_covers_itself():
     for trial in range(5):
         rng = stream(3, "selfcov", trial)
         s = random_setting(8, rng, target_fraction=0.7)
-        d = all_pairs_distances(s)
-        cov = {v: coverage_set(s, d, v) for v in range(s.n)}
-        union = set()
-        for v in range(s.n):
-            union |= set(cov[v])
-            if s.is_target(v):
-                assert v in cov[v]
-        assert union >= set(s.targets)
+        cover = reach(s, all_pairs_distances(s))
+        for j, t in enumerate(s.targets):
+            assert cover[t, j]
+        assert cover.any(axis=0).all()

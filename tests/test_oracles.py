@@ -15,7 +15,6 @@ from alarmpatrol import (
     all_pairs_distances,
     best_response_ilp,
     build_alarm,
-    coverage_set,
     covering_routes,
     enumerate_placements,
     evaluate_profile,
@@ -25,6 +24,7 @@ from alarmpatrol import (
     min_cover,
     nc_sro,
     pc_sro,
+    reach,
     resolve,
     respond,
     routes,
@@ -587,7 +587,7 @@ def test_fc_exact_finishes_at_deadline_2_with_ten_resources(monkeypatch):
     s, _ = generate_instance(GeneratorParams(n_targets=80, seed=3, deadline=2))
     d = all_pairs_distances(s)
     placement = (0, 2, 6, 7, 9, 11, 18, 19, 62, 68)
-    assert set().union(*(coverage_set(s, d, v) for v in placement)) == set(s.targets)
+    assert reach(s, d)[list(placement)].any(axis=0).all()
     sets = routes_for(s, d, placement, s.targets)
     searches = _exact_searches(monkeypatch)
     result = fc_sro(sets, s, deadline=time.monotonic() + 30.0)
