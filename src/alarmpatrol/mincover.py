@@ -134,45 +134,30 @@ def local_search_improve(
     pos = sorted(set(placement.positions))
     candidates = sorted(masks)
 
-    def mask_of(v: int) -> int:
-        return masks.get(v, 0)
+    def union(skip: set[int]) -> int:
+        acc = 0
+        for q in pos:
+            if q not in skip:
+                acc |= masks.get(q, 0)
+        return acc
 
-    changed = True
-    while changed:
-        changed = False
-        for p in list(pos):
-            rest = 0
-            for q in pos:
-                if q != p:
-                    rest |= mask_of(q)
-            if rest & full == full:
-                pos.remove(p)
-                changed = True
-                break
-        if changed:
-            continue
-        done = False
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                p, q = pos[i], pos[j]
-                others = 0
-                for r in pos:
-                    if r != p and r != q:
-                        others |= mask_of(r)
-                exclusive = full & ~others
+    def swap() -> list[int] | None:
+        for i, p in enumerate(pos):
+            for q in pos[i + 1 :]:
+                exclusive = full & ~union({p, q})
                 for v in candidates:
-                    if v in pos and v != p and v != q:
-                        continue
-                    if masks[v] & exclusive == exclusive:
-                        pos = sorted(set(pos) - {p, q} | {v})
-                        changed = True
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    return CoveringPlacement(tuple(pos))
+                    if (v not in pos or v in (p, q)) and masks[v] & exclusive == exclusive:
+                        return sorted(set(pos) - {p, q} | {v})
+        return None
+
+    while True:
+        drop = next((p for p in pos if union({p}) & full == full), None)
+        if drop is not None:
+            pos.remove(drop)
+        elif (better := swap()) is not None:
+            pos = better
+        else:
+            return CoveringPlacement(tuple(pos))
 
 
 def exact_cover(

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 PROB_TOL = 1e-9
+_VISITS = 1 << 20  # neighbour visits per source block in _hops
 
 
 class ModelError(ValueError):
@@ -248,21 +249,36 @@ def build_alarm(
 def _hops(n: int, edges: Sequence[tuple[int, int]], sources: Sequence[int]) -> np.ndarray:
     """Hop counts from each source (rows) to every vertex, -1 where unreachable.
 
-    One level-synchronous BFS for all sources at once: the next level is
-    every unseen vertex adjacent to the frontier, found by one product with
-    the float32 adjacency matrix.
+    One level-synchronous BFS for all sources at once.  The frontier is a
+    list of (source, vertex) pairs; each pair enters it once and is expanded
+    along its vertex's slice of the CSR neighbour array, so the search costs
+    O(sources x (n + edges)) whatever the graph's diameter.  Sources go in
+    blocks of at most ``_VISITS`` neighbour visits to bound the temporaries.
     """
     e = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    adj = np.zeros((n, n), dtype=np.float32)
-    adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = 1.0
+    tail, head = np.concatenate([e, e[:, ::-1]]).T
+    nbr = head[np.argsort(tail)]
+    deg = np.bincount(tail, minlength=n)
+    first = np.cumsum(deg) - deg
+    sources = np.asarray(sources, dtype=np.intp)
     dist = np.full((len(sources), n), -1, dtype=np.int64)
-    frontier = np.zeros((len(sources), n), dtype=bool)
-    frontier[np.arange(len(sources)), sources] = True
-    level = 0
-    while frontier.any():
-        dist[frontier] = level
-        level += 1
-        frontier = (frontier.astype(np.float32) @ adj > 0) & (dist < 0)
+    block = max(1, _VISITS // max(1, len(nbr)))
+    for lo in range(0, len(sources), block):
+        rows, v = dist[lo : lo + block], sources[lo : lo + block]
+        src, level = np.arange(len(v)), 0
+        while len(v):
+            rows[src, v] = level
+            level += 1
+            k = deg[v]
+            src = np.repeat(src, k)  # each pair's neighbours, laid end to end
+            v = nbr[np.repeat(first[v] - np.cumsum(k) + k, k) + np.arange(len(src))]
+            new = rows[src, v] < 0
+            src, v = src[new], v[new]
+            # One copy per repeated pair: the copy whose tag (below -1) stays.
+            tag = -2 - np.arange(len(v))
+            rows[src, v] = tag
+            won = rows[src, v] == tag
+            src, v = src[won], v[won]
     return dist
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from alarmpatrol import (
@@ -6,6 +7,7 @@ from alarmpatrol import (
     build_alarm,
     build_setting,
     generate_instance,
+    model,
     reach,
     to_set_cover,
 )
@@ -156,6 +158,25 @@ def test_distances_match_networkx():
         assert to_set_cover(s, d).masks == {v: mask for v, mask in packed.items() if mask}
         zero_rows += 0 in packed.values()
     assert zero_rows > 0
+
+
+def test_long_diameters_and_source_blocks(monkeypatch):
+    # A path and a cycle run one BFS level per hop, about n levels in all;
+    # _VISITS = 1 and 2000 split the sources into blocks of one and a few.
+    n = 120
+    i, j = np.indices((n, n))
+    path = make_setting(n, [(v, v + 1) for v in range(n - 1)])
+    ring = cycle_setting(n)
+    generated = generate_instance(GeneratorParams(n_targets=80, seed=3))[0]
+    expected = [np.abs(i - j), np.minimum(np.abs(i - j), n - np.abs(i - j))]
+    expected.append(all_pairs_distances(generated))
+    for visits in (None, 1, 2000):
+        if visits is not None:
+            monkeypatch.setattr(model, "_VISITS", visits)
+        for s, want in zip((path, ring, generated), expected):
+            assert np.array_equal(all_pairs_distances(s), want)
+    with pytest.raises(DisconnectedGraph):
+        make_setting(n, [(v, v + 1) for v in range(n - 2)])
 
 
 def test_signal_supports():
