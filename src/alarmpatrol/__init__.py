@@ -9,8 +9,7 @@ batch CLI on top.
 
 __version__ = "0.1.0"
 
-from .games import MatrixGame, MixedStrategy, RowGame, solve_zero_sum
-from .lp import LinearProgram, LinearProgramSolution, lp_solve
+from .games import MixedStrategy, RowGame, solve_zero_sum
 from .mincover import (
     CoveringPlacement,
     MinCoverResult,
@@ -61,9 +60,6 @@ __all__ = [
     "CoveringRoute",
     "GeneratorParams",
     "JointRoute",
-    "LinearProgram",
-    "LinearProgramSolution",
-    "MatrixGame",
     "MinCoverResult",
     "MixedStrategy",
     "OracleResult",
@@ -89,7 +85,6 @@ __all__ = [
     "generate_instance",
     "greedy_cover",
     "local_search_improve",
-    "lp_solve",
     "min_cover",
     "nc_sro",
     "overlap_metrics",

@@ -4,10 +4,10 @@ Subcommands: ``gen`` (instance generation), ``mincover``, ``routes``, ``sro``
 (one oracle on one placement), ``resolve`` (full pipeline) and ``bench``
 (batch over sizes and seeds with an aggregate CSV).  Exit codes: 0 success,
 2 invalid input, 3 an exact computation timed out and an incumbent was
-written, 4 a numerical failure (pivot limit, non-optimal LP status or a
-failed game-value certificate).  All randomness flows from ``--seed``; result
-files are byte reproducible for a fixed seed, wall-clock timing lives in CSV
-sidecars.
+written, 4 a numerical failure (pivot limit, an improving LP column with no
+positive entry or a failed game-value certificate).  All randomness flows
+from ``--seed``; result files are byte reproducible for a fixed seed,
+wall-clock timing lives in CSV sidecars.
 """
 
 from __future__ import annotations

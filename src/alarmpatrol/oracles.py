@@ -58,7 +58,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .games import MatrixGame, MixedStrategy, RowGame, normalized
+from .games import MixedStrategy, RowGame, normalized
 from .model import AlarmSystem, PatrollingSetting
 from .routes import JointRoute, RouteSet, covering_routes
 from .seeding import stream
@@ -178,7 +178,7 @@ def _nc_game(rs: RouteSet, setting: PatrollingSetting) -> tuple[np.ndarray, int]
         x, pivots = np.eye(1, len(rs.routes))[0], 0
     else:
         pi = np.array([setting.value[rs.targets[j]] for j in cols])
-        game = RowGame(MatrixGame(np.where(rs.cover[:, cols], 1.0, 1.0 - pi)))
+        game = RowGame(np.where(rs.cover[:, cols], 1.0, 1.0 - pi))
         x, _, _ = game.solve()
         pivots = game.pivots
     x.flags.writeable = False
@@ -447,7 +447,7 @@ def fc_sro(
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
     resumes phase 2 from that basis, which stays feasible, so a round costs
-    a few pivots rather than a cold two-phase solve.  Rows are joint routes
+    a few pivots rather than a cold solve.  Rows are joint routes
     as tuples of route-set rows; only the returned support becomes
     ``JointRoute`` objects.
 
@@ -478,7 +478,7 @@ def fc_sro(
     # Each resource's most likely NC route, the first on ties.
     nc = nc_sro(route_sets, setting)
     first = tuple(int(np.argmax(x)) for x in nc.per_resource)
-    game = RowGame(MatrixGame(new_row(first)[None]))
+    game = RowGame(new_row(first)[None])
 
     trace: list[float] = []
     not_optimal = None
@@ -532,7 +532,7 @@ def _response_game(I: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, floa
     PC then settles on lower fixed points more often than higher ones.
     """
     order = np.argsort(-(I @ weights), kind="stable")
-    game = RowGame(MatrixGame(np.where(I[order] > 0, 1.0, 1.0 - weights)))
+    game = RowGame(np.where(I[order] > 0, 1.0, 1.0 - weights))
     x_sorted, _, value = game.solve()
     x = np.empty_like(x_sorted)
     x[order] = x_sorted

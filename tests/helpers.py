@@ -19,7 +19,7 @@ from alarmpatrol import (
     build_alarm,
     build_setting,
 )
-from alarmpatrol.lp import LinearProgram, lp_solve
+from alarmpatrol.lp import LinearProgram
 
 
 # -- builders ----------------------------------------------------------------
@@ -348,10 +348,9 @@ def _best_response_lp(pi, indicator, fixed_uncov) -> float:
     c[-1] = -1.0
     A_ub = np.hstack([(1.0 - indicator.T) * w[:, None], -np.ones((n_t, 1))])
     A_eq = np.hstack([np.ones((1, n_r)), np.zeros((1, 1))])
-    sol = lp_solve(
-        LinearProgram(c=c, A_ub=A_ub, b_ub=np.zeros(n_t), A_eq=A_eq, b_eq=np.ones(1))
-    )
-    assert sol.status == "optimal"
+    # x_0's column is positive in target rows, so this is not the game form
+    # ``lp_solve`` accepts: the two-phase reference solves it.
+    sol = rowwise_lp_solve(LinearProgram(c=c, A_ub=A_ub, b_ub=np.zeros(n_t), A_eq=A_eq))
     return 1.0 - float(sol.x[-1])
 
 
@@ -461,96 +460,68 @@ def dense_pivot(state, i: int, q: int) -> None:
     T -= np.outer(factor, T[i])
     T[:, q] = 0.0
     T[i, q] = 1.0
-    for r in state.extra:
-        if r[q] != 0.0:
-            r -= r[q] * T[i]
-            r[q] = 0.0
+    r = state.r
+    if r[q] != 0.0:
+        r -= r[q] * T[i]
+        r[q] = 0.0
     state.basis[i] = q
-    state.pivots += 1
 
 
 def rowwise_lp_solve(prog):
-    """``lp.lp_solve`` with the tableau built row by row from a list of row kinds.
+    """Two-phase simplex over ``prog``'s tableau built row by row.
 
-    The construction as it was before the tableau was written with array
-    assignments; the reference its results must match bit for bit.  Pivoting and
-    the phase loops are the module's own.
+    The reference ``lp.lp_solve`` must match bit for bit: the tableau as it was
+    built before it was written with array assignments, and phase 1 run to its
+    end rather than started from its one pivot, so it also solves programs
+    outside the game form.  Phase 2 prices its cost row against the basis
+    phase 1 ends at.  The pivot and the pivoting loop are the module's own,
+    and ``pivots`` counts both phases.
     """
     from alarmpatrol import lp
 
     c = np.asarray(prog.c, dtype=float)
     n = c.shape[0]
-    A_ub = np.zeros((0, n)) if prog.A_ub is None else np.asarray(prog.A_ub, dtype=float)
-    b_ub = np.zeros(0) if prog.b_ub is None else np.asarray(prog.b_ub, dtype=float)
-    A_eq = np.zeros((0, n)) if prog.A_eq is None else np.asarray(prog.A_eq, dtype=float)
-    b_eq = np.zeros(0) if prog.b_eq is None else np.asarray(prog.b_eq, dtype=float)
-    m1, m2 = A_ub.shape[0], A_eq.shape[0]
-    m = m1 + m2
-    rows = [(A_ub[i], b_ub[i], "le") for i in range(m1)]
-    rows += [(A_eq[i], b_eq[i], "eq") for i in range(m2)]
+    A_ub, b_ub = np.asarray(prog.A_ub, dtype=float), np.asarray(prog.b_ub, dtype=float)
+    rows = list(zip(A_ub, b_ub)) + [(np.asarray(prog.A_eq, dtype=float)[0], 1.0)]
+    m = len(rows)
+    m1 = m - 1  # the equality row; its artificial is column n + m1
 
-    ncols = n + m1 + m2
+    ncols = n + m
     T = np.zeros((m, ncols + 1), order="F")
     basis = np.empty(m, dtype=int)
-    art_cols: list[int] = []
-    next_art = n + m1
-    for i, (a, b, kind) in enumerate(rows):
+    for i, (a, b) in enumerate(rows):
         T[i, :n] = a
         T[i, -1] = b
-        if kind == "le":
-            T[i, n + i] = 1.0
-            basis[i] = n + i
-        else:
-            T[i, next_art] = 1.0
-            basis[i] = next_art
-            art_cols.append(next_art)
-            next_art += 1
+        T[i, n + i] = 1.0
+        basis[i] = n + i
 
+    # Phase 1 maximizes minus the artificial: its cost row priced against the
+    # starting basis.
     c1 = np.zeros(ncols + 1)
-    c1[art_cols] = -1.0
-    r1 = c1.copy()
-    for i in range(m):
-        if c1[basis[i]] != 0.0:
-            r1 -= c1[basis[i]] * T[i]
+    c1[n + m1] = -1.0
+    r1 = c1 - c1[n + m1] * T[m1]
+    state = lp._SimplexState(T=T, basis=basis, r=r1, switch=10 * (m + ncols))
+    lp._run(state)
+    assert r1[-1] <= 1e-7, "infeasible"
+    if basis[m1] == n + m1:
+        # The artificial is still basic, at zero level: pivot it out.
+        (cols,) = np.nonzero(np.abs(T[m1, : n + m1]) > lp.PIVOT_TOL)
+        lp._pivot(state, m1, cols[0])
+        state.pivots += 1
+
     r2 = np.zeros(ncols + 1)
     r2[:n] = c
-
-    state = lp._SimplexState(T=T, basis=basis, extra=[r1, r2], switch=10 * (m + ncols))
-    if art_cols:
-        lp._run(state, r1, art_limit=n + m1)
-        if r1[-1] > lp.FEAS_TOL:
-            return lp.LinearProgramSolution(
-                status="infeasible", x=None, objective=None, pivots=state.pivots
-            )
-        state.extra = [r2]
-        art_set = set(art_cols)
-        drop_rows = []
-        for i in range(m):
-            if basis[i] in art_set:
-                for j in range(n + m1):
-                    if abs(T[i, j]) > lp.PIVOT_TOL:
-                        lp._pivot(state, i, j)
-                        break
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in set(drop_rows)]
-            state.T = np.asfortranarray(state.T[keep])
-            state.basis = state.basis[keep]
-
-    status = lp._run(state, r2, art_limit=n + m1)
-    if status == "unbounded":
-        return lp.LinearProgramSolution(
-            status="unbounded", x=None, objective=None, pivots=state.pivots
-        )
+    for i in range(m):
+        if basis[i] < n and c[basis[i]] != 0.0:
+            r2 -= c[basis[i]] * T[i]
+    state.r = r2
+    lp._run(state)
     x = np.zeros(n)
-    for i in range(state.T.shape[0]):
-        if state.basis[i] < n:
-            x[state.basis[i]] = max(state.T[i, -1], 0.0) + 0.0
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = max(T[i, -1], 0.0) + 0.0
     duals = 0.0 - r2[n : n + m1]
-    return lp.LinearProgramSolution(
-        status="optimal", x=x, objective=float(c @ x), duals=duals, pivots=state.pivots
-    )
+    return lp.LinearProgramSolution(x=x, duals=duals, pivots=state.pivots)
 
 
 def routes_for(setting, dist, positions, support):
@@ -561,7 +532,7 @@ def routes_for(setting, dist, positions, support):
 
 def joint_enumeration_value(route_sets, setting, support) -> tuple[float, int]:
     """FC oracle check: solve the game over the entire joint-route product."""
-    from alarmpatrol import JointRoute, MatrixGame, solve_zero_sum
+    from alarmpatrol import JointRoute, RowGame
 
     joints = [
         JointRoute(combo)
@@ -573,7 +544,7 @@ def joint_enumeration_value(route_sets, setting, support) -> tuple[float, int]:
         for j, t in enumerate(targets):
             if t not in jr.covered:
                 U[i, j] -= setting.value[t]
-    _, _, value = solve_zero_sum(MatrixGame(U))
+    _, _, value = RowGame(U).solve()
     return value, len(joints)
 
 

@@ -16,8 +16,8 @@ import pytest
 
 from alarmpatrol import (
     GeneratorParams,
-    MatrixGame,
     ResolutionConfig,
+    RowGame,
     all_pairs_distances,
     cycle_min_cover,
     exact_cover,
@@ -30,7 +30,6 @@ from alarmpatrol import (
     overlap_metrics,
     pc_sro,
     resolve,
-    solve_zero_sum,
     to_set_cover,
     tree_min_cover,
     best_response_ilp,
@@ -122,7 +121,7 @@ def test_criterion_3_zero_sum_lp_correctness():
             rows = int(rng.integers(1, 9))
             cols = int(rng.integers(1, 9))
             U = rng.uniform(0.0, 1.0, (rows, cols))
-            _, _, value = solve_zero_sum(MatrixGame(U))
+            _, _, value = RowGame(U).solve()
             assert abs(value - support_enumeration_value(U)) <= 1e-6
 
 

@@ -3,24 +3,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from alarmpatrol import MatrixGame, RowGame, games, lp_solve, solve_zero_sum
+from alarmpatrol import RowGame, games
 from alarmpatrol.games import VALUE_TOL, normalized
+from alarmpatrol.lp import lp_solve
 from helpers import support_enumeration_value
 
 
 def test_matching_pennies_protection_game():
     # r1 protects t1 only, r2 protects t2 only, both values 1: the fair coin
     # is the unique equilibrium with value 1/2 (closed-form LP solution).
-    game = MatrixGame(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    x, y, value = solve_zero_sum(game)
+    x, y, value = RowGame(np.array([[1.0, 0.0], [0.0, 1.0]])).solve()
     assert value == pytest.approx(0.5, abs=1e-9)
     assert x[0] == pytest.approx(0.5, abs=1e-9)
     assert y[1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_dominant_row():
-    game = MatrixGame(np.array([[1.0, 1.0, 1.0], [0.2, 0.9, 0.4]]))
-    x, _, value = solve_zero_sum(game)
+    x, _, value = RowGame(np.array([[1.0, 1.0, 1.0], [0.2, 0.9, 0.4]])).solve()
     assert value == pytest.approx(1.0, abs=1e-9)
     assert x.tolist() == [1.0, 0.0]
 
@@ -31,7 +30,7 @@ def test_random_games_match_support_enumeration():
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
         U = rng.uniform(0.0, 1.0, (rows, cols))
-        _, _, value = solve_zero_sum(MatrixGame(U))
+        _, _, value = RowGame(U).solve()
         assert value == pytest.approx(support_enumeration_value(U), abs=1e-6)
 
 
@@ -39,7 +38,7 @@ def test_duality_gap_small():
     rng = np.random.default_rng(5)
     for _ in range(30):
         U = rng.uniform(0, 1, (5, 5))
-        x, y, value = solve_zero_sum(MatrixGame(U))
+        x, y, value = RowGame(U).solve()
         # Guarantees of the two strategies straddle the value.
         assert (x @ U).min() >= value - 1e-7
         assert (U @ y).max() <= value + 1e-7
@@ -63,14 +62,14 @@ def test_corrupted_solution_fails_the_certificate(monkeypatch, changes):
 
     monkeypatch.setattr(games, "lp_solve", corrupt)
     with pytest.raises(ArithmeticError):
-        solve_zero_sum(MatrixGame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])))
+        RowGame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])).solve()
 
 
 def test_scaling_payoffs():
     rng = np.random.default_rng(9)
     U = rng.uniform(0, 1, (4, 4))
-    x1, y1, v1 = solve_zero_sum(MatrixGame(U))
-    x2, y2, v2 = solve_zero_sum(MatrixGame(3.0 * U))
+    x1, y1, v1 = RowGame(U).solve()
+    x2, y2, v2 = RowGame(3.0 * U).solve()
     assert v2 == pytest.approx(3.0 * v1, abs=1e-7)
     assert np.array_equal(x1 > 0.0, x2 > 0.0)
     assert np.array_equal(y1 > 0.0, y2 > 0.0)
@@ -92,15 +91,17 @@ def test_row_support_no_larger_than_columns():
         rows = int(rng.integers(2, 9))
         cols = int(rng.integers(1, 5))
         U = rng.uniform(0.01, 1, (rows, cols))
-        x, _, _ = solve_zero_sum(MatrixGame(U))
+        x, _, _ = RowGame(U).solve()
         assert np.count_nonzero(x) <= cols
 
 
 def test_rejects_bad_matrices():
     with pytest.raises(ValueError):
-        MatrixGame(np.zeros((0, 2)))
+        RowGame(np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        MatrixGame(np.array([[np.nan]]))
+        RowGame(np.array([[np.nan]]))
+    with pytest.raises(ValueError):
+        RowGame(np.ones(3))
 
 
 def _assert_certified(U, x, y, value):
@@ -133,7 +134,7 @@ def test_row_game_matches_cold_solves_as_rows_grow(monkeypatch):
         U = rng.choice(levels, (start, n_cols))
         if trial % 3 == 0:
             levels = np.append(levels, -0.5)
-        game = RowGame(MatrixGame(U))
+        game = RowGame(U)
         for k in range(int(rng.integers(4, 16))):
             if k:
                 if rng.random() < 0.2:
@@ -148,14 +149,14 @@ def test_row_game_matches_cold_solves_as_rows_grow(monkeypatch):
             del cold_solves[:]
             x, y, value = game.solve()
             assert len(cold_solves) == (k == 0)
-            _, _, ref = solve_zero_sum(MatrixGame(U))
+            _, _, ref = RowGame(U).solve()
             assert abs(value - ref) <= 1e-12, trial
             _assert_certified(U, x, y, value)
     assert resumed >= 1500 and repeats >= 200 and below_shift >= 100
 
 
 def test_row_game_solves_to_arrays_and_rejects_bad_rows():
-    game = RowGame(MatrixGame(np.array([[1.0, 0.0]])))
+    game = RowGame(np.array([[1.0, 0.0]]))
     game.solve()
     game.add_row(np.array([0.0, 1.0]))
     x, y, value = game.solve()

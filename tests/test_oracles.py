@@ -8,7 +8,6 @@ import pytest
 from alarmpatrol import (
     GeneratorParams,
     JointRoute,
-    MatrixGame,
     ResolutionConfig,
     RowGame,
     aggregate_value,
@@ -28,7 +27,6 @@ from alarmpatrol import (
     resolve,
     respond,
     routes,
-    solve_zero_sum,
     to_set_cover,
     unprotected,
 )
@@ -138,7 +136,7 @@ def test_nc_single_resource_matches_plain_game():
         # Oracle value over the full support equals the plain zero-sum value
         # over all support targets (uncoverable columns only cap the value).
         U = payoff_matrix([set(r.visits) for r in sets[0].routes], sorted(s.targets), s.value)
-        _, _, v = solve_zero_sum(MatrixGame(U))
+        _, _, v = RowGame(U).solve()
         assert result.value == pytest.approx(v, abs=1e-7)
 
 
@@ -166,7 +164,7 @@ def test_nc_disjoint_clusters_take_the_minimum():
     values = []
     for rs, cluster in zip(sets, ({0, 1, 2}, {5, 6, 7})):
         U = payoff_matrix([set(r.visits) for r in rs.routes], sorted(cluster), s.value)
-        values.append(solve_zero_sum(MatrixGame(U))[2])
+        values.append(RowGame(U).solve()[2])
     assert result.value == pytest.approx(min(values), abs=1e-7)
 
 
@@ -445,7 +443,7 @@ def test_fc_single_resource_reduces_to_zero_sum():
         d = all_pairs_distances(s)
         sets = routes_for(s, d, [rng.randrange(s.n)], s.targets)
         U = payoff_matrix([set(r.visits) for r in sets[0].routes], sorted(s.targets), s.value)
-        _, _, v = solve_zero_sum(MatrixGame(U))
+        _, _, v = RowGame(U).solve()
         result = fc_sro(sets, s)
         assert result.diagnostics.optimal
         assert result.value == pytest.approx(v, abs=1e-7)
@@ -716,7 +714,7 @@ def test_fc_master_matches_cold_solves_on_benchmark_placements(monkeypatch):
     def checked(game, out, nc_rs):
         x, y, value = out
         if nc_rs is None:  # FC's master, not an NC game
-            cold = RowGame(MatrixGame(game.payoff))
+            cold = RowGame(game.payoff)
             _, _, ref = real_solve(cold)
             assert abs(value - ref) <= 1e-12
             U = game.payoff
