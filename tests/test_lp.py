@@ -104,20 +104,44 @@ def test_equalities():
     assert sol.x.tolist() == [1.0, 0.0]
 
 
+def test_infeasible_pair():
+    # x_0 <= 0 and x_0 = 1: a game's LP is feasible at x = e_0, so a program
+    # with x_0 in an A_ub row is not one and is rejected, not solved.
+    for row in ([1.0], [1e-300]):
+        prog = LinearProgram(c=np.array([1.0]), A_ub=np.array([row]), b_ub=np.array([0.0]),
+                             A_eq=np.array([[1.0]]))
+        with pytest.raises(ValueError, match="game"):
+            lp_solve(prog)
+
+
+def test_redundant_equalities():
+    # Two proportional equality rows: a game's LP has exactly one, sum x = 1.
+    prog = LinearProgram(c=np.ones(2), A_ub=np.zeros((0, 2)), b_ub=np.zeros(0),
+                         A_eq=np.array([[1.0, 1.0], [2.0, 2.0]]))
+    with pytest.raises(ValueError, match="game"):
+        lp_solve(prog)
+
+
+def test_equality_rows_without_columns():
+    # A game has at least one strategy, so a program without columns is
+    # rejected whatever its rows.
+    for rows in (0, 1, 2):
+        prog = LinearProgram(c=np.zeros(0), A_ub=np.zeros((rows, 0)), b_ub=np.zeros(rows),
+                             A_eq=np.zeros((1, 0)))
+        with pytest.raises(ValueError, match="game"):
+            lp_solve(prog)
+
+
 def test_rejects_programs_outside_the_game_form():
     # Every accepted program is feasible at x = e_0 and its phase 1 is one
     # pivot; the rest raise ValueError before a tableau is built.
     one = np.ones((1, 2))
     game = dict(c=np.ones(2), A_ub=-one, b_ub=np.zeros(1), A_eq=one)
     for changes in (
-        {"A_ub": np.array([[1.0, 0.0]])},  # x_0 <= 0 and x_0 = 1: infeasible
-        {"A_ub": np.array([[1e-300, 0.0]])},
-        {"A_eq": np.ones((2, 2))},  # two equality rows
-        {"A_eq": np.zeros((0, 2))},  # none
+        {"A_eq": np.zeros((0, 2))},  # no equality row
         {"A_eq": np.array([[0.0, 1.0]])},  # x_0 not in the equality row
         {"A_eq": np.array([[-1.0, 1.0]])},
         {"A_ub": np.ones((2, 2))},  # rows and rhs disagree
-        {"c": np.zeros(0), "A_ub": np.zeros((1, 0)), "A_eq": np.zeros((1, 0))},  # no columns
     ):
         with pytest.raises(ValueError, match="game"):
             lp_solve(LinearProgram(**{**game, **changes}))
