@@ -5,9 +5,10 @@ Subcommands: ``gen`` (instance generation), ``mincover``, ``routes``, ``sro``
 (batch over sizes and seeds with an aggregate CSV).  Exit codes: 0 success,
 2 invalid input, 3 an exact computation timed out and an incumbent was
 written, 4 a numerical failure (pivot limit, an improving LP column with no
-positive entry or a failed game-value certificate).  All randomness flows
-from ``--seed``; result files are byte reproducible for a fixed seed,
-wall-clock timing lives in CSV sidecars.
+positive entry or a failed game-value certificate): ``sro`` writes nothing,
+``resolve`` and ``bench`` record the failed oracle on its placement, go on and
+write their files.  All randomness flows from ``--seed``; result files are
+byte reproducible for a fixed seed, wall-clock timing lives in CSV sidecars.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import fileio
@@ -181,7 +182,7 @@ def cmd_routes(args) -> int:
 
 
 def _placement_indices(args, setting) -> list[int]:
-    if args.placement_file:
+    if args.placement_file is not None:
         payload = fileio.read_json(args.placement_file)
         ids = payload.get("positions") if isinstance(payload, dict) else None
         if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
@@ -236,19 +237,25 @@ def _resolve_config(args) -> ResolutionConfig:
         oracles=tuple(s.strip().upper() for s in args.oracles.split(",") if s.strip()),
         seed=args.seed,
         max_placements=args.max_placements,
-        resources_per_position=args.resources_per_position,
         pc_restarts=args.restarts,
     )
 
 
 def _config_echo(config: ResolutionConfig) -> dict:
-    return {
-        "time_budget": config.time_budget,
-        "oracles": list(config.oracles),
-        "max_placements": config.max_placements,
-        "resources_per_position": config.resources_per_position,
-        "pc_restarts": config.pc_restarts,
-    }
+    """The run options for the manifest, which carries the seed under its own key."""
+    echo = asdict(config)
+    del echo["seed"]
+    return echo
+
+
+def _report_exit(report) -> int:
+    """4 after a numerical failure (each named on stderr), else 3 after a timeout, else 0."""
+    code = EXIT_TIMEOUT if report.timed_out else EXIT_OK
+    for i, pe in enumerate(report.placements):
+        for scheme, msg in pe.failed.items():
+            print(f"error: numerical failure: {scheme} on placement {i}: {msg}", file=sys.stderr)
+            code = EXIT_NUMERIC
+    return code
 
 
 def cmd_resolve(args) -> int:
@@ -272,7 +279,7 @@ def cmd_resolve(args) -> int:
     print(
         f"placements={report.placements_evaluated} exhausted={report.exhausted}"
     )
-    return EXIT_TIMEOUT if report.timed_out else EXIT_OK
+    return _report_exit(report)
 
 
 def aggregate_bench(runs: list[tuple[int, int, Path]]) -> str:
@@ -303,12 +310,7 @@ def aggregate_bench(runs: list[tuple[int, int, Path]]) -> str:
 
 def cmd_bench(args) -> int:
     # Parsed before the first run directory is made: a bad flag writes nothing.
-    config = ResolutionConfig(
-        time_budget=parse_duration(args.budget),
-        oracles=tuple(s.strip().upper() for s in args.oracles.split(",") if s.strip()),
-        max_placements=args.max_placements,
-        pc_restarts=args.restarts,
-    )
+    config = _resolve_config(args)
     out = _out_dir(args)
     worst = EXIT_OK
     runs: list[tuple[int, int, Path]] = []
@@ -329,7 +331,7 @@ def cmd_bench(args) -> int:
             elapsed = time.monotonic() - t0
             manifest = fileio.make_manifest(
                 "bench/resolve",
-                _bench_echo(config, n),
+                {"targets": n, **_config_echo(config)},
                 seed,
                 run_dir / "instance.json",
                 ["report.json"],
@@ -339,26 +341,13 @@ def cmd_bench(args) -> int:
             fileio.write_json(run_dir / "report.json", payload)
             runs.append((n, seed, run_dir))
             timings.append((n, seed, elapsed))
-            if report.timed_out:
-                worst = EXIT_TIMEOUT
+            worst = max(worst, _report_exit(report))
             print(f"t={n} seed={seed}: placements={report.placements_evaluated}")
     (out / "bench.csv").write_text(aggregate_bench(runs), encoding="utf-8")
-    timing_lines = ["n_targets,seed,time_ms"]
-    for n, seed, elapsed in timings:
-        timing_lines.append(f"{n},{seed},{elapsed * 1000.0:.3f}")
-    (out / "bench_timing.csv").write_text("\n".join(timing_lines) + "\n", encoding="utf-8")
+    timing = "".join(f"{n},{seed},{elapsed * 1000.0:.3f}\n" for n, seed, elapsed in timings)
+    (out / "bench_timing.csv").write_text("n_targets,seed,time_ms\n" + timing, encoding="utf-8")
     print(f"wrote {out / 'bench.csv'}")
     return worst
-
-
-def _bench_echo(config: ResolutionConfig, n: int) -> dict:
-    return {
-        "targets": n,
-        "time_budget": config.time_budget,
-        "oracles": list(config.oracles),
-        "max_placements": config.max_placements,
-        "pc_restarts": config.pc_restarts,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,6 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="root random seed")
+
+    def run_options(p, budget):
+        """The options ``_resolve_config`` reads, shared by resolve and bench."""
+        p.add_argument("--oracles", default="fc,pc,nc")
+        p.add_argument("--budget", default=budget)
+        p.add_argument("--max-placements", type=_int_at_least(1), default=None)
+        p.add_argument("--restarts", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("gen", help="generate a random instance")
     common(p)
@@ -397,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sro", help="one signal-response oracle on one placement")
     common(p)
     p.add_argument("--instance", required=True)
-    p.add_argument("--placement", default=None, help="comma-separated vertex ids")
-    p.add_argument("--placement-file", default=None, help="placement.json from mincover")
+    placement = p.add_mutually_exclusive_group(required=True)
+    placement.add_argument("--placement", help="comma-separated vertex ids, repeats allowed")
+    placement.add_argument("--placement-file", help="placement.json from mincover")
     p.add_argument("--oracle", required=True, choices=["fc", "pc", "nc", "FC", "PC", "NC"])
     p.add_argument("--restarts", type=_int_at_least(0), default=0)
     p.add_argument("--budget", default=None)
@@ -406,11 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="full anytime resolution flow")
     common(p)
     p.add_argument("--instance", required=True)
-    p.add_argument("--oracles", default="fc,pc,nc")
-    p.add_argument("--budget", default="60m")
-    p.add_argument("--max-placements", type=_int_at_least(1), default=None)
-    p.add_argument("--resources-per-position", type=_int_at_least(1), default=1)
-    p.add_argument("--restarts", type=_int_at_least(0), default=0)
+    run_options(p, budget="60m")
 
     p = sub.add_parser("bench", help="batch runs over sizes and seeds")
     common(p)
@@ -418,11 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated target counts")
     p.add_argument("--seeds", type=_seed_list, required=True,
                    help="count or comma-separated seeds")
-    p.add_argument("--budget", default="60s")
-    p.add_argument("--oracles", default="fc,pc,nc")
-    p.add_argument("--max-placements", type=_int_at_least(1), default=None)
+    run_options(p, budget="60s")
     p.add_argument("--deadline", type=_int_at_least(1), default=None)
-    p.add_argument("--restarts", type=_int_at_least(0), default=0)
 
     return parser
 
@@ -440,9 +430,6 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sro" and not (args.placement or args.placement_file):
-        print("sro needs --placement or --placement-file", file=sys.stderr)
-        return EXIT_INVALID
     try:
         return _HANDLERS[args.command](args)
     except (ModelError, fileio.FileFormatError, BudgetTooSmall, ValueError, OSError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -292,12 +293,10 @@ def report_payload(report: ResolutionReport, setting: PatrollingSetting) -> dict
         "placements": [
             {
                 "positions": list(setting.ids_of(pe.positions)),
-                "metrics": {
-                    "eta": pe.metrics.eta,
-                    "tau": pe.metrics.tau,
-                    "tau_hat": pe.metrics.tau_hat,
-                },
+                "metrics": asdict(pe.metrics),
                 "values": dict(sorted(pe.values.items())),
+                # Numerical failures by oracle, only where there were any.
+                **({"failed": dict(sorted(pe.failed.items()))} if pe.failed else {}),
             }
             for pe in report.placements
         ],

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import PatrollingSetting, reach
+from .model import PatrollingSetting, reach, row_masks
 
 INF = math.inf
 
@@ -76,15 +76,12 @@ class MinCoverResult:
 def to_set_cover(setting: PatrollingSetting, dist: np.ndarray) -> SetCoverInstance:
     """SET-COVER instance whose candidate sets are the rows of ``reach``.
 
-    Each row is packed into an integer, bit j for column j; vertices that
-    reach no target are left out.
+    Each row is packed into an integer (``row_masks``); vertices that reach
+    no target are left out.
     """
     cover = reach(setting, dist)
-    packed = np.packbits(cover, axis=1, bitorder="little")
-    masks = {
-        v: int.from_bytes(packed[v].tobytes(), "little")
-        for v in np.flatnonzero(cover.any(axis=1)).tolist()
-    }
+    rows = np.flatnonzero(cover.any(axis=1)).tolist()
+    masks = dict(zip(rows, row_masks(cover[rows])))
     return SetCoverInstance(masks, (1 << len(setting.targets)) - 1)
 
 

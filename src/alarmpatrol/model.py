@@ -299,3 +299,9 @@ def reach(setting: PatrollingSetting, dist: np.ndarray) -> np.ndarray:
     """
     targets = list(setting.targets)
     return dist[:, targets] <= np.array([setting.deadline[t] for t in targets], dtype=np.int64)
+
+
+def row_masks(matrix: np.ndarray) -> list[int]:
+    """One integer per row of a boolean matrix: bit j of row i is ``matrix[i, j]``."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

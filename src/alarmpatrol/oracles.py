@@ -561,7 +561,7 @@ def _tighten(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | 
 
 
 def _team_search(
-    indicators: Sequence[np.ndarray],
+    covers: Sequence[np.ndarray],
     pi: np.ndarray,
     profile: list[np.ndarray],
     value: float,
@@ -581,9 +581,9 @@ def _team_search(
     on the team maxmin, whether the bound is within SEARCH_GAP of the best
     value, and the pivots of the search's games.
     """
-    a = 0 if len(indicators[0]) <= len(indicators[1]) else 1
-    keep = _undominated(indicators[a])
-    A, B = indicators[a][keep], indicators[1 - a]
+    a = 0 if len(covers[0]) <= len(covers[1]) else 1
+    keep = _undominated(covers[a])
+    A, B = covers[a][keep], covers[1 - a]
 
     def visit(lo: np.ndarray, hi: np.ndarray) -> float:
         nonlocal profile, value, nodes, pivots
@@ -597,7 +597,7 @@ def _team_search(
         y, v, point_pivots = _response_game(B, pi * (1.0 - A.T @ x))
         pivots += bound_pivots + point_pivots
         if 1.0 - v > value:
-            full = np.zeros(len(indicators[a]))
+            full = np.zeros(len(covers[a]))
             full[keep] = x
             profile = [full, y] if a == 0 else [y, full]
             value = 1.0 - v
@@ -675,7 +675,7 @@ def pc_sro(
         return OracleResult(1.0, diag, np.ones(0), per_resource=stay)
     m = len(route_sets)
     pi = np.array([setting.value[t] for t in targets])
-    indicators = [rs.cover.astype(float) for rs in route_sets]
+    covers = [rs.cover for rs in route_sets]
 
     timed_out = False
     pivots = 0
@@ -687,7 +687,7 @@ def pc_sro(
 
     def run(profile: list[np.ndarray]) -> tuple[list[np.ndarray], float, list[float], bool]:
         nonlocal pivots
-        val = evaluate_profile(unprotected(zip(indicators, profile)), pi)
+        val = evaluate_profile(unprotected(zip(covers, profile)), pi)
         hist = [val]
         converged = False
         # Response games whose weights no commit has changed since they were
@@ -700,9 +700,9 @@ def pc_sro(
             for i in range(m):
                 if i not in solved:
                     others = unprotected(
-                        draw for j, draw in enumerate(zip(indicators, profile)) if j != i
+                        draw for j, draw in enumerate(zip(covers, profile)) if j != i
                     )
-                    x_new, v, lp_pivots = _response_game(indicators[i], pi * others)
+                    x_new, v, lp_pivots = _response_game(covers[i], pi * others)
                     pivots += lp_pivots
                     solved[i] = x_new, v
                 cand = 1.0 - solved[i][1]
@@ -713,7 +713,7 @@ def pc_sro(
                 break
             profile[best_i] = solved[best_i][0]
             solved = {best_i: solved[best_i]}
-            val = evaluate_profile(unprotected(zip(indicators, profile)), pi)
+            val = evaluate_profile(unprotected(zip(covers, profile)), pi)
             hist.append(val)
         return profile, val, hist, converged
 
@@ -738,16 +738,16 @@ def pc_sro(
     iterations = len(best_hist) - 1
     extra: dict = {"traces": traces}
     not_optimal = None
-    searchable = m == 2 and min(map(len, indicators)) <= SEARCH_MAX_ROUTES
+    searchable = m == 2 and min(map(len, covers)) <= SEARCH_MAX_ROUTES
     if timed_out or (searchable and expired()):
         not_optimal = "timeout"
     elif searchable:
         found, found_val, nodes, upper, closed, search_pivots = _team_search(
-            indicators, pi, best_profile, best_val
+            covers, pi, best_profile, best_val
         )
         pivots += search_pivots
         if found_val > best_val + CONVERGENCE_EPS:
-            best_val = evaluate_profile(unprotected(zip(indicators, found)), pi)
+            best_val = evaluate_profile(unprotected(zip(covers, found)), pi)
             best_profile = found
             best_hist = best_hist + [best_val]
         extra["search"] = {
@@ -765,7 +765,7 @@ def pc_sro(
         not_optimal = "local fixed point" if all_converged else "iteration cap"
 
     strategies = tuple(normalized(x) for x in best_profile)
-    uncovered = unprotected(zip(indicators, strategies))
+    uncovered = unprotected(zip(covers, strategies))
     diag = _diagnostics(
         route_sets, not_optimal, iterations=iterations, trace=tuple(best_hist), extra=extra,
         routes_generated=sum(len(rs.routes) for rs in route_sets), lp_pivots=pivots,

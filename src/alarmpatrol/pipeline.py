@@ -178,7 +178,6 @@ class ResolutionConfig:
     oracles: tuple[str, ...] = ("FC", "PC", "NC")
     seed: int = 0
     max_placements: int | None = None
-    resources_per_position: int = 1
     pc_restarts: int = 0
 
     def __post_init__(self) -> None:
@@ -193,8 +192,6 @@ class ResolutionConfig:
             if u in upper[:i]:
                 raise ValueError(f"oracle {s!r} is selected more than once")
         object.__setattr__(self, "oracles", upper)
-        if self.resources_per_position < 1:
-            raise ValueError("resources_per_position must be >= 1")
         if self.pc_restarts < 0:
             raise ValueError(f"pc_restarts must be >= 0, got {self.pc_restarts}")
         if self.max_placements is not None and self.max_placements < 1:
@@ -212,12 +209,16 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class PlacementEval:
-    """Oracle values in ``config.oracles`` order; ``elapsed`` is stamped after the last."""
+    """Oracle values in ``config.oracles`` order; ``elapsed`` is stamped after the last.
+
+    ``failed`` maps each oracle that raised ``ArithmeticError`` here to its message.
+    """
 
     positions: tuple[int, ...]
     metrics: OverlapMetrics
     values: dict[str, float]
     elapsed: float
+    failed: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,10 @@ class ResolutionReport:
 def resolve(
     setting: PatrollingSetting, alarm: AlarmSystem, config: ResolutionConfig
 ) -> ResolutionReport:
-    """Run the full anytime flow under a wall-clock budget."""
+    """Run the full anytime flow under a wall-clock budget.
+
+    An oracle's numerical failure is kept on its placement, and the run goes on.
+    """
     t0 = time.monotonic()
     deadline = t0 + config.time_budget
     dist = all_pairs_distances(setting)
@@ -287,21 +291,26 @@ def resolve(
     for idx, placement in enumerate(gen):
         if time.monotonic() >= deadline or idx == config.max_placements:
             break
-        resources = [p for p in placement.positions for _ in range(config.resources_per_position)]
         metrics = overlap_metrics(placement, setting, dist)
         values: dict[str, float] = {}
+        failed: dict[str, str] = {}
         for scheme in config.oracles:
             if time.monotonic() >= deadline:
                 break
-            resp = respond(setting, dist, alarm, resources, scheme, route_cache=route_cache,
-                           pc_restarts=config.pc_restarts, seed=config.seed, deadline=deadline)
+            try:
+                resp = respond(setting, dist, alarm, placement.positions, scheme,
+                               route_cache=route_cache, pc_restarts=config.pc_restarts,
+                               seed=config.seed, deadline=deadline)
+            except ArithmeticError as exc:
+                failed[scheme] = str(exc)
+                continue
             values[scheme] = resp.value
             report.timed_out_oracles += sum(
                 res.diagnostics.timed_out for res in resp.per_signal.values()
             )
-        elapsed = time.monotonic() - t0
-        report.placements.append(PlacementEval(placement.positions, metrics, values, elapsed))
-        if len(values) < len(config.oracles):
+        pe = PlacementEval(placement.positions, metrics, values, time.monotonic() - t0, failed)
+        report.placements.append(pe)
+        if len(values) + len(failed) < len(config.oracles):  # the deadline hit
             break
     else:
         report.exhausted = _sweeps(setting.n, report.m)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import PatrollingSetting
+from .model import PatrollingSetting, row_masks
 
 # Up to this many reachable support targets the DP is exact; beyond it the
 # per-level state set is truncated to BEAM_WIDTH states.
@@ -90,10 +90,9 @@ class RouteSet:
         rows = np.repeat(np.arange(len(self.routes)), [len(r.visits) for r in self.routes])
         cover = np.zeros((len(self.routes), len(self.targets)), dtype=bool)
         cover[rows, np.searchsorted(self.targets, visits)] = True
-        packed = np.packbits(cover, axis=1, bitorder="little")
         cover.flags.writeable = False
         object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "masks", tuple(int.from_bytes(b.tobytes(), "little") for b in packed))
+        object.__setattr__(self, "masks", tuple(row_masks(cover)))
 
 
 def covering_routes(

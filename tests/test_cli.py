@@ -287,7 +287,6 @@ def test_bad_counts_exit_2_naming_the_flag(tmp_path, capsys):
         (resolve + ["--max-placements=-1"], "--max-placements"),
         (resolve + ["--max-placements", "0"], "--max-placements"),
         (resolve + ["--restarts=-2"], "--restarts"),
-        (resolve + ["--resources-per-position", "0"], "--resources-per-position"),
         (bench + ["--max-placements", "0"], "--max-placements"),
         (bench + ["--restarts=-1"], "--restarts"),
         (bench + ["--seeds", "0"], "--seeds"),
@@ -368,7 +367,9 @@ def test_fc_mode_is_a_usage_error(tmp_path, capsys):
 
 def test_beam_width_and_mincover_method_are_usage_errors(tmp_path, capsys):
     # The beam width is routes.BEAM_WIDTH and resolve always takes the auto
-    # minimum cover, so neither is an option or a manifest key any more.
+    # minimum cover, so neither is an option or a manifest key any more.  Nor
+    # is the number of resources per guard post: a post named twice in a
+    # placement is staffed twice.
     assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
     inst = ["--instance", str(tmp_path / "instance.json"), "--out", str(tmp_path)]
     routes_argv = ["routes", *inst, "--start", "v0"]
@@ -379,6 +380,7 @@ def test_beam_width_and_mincover_method_are_usage_errors(tmp_path, capsys):
         (sro, ["--beam-width", "5"]),
         (resolve, ["--beam-width=100000"]),
         (resolve, ["--mincover-method", "greedy"]),
+        (resolve, ["--resources-per-position", "2"]),
     ]:
         with pytest.raises(SystemExit) as exc:
             run([*argv, *extra])
@@ -387,14 +389,25 @@ def test_beam_width_and_mincover_method_are_usage_errors(tmp_path, capsys):
         assert run(argv) == 0, argv
     for name in ("routes.json", "result.json", "report.json"):
         config = json.loads((tmp_path / name).read_text())["manifest"]["config"]
-        assert not {"beam_width", "mincover_method"} & set(config), name
+        assert not {"beam_width", "mincover_method", "resources_per_position"} & set(config), name
 
 
 def test_sro_requires_placement(tmp_path, capsys):
+    # Exactly one of --placement and --placement-file; given both, sro used
+    # to ignore --placement.
     assert run(["gen", "--targets", "6", "--seed", "3", "--out", str(tmp_path)]) == 0
-    code = run(["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",
-                "--out", str(tmp_path)])
-    assert code == 2
+    assert run(["mincover", "--instance", str(tmp_path / "instance.json"),
+                "--out", str(tmp_path)]) == 0
+    sro = ["sro", "--instance", str(tmp_path / "instance.json"), "--oracle", "nc",
+           "--out", str(tmp_path)]
+    both = ["--placement", "v0", "--placement-file", str(tmp_path / "placement.json")]
+    for extra, word in [([], "--placement"), (both, "not allowed with argument")]:
+        with pytest.raises(SystemExit) as exc:
+            run([*sro, *extra])
+        assert exc.value.code == 2, extra
+        err = capsys.readouterr().err
+        assert word in err and "--placement-file" in err, extra
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
@@ -409,6 +422,33 @@ def test_numerical_failure_exits_4(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.strip() == "error: numerical failure: simplex pivot limit exceeded"
     assert not (tmp_path / "result.json").exists()
+
+
+def test_numerical_failure_in_resolve_and_bench_exits_4_after_writing(tmp_path, capsys,
+                                                                     monkeypatch):
+    # resolve used to stop at the first ArithmeticError and write nothing.
+    real = pipeline.respond
+
+    def fail_fc(setting, dist, alarm, positions, scheme, **kwargs):
+        if scheme == "FC":
+            raise ArithmeticError("simplex pivot limit exceeded")
+        return real(setting, dist, alarm, positions, scheme, **kwargs)
+
+    monkeypatch.setattr(pipeline, "respond", fail_fc)
+    assert run(["gen", "--targets", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    code = run(["resolve", "--instance", str(tmp_path / "instance.json"), "--oracles", "fc,nc",
+                "--max-placements", "2", "--out", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    assert "FC on placement 0: simplex pivot limit exceeded" in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["placements_evaluated"] == 2 and set(report["best"]) == {"NC"}
+    for pe in report["placements"]:
+        assert pe["failed"] == {"FC": "simplex pivot limit exceeded"}
+    assert (tmp_path / "trace.csv").exists()
+    code = run(["bench", "--sizes", "8", "--seeds", "2", "--oracles", "fc,nc",
+                "--max-placements", "2", "--out", str(tmp_path / "bench")])
+    assert code == EXIT_NUMERIC
+    assert (tmp_path / "bench" / "bench.csv").read_text().count(",NC,") == 2
 
 
 def test_min_cover_timeout_exits_3_from_resolve_and_bench(tmp_path, monkeypatch):

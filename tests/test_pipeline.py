@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -173,21 +174,49 @@ def test_resolve_deterministic_reports():
     assert a == b
 
 
-def test_resolve_guard_posts_share_route_sets():
+def test_respond_guard_posts_share_route_sets():
+    # A guard post named twice is staffed twice: both resources get the
+    # post's one route set, and the extra resource cannot lower FC's value.
     s = make_setting(5, [(i, i + 1) for i in range(4)])
     alarm = single_signal(s)
-    solo = resolve(
-        s, alarm, ResolutionConfig(time_budget=20.0, oracles=("NC",), seed=0)
-    )
-    doubled = resolve(
-        s,
-        alarm,
-        ResolutionConfig(
-            time_budget=20.0, oracles=("NC",), seed=0, resources_per_position=2
-        ),
-    )
-    assert doubled.m == solo.m  # m counts guard posts
-    assert doubled.best["NC"].value >= solo.best["NC"].value - 1e-9
+    d = all_pairs_distances(s)
+    once = respond(s, d, alarm, [1, 3], "FC")
+    twice = respond(s, d, alarm, [1, 1, 3], "FC")
+    first, second, _ = twice.route_sets["s0"]
+    assert first is second
+    assert twice.value >= once.value - 1e-9
+
+
+def test_resolve_records_a_numerical_failure_and_goes_on(monkeypatch):
+    # An ArithmeticError from one oracle used to end resolve with no report.
+    real, calls = pipeline.respond, []
+
+    def flaky(setting, dist, alarm, positions, scheme, **kwargs):
+        calls.append(scheme)
+        if scheme == "FC" and calls.count("FC") == 2:
+            raise ArithmeticError("simplex pivot limit exceeded")
+        return real(setting, dist, alarm, positions, scheme, **kwargs)
+
+    s, alarm = generate_instance(GeneratorParams(n_targets=12, seed=5))
+    config = ResolutionConfig(time_budget=60.0, max_placements=3, seed=5)
+    monkeypatch.setattr(pipeline, "respond", flaky)
+    report = resolve(s, alarm, config)
+    assert report.placements_evaluated == 3
+    assert [pe.failed for pe in report.placements] == [
+        {}, {"FC": "simplex pivot limit exceeded"}, {}
+    ]
+    assert [sorted(pe.values) for pe in report.placements] == [
+        ["FC", "NC", "PC"], ["NC", "PC"], ["FC", "NC", "PC"]
+    ]
+    payload = report_payload(report, s)
+    assert [pe.get("failed") for pe in payload["placements"]] == [
+        None, {"FC": "simplex pivot limit exceeded"}, None
+    ]
+    # The other evaluations are those of a run without the failure.
+    monkeypatch.setattr(pipeline, "respond", real)
+    clean = resolve(s, alarm, config)
+    for pe, ok in zip(report.placements, clean.placements):
+        assert pe.values == {k: v for k, v in ok.values.items() if k not in pe.failed}
 
 
 def test_config_validation():
@@ -208,3 +237,5 @@ def test_config_validation():
         with pytest.raises(ValueError, match=next(iter(bad))):
             ResolutionConfig(**bad)
     ResolutionConfig(pc_restarts=0, max_placements=1)
+    names = [f.name for f in fields(ResolutionConfig)]
+    assert names == ["time_budget", "oracles", "seed", "max_placements", "pc_restarts"]
