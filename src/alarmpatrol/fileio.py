@@ -218,7 +218,10 @@ def oracle_payload(
     route_sets: Sequence[RouteSet],
     setting: PatrollingSetting,
 ) -> dict[str, Any]:
-    """Serialize one per-signal oracle result; strategies refer to route indices."""
+    """Serialize one per-signal oracle result; strategies refer to route indices.
+
+    FC's joint entries are its support's ``JointRoute.rows``, sorted.
+    """
     payload: dict[str, Any] = {
         "value": result.value,
         "diagnostics": {
@@ -236,13 +239,7 @@ def oracle_payload(
     if "search" in result.diagnostics.extra:
         payload["diagnostics"]["search"] = result.diagnostics.extra["search"]
     if result.joint is not None:
-        # A route set holds each visit sequence once (``covering_routes``
-        # drops repeats of the stay-at-start route), so ``index`` finds the
-        # row FC chose.
-        entries = [
-            {"routes": [rs.routes.index(r) for rs, r in zip(route_sets, jr.routes)], "p": p}
-            for jr, p in result.joint.probs.items()
-        ]
+        entries = [{"routes": list(jr.rows), "p": p} for jr, p in result.joint.probs.items()]
         entries.sort(key=lambda e: e["routes"])
         payload["strategy"] = {"joint": entries}
     else:

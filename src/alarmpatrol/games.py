@@ -45,7 +45,10 @@ def normalized(weights: Sequence[float]) -> np.ndarray:
 class MixedStrategy:
     """Probability distribution over hashable actions; stores the support only.
 
-    FC returns its joint strategy as one, over ``JointRoute`` actions.
+    FC returns its joint strategy as one, over ``JointRoute`` actions.  It
+    stays only because the benchmark reads FC's strategy as ``probs``; the
+    benchmark change that reads rows deletes it (ROADMAP, "One
+    joint-strategy representation").
     """
 
     probs: dict[Any, float]
@@ -106,7 +109,7 @@ class RowGame:
             c[-1] = 1.0
             row_sol = lp_solve(LinearProgram(c=c, A_ub=A_ub, b_ub=np.zeros(n_cols), A_eq=A_eq))
         else:
-            row_sol = self._tableau.resume()
+            row_sol = self._tableau.optimize()
         self.pivots += row_sol.pivots
         self._tableau = row_sol.tableau
 

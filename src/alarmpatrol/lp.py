@@ -40,9 +40,9 @@ so the new column a is B^-1 a read from them.  Their reduced costs are
 minus the row prices, because their costs are 0, so the new column's
 reduced cost is ``cost + r[starting-basis cols] @ a``.  The column enters
 nonbasic, at zero level, so the basic solution and with it primal
-feasibility are unchanged, and phase 2 resumes from the old basis.
-The pivot limit and the degenerate-run count that switches to Bland's rule
-start afresh in each resumed solve.  Phase 2 never prices the artificial.
+feasibility are unchanged, and ``optimize`` resumes phase 2 from the old
+basis.  Every solve starts the pivot limit and the degenerate-run count
+that switches to Bland's rule afresh.  Phase 2 never prices the artificial.
 
 A phase-2 column with a positive reduced cost and no positive entry would
 make the program unbounded, which no game's LP is; it raises
@@ -72,8 +72,8 @@ class LinearProgram:
 class LinearProgramSolution:
     x: np.ndarray
     duals: np.ndarray  # of the A_ub rows, >= -PIVOT_TOL
-    pivots: int  # of phase 2, or of the one resumed phase 2
-    # The solved tableau; ``add_column`` + ``resume``.
+    pivots: int  # of this solve's phase 2
+    # The solved tableau; ``add_column`` + ``optimize``.
     tableau: _SimplexState | None = field(default=None, repr=False, compare=False)
 
 
@@ -106,7 +106,7 @@ def lp_solve(lp: LinearProgram) -> LinearProgramSolution:
     r = np.zeros(ncols + 1)
     r[:n] = c
 
-    state = _SimplexState(T=T, basis=basis, r=r, switch=10 * (m + ncols))
+    state = _SimplexState(T=T, basis=basis, r=r)
     state.c, state.m1, state.start = c, m1, basis.copy()
     _pivot(state, m1, 0)  # phase 1 (module docstring)
     return state.optimize()
@@ -120,17 +120,18 @@ class _SimplexState:
     ``optimize`` and ``add_column`` read.
     """
 
-    def __init__(self, T: np.ndarray, basis: np.ndarray, r: np.ndarray, switch: int):
+    def __init__(self, T: np.ndarray, basis: np.ndarray, r: np.ndarray):
         self.T = T
         self.basis = basis
         self.r = r
-        self.degenerate = 0
+        self.pivots = self.degenerate = 0
         self.bland = False
-        self.switch = switch
-        self.pivots = 0
 
     def optimize(self) -> LinearProgramSolution:
-        """Run phase 2 from the current feasible basis and read the solution."""
+        """Run phase 2 afresh from the current feasible basis; read the solution."""
+        self.pivots = self.degenerate = 0
+        self.bland = False
+        self.switch = 10 * (self.start.shape[0] + self.T.shape[1] - 1)
         _run(self)
         n, m1 = self.c.shape[0], self.m1
         x = np.zeros(n)
@@ -157,17 +158,6 @@ class _SimplexState:
         self.c = _with_column(self.c, at, cost)
         self.basis[self.basis >= at] += 1
         self.start = self.start + (self.start >= at)
-
-    def resume(self) -> LinearProgramSolution:
-        """Re-solve after ``add_column``: phase 2 from the old basis.
-
-        The pivot limit and the degenerate-run count start afresh, and the
-        solution's ``pivots`` counts this solve's pivots alone.
-        """
-        self.pivots = self.degenerate = 0
-        self.bland = False
-        self.switch = 10 * (self.start.shape[0] + self.T.shape[1] - 1)
-        return self.optimize()
 
 
 def _with_column(A: np.ndarray, at: int, v) -> np.ndarray:

@@ -36,11 +36,11 @@ pi_t; the FC best responses read the same coverage from
 ``RouteSet.masks``, one pass per resource and round grouping the routes into
 coverage classes.
 
-Strategies are arrays over route-set rows.  NC and PC return one
-probability array per resource over its route set's rows.  FC's master and
-best responses know a joint route as a tuple of rows, one per resource,
-and the attacker as an array over the support; FC returns a joint strategy
-over ``JointRoute`` objects built for its support only.  One function,
+Strategies are over route-set rows.  NC and PC return one probability
+array per resource over its route set's rows.  FC knows a joint route as a
+tuple of rows, one per resource, from its best responses to its result,
+whose ``JointRoute`` records hold those rows and the targets they cover;
+its attacker is an array over the support.  One function,
 ``unprotected``, turns either kind into each support target's probability
 of staying unprotected, which every result carries as ``uncovered``.
 
@@ -119,9 +119,10 @@ class OracleResult:
     """Strategies plus defender value for one signal under one scheme.
 
     NC and PC fill ``per_resource``, one probability array per resource over
-    its route set's rows; FC fills ``joint``, a distribution over the
-    ``JointRoute`` objects of its support.  ``uncovered`` holds, per support
-    target, the probability that the strategies leave it unprotected.
+    its route set's rows; FC fills ``joint``, a distribution over its
+    support's ``JointRoute`` records (route-set rows and covered targets).
+    ``uncovered`` holds, per support target, the probability that the
+    strategies leave it unprotected.
     """
 
     value: float
@@ -290,29 +291,18 @@ def _greedy(
     return choice, _weight_bits(w, cur)
 
 
-def _round_start(
-    route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
-) -> tuple[tuple, tuple[list[int], float]]:
-    """What both FC best responses start from: the ``_setup`` for this
-    attacker and its greedy joint route ``_greedy(..., 0)``.  ``fc_sro``
-    builds it once per round and hands it to both as ``_start``."""
-    setup = _setup(route_sets, attacker, setting)
-    w, _, masks, full, orders = setup
-    return setup, _greedy(masks, w, full, orders, 0)
-
-
 def _greedy_response(
     route_sets: Sequence[RouteSet],
     attacker: np.ndarray,
     setting: PatrollingSetting,
-    _start: tuple | None = None,
+    *,
+    _classes: tuple | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """FC's cheap best response and its objective: the heaviest of the m
     ``_greedy`` joint routes, a later start winning only by more than 1e-12.
     """
-    (w, reps, masks, full, orders), (best_choice, best_w) = _start or _round_start(
-        route_sets, attacker, setting
-    )
+    w, reps, masks, full, orders = _classes or _setup(route_sets, attacker, setting)
+    best_choice, best_w = _greedy(masks, w, full, orders, 0)
     for first in range(1, len(masks)):
         choice, choice_w = _greedy(masks, w, full, orders, first)
         if choice_w > best_w + 1e-12:
@@ -326,7 +316,7 @@ def best_response_ilp(
     setting: PatrollingSetting,
     *,
     deadline: float | None = None,
-    _start: tuple | None = None,
+    _classes: tuple | None = None,
 ) -> tuple[tuple[int, ...], float, bool]:
     """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t), exactly.
 
@@ -356,12 +346,11 @@ def best_response_ilp(
     bit order, so a class's uncovered weight never exceeds its full weight
     in floating point either, and the early exits change no answer.
 
-    ``_start`` is ``fc_sro``'s ``_round_start`` for this attacker, which
-    its greedy response has already used.
+    ``_classes`` is ``fc_sro``'s ``_setup`` for this attacker, shared with
+    the round's greedy response; the incumbent is computed here all the same.
     """
-    (w, reps, masks, full, orders), (best_choice, best_w) = _start or _round_start(
-        route_sets, attacker, setting
-    )
+    w, reps, masks, full, orders = _classes or _setup(route_sets, attacker, setting)
+    best_choice, best_w = _greedy(masks, w, full, orders, 0)
     n_res = len(route_sets)
 
     suffix = [0] * (n_res + 1)
@@ -447,9 +436,11 @@ def fc_sro(
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
     resumes phase 2 from that basis, which stays feasible, so a round costs
-    a few pivots rather than a cold solve.  Rows are joint routes
-    as tuples of route-set rows; only the returned support becomes
-    ``JointRoute`` objects.
+    a few pivots rather than a cold solve.  Each round groups the routes
+    into coverage classes once (``_setup``) for both best responses.  Rows
+    are joint routes as tuples of route-set rows, kept so in the result's
+    ``JointRoute`` records, whose ``covered`` is read from the row's
+    coverage in the master (all rows 0, none covered, on an empty support).
 
     ``diagnostics.optimal`` is True only for a converged run over complete
     route sets; otherwise ``diagnostics.not_optimal`` is "timeout" (the
@@ -459,7 +450,7 @@ def fc_sro(
     targets = _support(route_sets)
     if not targets:
         # Signal with empty support: nothing to protect, nothing to attack.
-        jr = JointRoute(tuple(rs.routes[0] for rs in route_sets))
+        jr = JointRoute((0,) * len(route_sets), frozenset())
         diag = _diagnostics(route_sets, routes_generated=1)
         return OracleResult(1.0, diag, np.ones(0), joint=MixedStrategy({jr: 1.0}))
 
@@ -488,11 +479,11 @@ def fc_sro(
         if deadline is not None and time.monotonic() > deadline:
             not_optimal = "timeout"
             break
-        start = _round_start(route_sets, attacker, setting)
-        br, objective = _greedy_response(route_sets, attacker, setting, start)
+        classes = _setup(route_sets, attacker, setting)
+        br, objective = _greedy_response(route_sets, attacker, setting, _classes=classes)
         if br in covers or objective <= value + 1e-12:
             br, objective, certified = best_response_ilp(
-                route_sets, attacker, setting, deadline=deadline, _start=start
+                route_sets, attacker, setting, deadline=deadline, _classes=classes
             )
             if not certified:
                 not_optimal = "timeout"
@@ -503,11 +494,12 @@ def fc_sro(
 
     rows = list(covers)
     support = np.flatnonzero(x)
+    chosen = [rows[k] for k in support]
     joint = MixedStrategy({
-        JointRoute(tuple(rs.routes[i] for rs, i in zip(route_sets, rows[k]))): float(x[k])
-        for k in support
+        JointRoute(row, frozenset(np.compress(covers[row], targets).tolist())): float(p)
+        for row, p in zip(chosen, x[support])
     })
-    uncovered = unprotected([(np.array([covers[rows[k]] for k in support]), x[support])])
+    uncovered = unprotected([(np.array([covers[row] for row in chosen]), x[support])])
     diag = _diagnostics(
         route_sets, not_optimal, iterations=len(trace), routes_generated=len(rows),
         trace=tuple(trace), lp_pivots=game.pivots + nc.diagnostics.lp_pivots,

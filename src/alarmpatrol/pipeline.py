@@ -22,6 +22,8 @@ import numpy as np
 from .mincover import (
     CoveringPlacement,
     MinCoverResult,
+    greedy_cover,
+    local_search_improve,
     min_cover,
     overlap_metrics,
     OverlapMetrics,
@@ -107,6 +109,8 @@ def enumerate_placements(
     of the vertex combinations yields the next unseen covering one and the
     swap search resumes from it.  The sweep runs only when ``_sweeps(n, m)``,
     and only then is true exhaustion guaranteed.  Never repeats a placement.
+    The first is ``initial`` or else the greedy + local-search cover of the
+    set-cover instance, padded to ``m`` with the lowest unplaced vertices.
     """
     n = setting.n
     if not 0 < m <= n:
@@ -121,7 +125,7 @@ def enumerate_placements(
         return got == full
 
     if initial is None:
-        start = list(min_cover(setting, dist, "greedy+ls").placement.positions)
+        start = list(local_search_improve(greedy_cover(instance), instance).positions)
     else:
         start = list(initial.positions)
     if len(start) > m:

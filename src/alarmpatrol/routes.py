@@ -52,17 +52,17 @@ class CoveringRoute:
 
 @dataclass(frozen=True)
 class JointRoute:
-    """One covering route per resource, index-aligned with the placement.
+    """One of FC's joint routes: a route-set row per resource.
 
-    ``covered`` is the union of the routes' visits.  The oracles work on
-    route-set rows; FC builds joint routes only for the support it returns.
+    ``rows`` is index-aligned with the placement, and ``covered`` holds the
+    support targets those rows cover.  The record stays, with ``covered``,
+    only because the benchmark reads FC's strategy through it; the benchmark
+    change that reads rows deletes it (ROADMAP, "One joint-strategy
+    representation").
     """
 
-    routes: tuple[CoveringRoute, ...]
-    covered: frozenset[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "covered", frozenset(t for r in self.routes for t in r.visits))
+    rows: tuple[int, ...]
+    covered: frozenset[int]
 
 
 @dataclass(frozen=True)

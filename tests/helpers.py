@@ -500,7 +500,8 @@ def rowwise_lp_solve(prog):
     c1 = np.zeros(ncols + 1)
     c1[n + m1] = -1.0
     r1 = c1 - c1[n + m1] * T[m1]
-    state = lp._SimplexState(T=T, basis=basis, r=r1, switch=10 * (m + ncols))
+    state = lp._SimplexState(T=T, basis=basis, r=r1)
+    state.switch = 10 * (m + ncols)  # as ``optimize`` sets it, once for both phases
     lp._run(state)
     assert r1[-1] <= 1e-7, "infeasible"
     if basis[m1] == n + m1:
@@ -532,20 +533,21 @@ def routes_for(setting, dist, positions, support):
 
 def joint_enumeration_value(route_sets, setting, support) -> tuple[float, int]:
     """FC oracle check: solve the game over the entire joint-route product."""
-    from alarmpatrol import JointRoute, RowGame
+    from alarmpatrol import RowGame
 
-    joints = [
-        JointRoute(combo)
+    # Each joint route covers the union of its routes' visits.
+    covered = [
+        {t for r in combo for t in r.visits}
         for combo in itertools.product(*[rs.routes for rs in route_sets])
     ]
     targets = sorted(support)
-    U = np.ones((len(joints), len(targets)))
-    for i, jr in enumerate(joints):
+    U = np.ones((len(covered), len(targets)))
+    for i, cov in enumerate(covered):
         for j, t in enumerate(targets):
-            if t not in jr.covered:
+            if t not in cov:
                 U[i, j] -= setting.value[t]
     _, _, value = RowGame(U).solve()
-    return value, len(joints)
+    return value, len(covered)
 
 
 def pearson(xs, ys) -> float:

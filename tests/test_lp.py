@@ -407,7 +407,7 @@ def test_added_columns_resume_to_the_cold_optimum():
                 state.add_column(_rows_of(prog, j), prog.c[j], at)
                 cols.insert(at, j)
                 del calls[:]
-                sol = state.resume()
+                sol = state.optimize()
                 assert sol.pivots == len(calls)
                 sub = _columns(prog, cols)
                 ref = lp_solve(sub)
@@ -443,13 +443,13 @@ def test_columns_added_to_the_starting_basis_resume_bit_for_bit():
         del rules[:]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp_module, "_pivot", spy)
-            got = state.resume()
+            got = state.optimize()
         _assert_bit_equal(got, lp_solve(prog))
         _assert_bit_equal(got, rowwise_lp_solve(prog), start_pivots=1)
         if prog is BEALE:
             assert rules[-1] and not rules[0]
             # The next resumed solve starts from Dantzig's rule and no pivots.
             state.add_column(np.zeros(4), -1.0, n)
-            again = state.resume()
+            again = state.optimize()
             assert again.pivots == 0 and not state.bland and state.degenerate == 0
             assert again.x[:n].tobytes() == got.x.tobytes()

@@ -33,6 +33,7 @@ from alarmpatrol import (
 from alarmpatrol import lp as lp_module
 from alarmpatrol import oracles as oracles_module
 from alarmpatrol import pipeline
+from alarmpatrol.fileio import oracle_payload
 from alarmpatrol.games import VALUE_TOL, normalized
 from alarmpatrol.oracles import SEARCH_MAX_ROUTES, _greedy_response
 from alarmpatrol.routes import CoveringRoute, RouteSet
@@ -60,8 +61,10 @@ def _values(setting, targets):
 
 
 def _joint_route(sets, rows):
-    """The ``JointRoute`` of one route-set row per resource."""
-    return JointRoute(tuple(rs.routes[i] for rs, i in zip(sets, rows, strict=True)))
+    """The ``JointRoute`` of one route-set row per resource: it covers the
+    union of those routes' visits."""
+    routes = [rs.routes[i] for rs, i in zip(sets, rows, strict=True)]
+    return JointRoute(tuple(rows), frozenset(t for r in routes for t in r.visits))
 
 
 # -- unprotected and evaluate_profile ------------------------------------------
@@ -661,6 +664,42 @@ def test_fc_stops_when_the_exact_response_ties_the_value(monkeypatch):
         gaps = [obj - events[k - 1][1] for k, (kind, obj) in enumerate(events) if kind == "search"]
         assert gaps[-1] <= 1e-12
         assert all(gap > 1e-12 for gap in gaps[:-1])
+
+
+def test_fc_joint_routes_are_route_set_rows():
+    # FC keeps a joint route as one route-set row per resource, through to
+    # the written strategy: on generator placements, on a guard post
+    # staffed twice (one route set for two resources), on a support that
+    # is not every target, so that column j is not target j, and on an
+    # empty support.  Each joint route covers the union of its rows' cover
+    # columns, which is the union of its routes' visits.
+    cases = [_first_placement_sets(n_targets, seed) for n_targets, seed in ((40, 7), (60, 1))]
+    s, alarm = generate_instance(GeneratorParams(n_targets=20, seed=14))
+    d = all_pairs_distances(s)
+    (signal,) = alarm.signals
+    post, other = routes_for(s, d, [s.index_of("v0"), s.index_of("v3")],
+                             alarm.signal_support(signal))
+    cases.append((s, (post, post, other)))  # as ``respond`` staffs v0, v0, v3
+    cases.append((s, routes_for(s, d, [0, 3], range(5, 20))))
+    cases.append((s, routes_for(s, d, [0, 3], ())))
+    for s, sets in cases:
+        result = fc_sro(sets, s)
+        joint = result.joint.probs
+        entries = oracle_payload(result, sets, s)["strategy"]["joint"]
+        assert [(e["routes"], e["p"]) for e in entries] == sorted(
+            (list(jr.rows), p) for jr, p in joint.items()
+        )
+        assert all(type(i) is int for e in entries for i in e["routes"])
+        assert abs(sum(e["p"] for e in entries) - 1.0) <= 1e-9
+        for jr in joint:
+            assert len(jr.rows) == len(sets)
+            columns = np.zeros(len(sets[0].targets), dtype=bool)
+            for rs, i in zip(sets, jr.rows, strict=True):
+                columns |= rs.cover[i]
+            assert jr.covered == set(np.compress(columns, sets[0].targets).tolist())
+            assert jr.covered == {t for rs, i in zip(sets, jr.rows) for t in rs.routes[i].visits}
+        if not sets[0].targets:
+            assert joint == {JointRoute((0, 0), frozenset()): 1.0}
 
 
 def test_fc_groups_the_routes_once_per_round(monkeypatch):

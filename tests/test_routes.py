@@ -1,6 +1,5 @@
 from alarmpatrol import (
     GeneratorParams,
-    JointRoute,
     all_pairs_distances,
     covering_routes,
     generate_instance,
@@ -58,16 +57,6 @@ def test_start_on_target_includes_singleton():
     d = all_pairs_distances(s)
     rs = covering_routes(s, d, 0, (0, 1))
     assert rs.routes[0].visits == (0,) and rs.routes[0].arrivals == (0,)
-
-
-def test_covers_predicates():
-    # A joint route covers the union of its routes' visits.
-    r12 = CoveringRoute(0, (1, 2), (1, 2))
-    empty = CoveringRoute(0, (), ())
-    assert JointRoute((r12, empty)).covered == {1, 2}
-    assert JointRoute((empty,)).covered == frozenset()
-    jr = JointRoute((CoveringRoute(0, (1,), (1,)), CoveringRoute(3, (2,), (1,))))
-    assert 2 in jr.covered and 1 in jr.covered and 0 not in jr.covered
 
 
 def _route_invariants(rs, setting, dist, support):
