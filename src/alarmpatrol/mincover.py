@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,9 +63,16 @@ class CoveringPlacement:
 
 @dataclass(frozen=True)
 class MinCoverResult:
+    """A covering placement and how it was found.
+
+    ``instance`` is the set-cover instance the method searched (None for the
+    tree and cycle methods), so a caller can reuse it.
+    """
+
     placement: CoveringPlacement
     optimal: bool
     method: str
+    instance: SetCoverInstance | None = field(default=None, compare=False, repr=False)
 
     @property
     def timed_out(self) -> bool:
@@ -213,6 +220,7 @@ def exact_cover(
         placement=CoveringPlacement(tuple(best)),
         optimal=not timed_out,
         method="exact",
+        instance=instance,
     )
 
 
@@ -328,11 +336,12 @@ def min_cover(
     if method == "exact":
         return exact_cover(to_set_cover(setting, dist), time_budget)
     if method == "greedy":
-        return MinCoverResult(greedy_cover(to_set_cover(setting, dist)), False, "greedy")
+        instance = to_set_cover(setting, dist)
+        return MinCoverResult(greedy_cover(instance), False, "greedy", instance)
     if method == "greedy+ls":
         instance = to_set_cover(setting, dist)
         return MinCoverResult(
-            local_search_improve(greedy_cover(instance), instance), False, "greedy+ls"
+            local_search_improve(greedy_cover(instance), instance), False, "greedy+ls", instance
         )
     raise ValueError(f"unknown mincover method {method!r}")
 

@@ -23,7 +23,9 @@ expected utility:
   grouped by the targets they cover where the attacker's strategy has
   weight, scan them heaviest first and stop at the first class whose full
   weight cannot beat what is in hand.  The game LP lives for the whole call
-  and resumes from its last basis each round.
+  and resumes from its last basis each round.  ``respond`` can start it from
+  an earlier FC result whose placement shares guard posts with this one
+  (``_seed_rows``) instead of from NC.
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -84,9 +86,10 @@ class OracleDiagnostics:
     "iteration cap" or "search node cap" (PC).
     ``lp_pivots`` sums the pivots of the games the oracle solved: NC's
     games, PC's response games and FC's master, plus the NC start of PC and
-    FC.  An NC game already solved for the route set counts the pivots it
-    took then; a PC response game reused from the previous round counts
-    none.
+    of a cold-started FC.  An NC game already solved for the route set
+    counts the pivots it took then; a PC response game reused from the
+    previous round counts none, and an FC started from given rows solves
+    and counts no NC game.
     """
 
     iterations: int = 0
@@ -120,9 +123,10 @@ class OracleResult:
 
     NC and PC fill ``per_resource``, one probability array per resource over
     its route set's rows; FC fills ``joint``, a distribution over its
-    support's ``JointRoute`` records (route-set rows and covered targets).
-    ``uncovered`` holds, per support target, the probability that the
-    strategies leave it unprotected.
+    support's ``JointRoute`` records (route-set rows and covered targets),
+    and ``attacker``, its final master's attacker minmax, one probability
+    per support target.  ``uncovered`` holds, per support target, the
+    probability that the strategies leave it unprotected.
     """
 
     value: float
@@ -130,6 +134,7 @@ class OracleResult:
     uncovered: np.ndarray
     per_resource: tuple[np.ndarray, ...] | None = None
     joint: MixedStrategy | None = None
+    attacker: np.ndarray | None = None
 
 
 def _support(route_sets: Sequence[RouteSet]) -> tuple[int, ...]:
@@ -258,6 +263,28 @@ def _joint(reps: Sequence[Sequence[int]], choice: Sequence[int]) -> tuple[int, .
     return tuple(r[c] for r, c in zip(reps, choice))
 
 
+def _heaviest(
+    w: Sequence[float], ms: Sequence[int], fs: Sequence[float], order: Sequence[int], cur: int
+) -> int:
+    """The class of one resource adding the most weight to the targets
+    ``cur`` covers, lowest index on ties.
+
+    Classes are scanned heaviest first (``order``) and the scan stops at the
+    first class whose full weight is below the best gain so far, since a
+    class never adds more than its full weight.  A class's index orders it
+    as its representative, the lowest index of its routes, so the choice
+    maps back to the route a scan over all routes would take.
+    """
+    best_j, best_gain = -1, -1.0
+    for j in order:
+        if fs[j] < best_gain:
+            break
+        gain = _weight_bits(w, ms[j] & ~cur)
+        if gain > best_gain or (gain == best_gain and j < best_j):
+            best_j, best_gain = j, gain
+    return best_j
+
+
 def _greedy(
     masks: Sequence[Sequence[int]],
     w: Sequence[float],
@@ -268,26 +295,13 @@ def _greedy(
     """Greedy joint route (one class index per resource) and its weight.
 
     From resource ``first`` round to the one before it, each resource takes
-    the class adding the most weight, lowest index on ties.  Classes are
-    scanned heaviest first (``orders``) and the scan stops at the first
-    class whose full weight is below the best gain so far, since a class
-    never adds more than its full weight.  A class's index orders it as its
-    representative, the lowest index of its routes, so the choice maps back
-    to the route a scan over all routes would take.
+    its ``_heaviest`` class given the classes taken before it.
     """
     choice = [0] * len(masks)
     cur = 0
     for i in [*range(first, len(masks)), *range(first)]:
-        ms, fs = masks[i], full[i]
-        best_j, best_gain = -1, -1.0
-        for j in orders[i]:
-            if fs[j] < best_gain:
-                break
-            gain = _weight_bits(w, ms[j] & ~cur)
-            if gain > best_gain or (gain == best_gain and j < best_j):
-                best_j, best_gain = j, gain
-        choice[i] = best_j
-        cur |= ms[best_j]
+        choice[i] = _heaviest(w, masks[i], full[i], orders[i], cur)
+        cur |= masks[i][choice[i]]
     return choice, _weight_bits(w, cur)
 
 
@@ -418,12 +432,15 @@ def fc_sro(
     setting: PatrollingSetting,
     *,
     deadline: float | None = None,
+    start: Sequence[Sequence[int]] | None = None,
 ) -> OracleResult:
     """Full coordination: maxmin over joint covering routes by row generation.
 
-    Starting from the joint route of each resource's most likely NC route,
-    each round solves the constant-sum game restricted to the current rows
-    and adds a better row against the attacker's minmax strategy: the cheap
+    Starting from the joint routes ``start`` (route-set rows, one per
+    resource; repeats dropped, first kept), or when it is None from the
+    joint route of each resource's most likely NC route, each round solves
+    the constant-sum game restricted to the current rows and adds a better
+    row against the attacker's minmax strategy: the cheap
     ``_greedy_response`` when it is a new row beating the value by more than
     1e-12, else the exact ``best_response_ilp``'s.  When the exact response
     is already a row, or its objective does not beat the value by more than
@@ -431,7 +448,10 @@ def fc_sro(
     value is the FC maxmin over the full joint space and the loop stops.
     Every other round adds a new joint route, of which there are finitely
     many, so the loop terminates, and only an exact response ends it (a
-    double oracle with cheap better responses; Jain et al., 2011).
+    double oracle with cheap better responses; Jain et al., 2011).  So any
+    valid ``start`` gives a certified value; a good one, such as the
+    support of a related game's solution, saves rounds (McMahan, Gordon &
+    Blum, 2003), and skips the NC games.
 
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
@@ -441,6 +461,7 @@ def fc_sro(
     are joint routes as tuples of route-set rows, kept so in the result's
     ``JointRoute`` records, whose ``covered`` is read from the row's
     coverage in the master (all rows 0, none covered, on an empty support).
+    The result's ``attacker`` is the last master's attacker minmax.
 
     ``diagnostics.optimal`` is True only for a converged run over complete
     route sets; otherwise ``diagnostics.not_optimal`` is "timeout" (the
@@ -452,7 +473,9 @@ def fc_sro(
         # Signal with empty support: nothing to protect, nothing to attack.
         jr = JointRoute((0,) * len(route_sets), frozenset())
         diag = _diagnostics(route_sets, routes_generated=1)
-        return OracleResult(1.0, diag, np.ones(0), joint=MixedStrategy({jr: 1.0}))
+        return OracleResult(
+            1.0, diag, np.ones(0), joint=MixedStrategy({jr: 1.0}), attacker=np.ones(0)
+        )
 
     # The master's rows, in order, with their coverage: the OR of the chosen
     # rows of the route-set matrices.
@@ -466,10 +489,19 @@ def fc_sro(
         )
         return np.where(covers[choice], 1.0, 1.0 - pi)
 
-    # Each resource's most likely NC route, the first on ties.
-    nc = nc_sro(route_sets, setting)
-    first = tuple(int(np.argmax(x)) for x in nc.per_resource)
-    game = RowGame(new_row(first)[None])
+    if start is None:
+        # Each resource's most likely NC route, the first on ties.
+        nc = nc_sro(route_sets, setting)
+        start = [[int(np.argmax(x)) for x in nc.per_resource]]
+        nc_pivots = nc.diagnostics.lp_pivots
+    else:
+        nc_pivots = 0
+    sizes = [len(rs.routes) for rs in route_sets]
+    start = dict.fromkeys(tuple(map(int, row)) for row in start)
+    for row in start:
+        if len(row) != len(sizes) or not all(0 <= i < n for i, n in zip(row, sizes)):
+            raise ValueError(f"start row {row} is not one route-set row per resource")
+    game = RowGame(np.array([new_row(row) for row in start]))
 
     trace: list[float] = []
     not_optimal = None
@@ -502,9 +534,48 @@ def fc_sro(
     uncovered = unprotected([(np.array([covers[row] for row in chosen]), x[support])])
     diag = _diagnostics(
         route_sets, not_optimal, iterations=len(trace), routes_generated=len(rows),
-        trace=tuple(trace), lp_pivots=game.pivots + nc.diagnostics.lp_pivots,
+        trace=tuple(trace), lp_pivots=game.pivots + nc_pivots,
     )
-    return OracleResult(value, diag, uncovered, joint=joint)
+    return OracleResult(value, diag, uncovered, joint=joint, attacker=attacker)
+
+
+def _seed_rows(
+    route_sets: Sequence[RouteSet],
+    setting: PatrollingSetting,
+    source_sets: Sequence[RouteSet],
+    source: OracleResult,
+) -> list[tuple[int, ...]]:
+    """FC start rows from ``source``, an FC result over ``source_sets``.
+
+    Each of the source's support joint routes gives one row, in support
+    order.  A resource whose route set is one of ``source_sets`` (the same
+    object: the same guard post and signal, from one route cache), each
+    matched once, keeps that resource's row.  The others, in resource
+    order, take their ``_heaviest`` class against the source's attacker,
+    given the coverage of the rows already in the joint route.
+    """
+    unmatched = list(range(len(source_sets)))
+    matched: list[int | None] = []
+    for rs in route_sets:
+        k = next((k for k in unmatched if source_sets[k] is rs), None)
+        if k is not None:
+            unmatched.remove(k)
+        matched.append(k)
+    w, reps, masks, full, orders = _setup(route_sets, source.attacker, setting)
+    seeds = []
+    for jr in source.joint.probs:
+        row = [None if k is None else jr.rows[k] for k in matched]
+        cur = 0
+        for rs, r in zip(route_sets, row):
+            if r is not None:
+                cur |= rs.masks[r]
+        for i, r in enumerate(row):
+            if r is None:
+                c = _heaviest(w, masks[i], full[i], orders[i], cur)
+                row[i] = reps[i][c]
+                cur |= masks[i][c]
+        seeds.append(tuple(row))
+    return seeds
 
 
 def _random_simplex(size: int, rng) -> np.ndarray:
@@ -804,12 +875,15 @@ def respond(
     pc_restarts: int = 0,
     seed: int = 0,
     deadline: float | None = None,
+    fc_start: SignalResponse | None = None,
 ) -> SignalResponse:
     """Solve one response game per signal for a placement and aggregate.
 
     ``positions`` lists one start vertex per resource; repeats are allowed so
     several patrollers can share a guard post (they then share the post's
-    route set).
+    route set).  ``fc_start``, an earlier FC response over the same signals
+    and route cache, starts each signal's FC from its rows (``_seed_rows``);
+    the other schemes ignore it.
     """
     scheme = scheme.upper()
     if scheme not in ("FC", "PC", "NC"):
@@ -833,7 +907,12 @@ def respond(
                 sets, setting, restarts=pc_restarts, seed=seed, deadline=deadline
             )
         else:
-            per_signal[s] = fc_sro(sets, setting, deadline=deadline)
+            start = None
+            if fc_start is not None:
+                start = _seed_rows(
+                    sets, setting, fc_start.route_sets[s], fc_start.per_signal[s]
+                )
+            per_signal[s] = fc_sro(sets, setting, deadline=deadline, start=start)
     value = aggregate_value(setting, alarm, per_signal)
     return SignalResponse(
         scheme=scheme, value=value, per_signal=per_signal, route_sets=rsets

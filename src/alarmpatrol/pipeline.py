@@ -27,10 +27,11 @@ from .mincover import (
     min_cover,
     overlap_metrics,
     OverlapMetrics,
+    SetCoverInstance,
     to_set_cover,
 )
 from .model import AlarmSystem, PatrollingSetting, all_pairs_distances, build_alarm, build_setting
-from .oracles import respond
+from .oracles import SignalResponse, respond
 from .seeding import stream
 
 # The largest number of combinations enumerate_placements' systematic sweep
@@ -101,6 +102,7 @@ def enumerate_placements(
     m: int,
     *,
     initial: CoveringPlacement | None = None,
+    instance: SetCoverInstance | None = None,
 ) -> Iterator[CoveringPlacement]:
     """Yield distinct covering placements of exactly ``m`` positions.
 
@@ -111,11 +113,13 @@ def enumerate_placements(
     and only then is true exhaustion guaranteed.  Never repeats a placement.
     The first is ``initial`` or else the greedy + local-search cover of the
     set-cover instance, padded to ``m`` with the lowest unplaced vertices.
+    ``instance`` is ``to_set_cover(setting, dist)`` when the caller has it.
     """
     n = setting.n
     if not 0 < m <= n:
         raise ValueError(f"cannot place {m} distinct resources on {n} vertices")
-    instance = to_set_cover(setting, dist)
+    if instance is None:
+        instance = to_set_cover(setting, dist)
     masks, full = instance.masks, instance.full
 
     def covering(positions: tuple[int, ...]) -> bool:
@@ -281,6 +285,12 @@ def resolve(
     """Run the full anytime flow under a wall-clock budget.
 
     An oracle's numerical failure is kept on its placement, and the run goes on.
+
+    Each placement's FC starts from the FC response of the earliest evaluated
+    placement sharing all but one of its positions, when one succeeded: for
+    a swap placement, the placement it was swapped from.  Successful FC
+    responses are filed under each (m - 1)-subset of their positions, first
+    one kept, so finding that response takes m lookups.
     """
     t0 = time.monotonic()
     deadline = t0 + config.time_budget
@@ -291,23 +301,35 @@ def resolve(
 
     report = ResolutionReport(mincover=mc)
     route_cache: dict = {}
-    gen = enumerate_placements(setting, dist, report.m, initial=mc.placement)
+    # (m - 1)-subset of positions -> (placement index, FC response).
+    fc_done: dict[tuple[int, ...], tuple[int, SignalResponse]] = {}
+    gen = enumerate_placements(
+        setting, dist, report.m, initial=mc.placement, instance=mc.instance
+    )
     for idx, placement in enumerate(gen):
         if time.monotonic() >= deadline or idx == config.max_placements:
             break
         metrics = overlap_metrics(placement, setting, dist)
         values: dict[str, float] = {}
         failed: dict[str, str] = {}
+        keys = list(itertools.combinations(placement.positions, report.m - 1))
         for scheme in config.oracles:
             if time.monotonic() >= deadline:
                 break
+            fc_start = None
+            if scheme == "FC":
+                earlier = [fc_done[k] for k in keys if k in fc_done]
+                fc_start = min(earlier, key=lambda e: e[0])[1] if earlier else None
             try:
                 resp = respond(setting, dist, alarm, placement.positions, scheme,
                                route_cache=route_cache, pc_restarts=config.pc_restarts,
-                               seed=config.seed, deadline=deadline)
+                               seed=config.seed, deadline=deadline, fc_start=fc_start)
             except ArithmeticError as exc:
                 failed[scheme] = str(exc)
                 continue
+            if scheme == "FC":
+                for k in keys:
+                    fc_done.setdefault(k, (idx, resp))
             values[scheme] = resp.value
             report.timed_out_oracles += sum(
                 res.diagnostics.timed_out for res in resp.per_signal.values()

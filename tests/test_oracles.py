@@ -472,6 +472,31 @@ def test_fc_exact_matches_joint_enumeration():
         assert result.diagnostics.routes_generated <= n_joints
 
 
+def test_fc_from_start_rows_skips_nc_and_keeps_the_value(monkeypatch):
+    # Any valid start rows give the cold start's certified value; they are
+    # deduplicated in order, NC is not solved, and a bad row is refused.
+    s, _ = generate_instance(GeneratorParams(n_targets=40, seed=7))
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, min_cover(s, d).placement.positions, s.targets)
+    cold = fc_sro(sets, s)
+    start = [(0,) * len(sets), tuple(len(rs.routes) - 1 for rs in sets), (0,) * len(sets)]
+
+    def no_nc(*args, **kwargs):
+        raise AssertionError("a started FC solves no NC game")
+
+    monkeypatch.setattr(oracles_module, "nc_sro", no_nc)
+    warm = fc_sro(sets, s, start=start)
+    assert warm.diagnostics.optimal
+    assert abs(warm.value - cold.value) <= 1e-12
+    assert warm.diagnostics.routes_generated == 2 + warm.diagnostics.iterations - 1
+    assert warm.attacker.shape == (len(s.targets),)
+    assert abs(float(warm.attacker.sum()) - 1.0) <= 1e-12
+    for bad in ([(0,) * (len(sets) - 1)], [(-1,) + (0,) * (len(sets) - 1)],
+                [(len(sets[0].routes),) + (0,) * (len(sets) - 1)]):
+        with pytest.raises(ValueError, match="start row"):
+            fc_sro(sets, s, start=bad)
+
+
 def test_fc_not_optimal_over_incomplete_routes(monkeypatch):
     # With no exact levels and a one-state beam, every route set that could
     # chain two targets drops states; FC's value is then exact only over the

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 
@@ -12,9 +13,9 @@ from alarmpatrol import (
     resolve,
     respond,
 )
-from alarmpatrol import pipeline
+from alarmpatrol import mincover, oracles, pipeline
 from alarmpatrol.fileio import report_payload
-from alarmpatrol.mincover import CoveringPlacement
+from alarmpatrol.mincover import CoveringPlacement, to_set_cover
 from alarmpatrol.pipeline import BudgetTooSmall
 from alarmpatrol.seeding import stream
 from helpers import (
@@ -187,6 +188,34 @@ def test_respond_guard_posts_share_route_sets():
     assert twice.value >= once.value - 1e-9
 
 
+def test_respond_fc_start_matches_route_sets_once(monkeypatch):
+    # A start from another placement keeps a row per shared route set, each
+    # source resource used once, so a doubled post's second resource is
+    # chosen against the source's attacker; values are the cold ones.
+    s = make_setting(6, [(i, i + 1) for i in range(5)])
+    alarm = single_signal(s)
+    d = all_pairs_distances(s)
+    cache: dict = {}
+    source = respond(s, d, alarm, [1, 4], "FC", route_cache=cache)
+    starts = []
+    real_fc = oracles.fc_sro
+
+    def fc_spy(route_sets, setting, **kwargs):
+        starts.append(kwargs["start"])
+        return real_fc(route_sets, setting, **kwargs)
+
+    monkeypatch.setattr(oracles, "fc_sro", fc_spy)
+    src_rows = next(iter(source.per_signal["s0"].joint.probs)).rows
+    # positions -> {resource: the source resource whose row it keeps}
+    for positions, kept in (([1, 1, 4], {0: 0, 2: 1}), ([0, 4], {1: 1}), ([4, 2], {0: 1})):
+        warm = respond(s, d, alarm, positions, "FC", route_cache=cache, fc_start=source)
+        assert {i: starts[-1][0][i] for i in kept} == {i: src_rows[k] for i, k in kept.items()}
+        cold = respond(s, d, alarm, positions, "FC", route_cache=cache)
+        assert starts[-1] is None
+        assert warm.per_signal["s0"].diagnostics.optimal
+        assert abs(warm.value - cold.value) <= 1e-12
+
+
 def test_resolve_records_a_numerical_failure_and_goes_on(monkeypatch):
     # An ArithmeticError from one oracle used to end resolve with no report.
     real, calls = pipeline.respond, []
@@ -217,6 +246,113 @@ def test_resolve_records_a_numerical_failure_and_goes_on(monkeypatch):
     clean = resolve(s, alarm, config)
     for pe, ok in zip(report.placements, clean.placements):
         assert pe.values == {k: v for k, v in ok.values.items() if k not in pe.failed}
+
+
+def test_resolve_builds_one_set_cover_instance(monkeypatch):
+    # min_cover's instance is handed to enumerate_placements, and the
+    # placements are those it yields from an instance of its own.
+    s, alarm = generate_instance(GeneratorParams(n_targets=30, seed=2))
+    built = []
+
+    def counted(setting, dist):
+        built.append(to_set_cover(setting, dist))
+        return built[-1]
+
+    monkeypatch.setattr(mincover, "to_set_cover", counted)
+    monkeypatch.setattr(pipeline, "to_set_cover", counted)
+    report = resolve(s, alarm, ResolutionConfig(oracles=("NC",), max_placements=30))
+    assert len(built) == 1 and report.mincover.instance is built[0]
+    monkeypatch.undo()
+    d = all_pairs_distances(s)
+    own = enumerate_placements(s, d, report.m, initial=report.mincover.placement)
+    assert [pe.positions for pe in report.placements] == [
+        p.positions for p in itertools.islice(own, 30)
+    ]
+
+
+def _spy_fc(monkeypatch, fail_first_fc=False):
+    """Record each ``resolve`` FC evaluation as (positions, fc_start, start
+    rows, response); with ``fail_first_fc`` the first one raises instead."""
+    real_respond, real_fc = pipeline.respond, oracles.fc_sro
+    calls, starts = [], []
+
+    def respond_spy(setting, dist, alarm, positions, scheme, **kwargs):
+        if scheme == "FC" and fail_first_fc and not calls:
+            calls.append((positions, kwargs["fc_start"], None, None))
+            raise ArithmeticError("simplex pivot limit exceeded")
+        resp = real_respond(setting, dist, alarm, positions, scheme, **kwargs)
+        if scheme == "FC":
+            calls.append((positions, kwargs["fc_start"], starts.pop(), resp))
+        return resp
+
+    def fc_spy(route_sets, setting, **kwargs):
+        starts.append(kwargs["start"])
+        return real_fc(route_sets, setting, **kwargs)
+
+    monkeypatch.setattr(pipeline, "respond", respond_spy)
+    monkeypatch.setattr(oracles, "fc_sro", fc_spy)
+    return calls, real_fc
+
+
+# perfbench's fc-exact instances, 70/s1 at deadline 2 (m = 8), and all 37
+# placements of 25/s0, where some placements have two earlier neighbours.
+@pytest.mark.parametrize("n, seed, deadline, placements", [
+    (40, 7, None, 4), (60, 1, None, 4), (70, 1, None, 4), (80, 0, None, 4), (80, 3, None, 4),
+    (70, 1, 2, 12), (25, 0, None, 37),
+])
+def test_resolve_warm_fc_matches_a_cold_start(monkeypatch, n, seed, deadline, placements):
+    # Each placement's FC starts from the support of the earliest evaluated
+    # placement sharing all but one position, keeping that placement's rows
+    # at the shared positions; the value is a cold start's, certified.
+    s, alarm = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
+    calls, cold_fc = _spy_fc(monkeypatch)
+    report = resolve(s, alarm, ResolutionConfig(oracles=("FC",), max_placements=placements))
+    assert report.placements_evaluated == len(calls) == placements
+    seeded = 0
+    for idx, (positions, fc_start, start, resp) in enumerate(calls):
+        neighbours = [
+            p for p, *_ in calls[:idx] if len(set(p) & set(positions)) == report.m - 1
+        ]
+        if not neighbours:
+            assert fc_start is None and start is None
+        else:
+            seeded += 1
+            source = neighbours[0]
+            assert tuple(rs.start for rs in fc_start.route_sets["s0"]) == source
+            shared = sorted(set(source) & set(positions))
+            assert [tuple(row[positions.index(q)] for q in shared) for row in start] == [
+                tuple(jr.rows[source.index(q)] for q in shared)
+                for jr in fc_start.per_signal["s0"].joint.probs
+            ]
+        warm = resp.per_signal["s0"]
+        cold = cold_fc(resp.route_sets["s0"], s)
+        assert warm.diagnostics.optimal and cold.diagnostics.optimal
+        assert abs(warm.value - cold.value) <= 1e-12
+    assert seeded
+
+
+def test_resolve_fc_starts_cold_when_its_seed_source_failed(monkeypatch):
+    # Placement 1's one earlier neighbour is placement 0; with placement 0's
+    # FC failed it starts cold, and every value is the clean run's.
+    s, alarm = generate_instance(GeneratorParams(n_targets=60, seed=1))
+    config = ResolutionConfig(oracles=("FC",), max_placements=4)
+    clean_calls, _ = _spy_fc(monkeypatch)
+    clean = resolve(s, alarm, config)
+    assert clean_calls[1][1] is not None
+    monkeypatch.undo()
+    calls, cold_fc = _spy_fc(monkeypatch, fail_first_fc=True)
+    report = resolve(s, alarm, config)
+    assert [pe.failed for pe in report.placements] == [
+        {"FC": "simplex pivot limit exceeded"}, {}, {}, {}
+    ]
+    positions, fc_start, start, resp = calls[1]
+    assert fc_start is None and start is None
+    assert resp.value == cold_fc(resp.route_sets["s0"], s).value
+    for _, _, _, resp in calls[1:]:
+        assert resp.per_signal["s0"].diagnostics.optimal
+    for pe, ok in zip(report.placements[1:], clean.placements[1:]):
+        assert pe.positions == ok.positions
+        assert abs(pe.values["FC"] - ok.values["FC"]) <= 1e-12
 
 
 def test_config_validation():
