@@ -5,7 +5,7 @@ signal, each oracle returns signal-response strategies and the defender's
 expected utility:
 
 * NC: every resource solves its own zero-sum game on the targets it can
-  reach, once per route set, and NC, PC and FC share that solution; the
+  reach, once per route set, and NC and PC share that solution; the
   attacker then best-responds to the product distribution.
 * PC: team maxmin of independently randomizing resources.  Alternating best
   responses (one response game per resource per round, updating the
@@ -23,9 +23,10 @@ expected utility:
   grouped by the targets they cover where the attacker's strategy has
   weight, scan them heaviest first and stop at the first class whose full
   weight cannot beat what is in hand.  The game LP lives for the whole call
-  and resumes from its last basis each round.  ``respond`` can start it from
-  an earlier FC result whose placement shares guard posts with this one
-  (``_seed_rows``) instead of from NC.
+  and resumes from its last basis each round.  It starts from the greedy
+  joint route against the uniform attacker, or, in ``respond``, from an
+  earlier FC result whose placement shares guard posts with this one
+  (``_seed_rows``).
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -85,11 +86,9 @@ class OracleDiagnostics:
     "timeout", "incomplete routes" (any oracle), "local fixed point",
     "iteration cap" or "search node cap" (PC).
     ``lp_pivots`` sums the pivots of the games the oracle solved: NC's
-    games, PC's response games and FC's master, plus the NC start of PC and
-    of a cold-started FC.  An NC game already solved for the route set
-    counts the pivots it took then; a PC response game reused from the
-    previous round counts none, and an FC started from given rows solves
-    and counts no NC game.
+    games, PC's response games plus its NC start, and FC's master.  An NC
+    game already solved for the route set counts the pivots it took then; a
+    PC response game reused from the previous round counts none.
     """
 
     iterations: int = 0
@@ -438,7 +437,7 @@ def fc_sro(
 
     Starting from the joint routes ``start`` (route-set rows, one per
     resource; repeats dropped, first kept), or when it is None from the
-    joint route of each resource's most likely NC route, each round solves
+    ``_greedy_response`` to the uniform attacker, each round solves
     the constant-sum game restricted to the current rows and adds a better
     row against the attacker's minmax strategy: the cheap
     ``_greedy_response`` when it is a new row beating the value by more than
@@ -451,7 +450,7 @@ def fc_sro(
     double oracle with cheap better responses; Jain et al., 2011).  So any
     valid ``start`` gives a certified value; a good one, such as the
     support of a related game's solution, saves rounds (McMahan, Gordon &
-    Blum, 2003), and skips the NC games.
+    Blum, 2003).
 
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
@@ -490,12 +489,8 @@ def fc_sro(
         return np.where(covers[choice], 1.0, 1.0 - pi)
 
     if start is None:
-        # Each resource's most likely NC route, the first on ties.
-        nc = nc_sro(route_sets, setting)
-        start = [[int(np.argmax(x)) for x in nc.per_resource]]
-        nc_pivots = nc.diagnostics.lp_pivots
-    else:
-        nc_pivots = 0
+        uniform = np.full(len(targets), 1.0 / len(targets))
+        start = [_greedy_response(route_sets, uniform, setting)[0]]
     sizes = [len(rs.routes) for rs in route_sets]
     start = dict.fromkeys(tuple(map(int, row)) for row in start)
     for row in start:
@@ -534,7 +529,7 @@ def fc_sro(
     uncovered = unprotected([(np.array([covers[row] for row in chosen]), x[support])])
     diag = _diagnostics(
         route_sets, not_optimal, iterations=len(trace), routes_generated=len(rows),
-        trace=tuple(trace), lp_pivots=game.pivots + nc_pivots,
+        trace=tuple(trace), lp_pivots=game.pivots,
     )
     return OracleResult(value, diag, uncovered, joint=joint, attacker=attacker)
 

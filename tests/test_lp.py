@@ -356,12 +356,12 @@ def test_masked_tableau_matches_rowwise_build_on_edge_programs():
 
 
 def test_masked_tableau_matches_rowwise_build_on_oracle_lps(monkeypatch):
-    # Every LP NC and PC solve, and FC's NC games and first-round master LP,
-    # which are FC's only cold solves: its later rounds resume that LP.
+    # Every LP NC and PC solve, and FC's first-round master LP, which is
+    # FC's only cold solve: its later rounds resume that LP.
     for n_targets, seed in ((25, 0), (40, 7)):
         nc, pc, fc = _placement_lps(monkeypatch, n_targets, seed, (nc_sro, pc_sro, fc_sro))
         assert len(pc) > len(nc) >= 1
-        assert len(fc) == len(nc) + 1
+        assert len(fc) == 1
         for prog in nc + pc + fc:
             _same_as_rowwise(prog)
 

@@ -497,6 +497,38 @@ def test_fc_from_start_rows_skips_nc_and_keeps_the_value(monkeypatch):
             fc_sro(sets, s, start=bad)
 
 
+def test_cold_fc_solves_no_nc_game_and_keeps_the_value(monkeypatch):
+    # With no start rows FC starts from the greedy joint route against the
+    # uniform attacker, and solves no NC game.  On the first placements of
+    # the fc-exact benchmark instances and on small random settings its
+    # value is certified, and equals both the FC started from each
+    # resource's most likely NC route and the game over every joint route.
+    benchmark = ((40, 7), (60, 1), (70, 1), (80, 0), (80, 3))
+    cases = [_first_placement_sets(n_targets, seed) for n_targets, seed in benchmark]
+    for trial in range(40):
+        rng = stream(53, "fccold", trial)
+        s = random_setting(rng.randrange(5, 9), rng, deadlines=(1, 2))
+        d = all_pairs_distances(s)
+        starts = [rng.randrange(s.n) for _ in range(rng.randrange(1, 4))]
+        cases.append((s, routes_for(s, d, starts, s.targets)))
+    nc_starts = [[tuple(int(np.argmax(x)) for x in nc_sro(sets, s).per_resource)]
+                 for s, sets in cases]
+
+    def no_nc(*args, **kwargs):
+        raise AssertionError("a cold FC solves no NC game")
+
+    for (s, sets), nc_start in zip(cases, nc_starts, strict=True):
+        with monkeypatch.context() as mp:
+            mp.setattr(oracles_module, "nc_sro", no_nc)
+            mp.setattr(oracles_module, "_nc_game", no_nc)
+            cold = fc_sro(sets, s)
+        from_nc = fc_sro(sets, s, start=nc_start)
+        assert cold.diagnostics.optimal and from_nc.diagnostics.optimal
+        assert abs(cold.value - from_nc.value) <= 1e-12
+        expected, _ = joint_enumeration_value(sets, s, sets[0].targets)
+        assert abs(cold.value - expected) <= 1e-12
+
+
 def test_fc_not_optimal_over_incomplete_routes(monkeypatch):
     # With no exact levels and a one-state beam, every route set that could
     # chain two targets drops states; FC's value is then exact only over the
@@ -625,8 +657,8 @@ def test_fc_exact_finishes_at_deadline_2_with_ten_resources(monkeypatch):
 
 def test_fc_exact_search_adds_the_row_greedy_missed(monkeypatch):
     # Here the greedy responses stop improving while a joint route covering
-    # every weighted target exists: the first exact search returns it as a
-    # new row instead of certifying, and the second certifies.
+    # every weighted target exists: three exact searches return such a
+    # route as a new row instead of certifying, and the fourth certifies.
     searches = _exact_searches(monkeypatch)
     rng = stream(50, "fcexact", 224)
     s = random_setting(rng.randrange(7, 10), rng, deadlines=(1, 2))
@@ -634,9 +666,10 @@ def test_fc_exact_search_adds_the_row_greedy_missed(monkeypatch):
     sets = routes_for(s, d, [rng.randrange(s.n) for _ in range(3)], s.targets)
     result = fc_sro(sets, s)
     assert result.diagnostics.optimal
-    assert len(searches) == 2
-    (exact, greedy), _ = searches
-    assert exact > greedy + 1e-12
+    assert len(searches) == 4
+    for exact, greedy in searches[:-1]:
+        assert exact > greedy + 1e-12
+    assert searches[-1][0] <= result.value + 1e-12
     expected, _ = joint_enumeration_value(sets, s, s.targets)
     assert result.value == pytest.approx(expected, abs=1e-12)
 
@@ -730,7 +763,8 @@ def test_fc_joint_routes_are_route_set_rows():
 def test_fc_groups_the_routes_once_per_round(monkeypatch):
     # A round's greedy response and its exact search share one set-up, also
     # in the round the exact search certifies; the search answers as it does
-    # when it sets up on its own.
+    # when it sets up on its own.  The cold start's greedy response against
+    # the uniform attacker sets up once more.
     real_setup, real_search = oracles_module._setup, oracles_module.best_response_ilp
     setups, searches = [], []
 
@@ -750,7 +784,7 @@ def test_fc_groups_the_routes_once_per_round(monkeypatch):
         del setups[:], searches[:]
         result = fc_sro(sets, s)
         assert result.diagnostics.optimal
-        assert len(setups) == result.diagnostics.iterations
+        assert len(setups) == result.diagnostics.iterations + 1
         assert searches
         for args, out in searches:
             assert real_search(*args) == out
@@ -796,7 +830,7 @@ def test_fc_master_matches_cold_solves_on_benchmark_placements(monkeypatch):
         assert result.diagnostics.optimal
         assert len(rounds) == result.diagnostics.iterations >= 10
         warm, cold = map(sum, zip(*rounds))
-        assert warm == result.diagnostics.lp_pivots - nc_sro(sets, s).diagnostics.lp_pivots
+        assert warm == result.diagnostics.lp_pivots
         if (n_targets, seed) == (40, 7):
             assert 4 * warm <= cold
 
@@ -814,10 +848,10 @@ def test_oracles_count_the_pivots_of_their_lps(monkeypatch):
     monkeypatch.setattr(lp_module._SimplexState, "optimize", spy)
     s, _ = generate_instance(GeneratorParams(n_targets=20, seed=14))
     d = all_pairs_distances(s)
-    for run in (
-        nc_sro,
-        lambda sets, s: pc_sro(sets, s, restarts=2),  # its team search runs on this pair
-        fc_sro,
+    for run, starts_from_nc in (
+        (nc_sro, True),
+        (lambda sets, s: pc_sro(sets, s, restarts=2), True),  # its team search runs on this pair
+        (fc_sro, False),
     ):
         # Fresh route sets: no NC game of theirs is solved yet.
         sets = routes_for(s, d, [s.ids.index("v4"), s.ids.index("v14")], s.targets)
@@ -825,8 +859,9 @@ def test_oracles_count_the_pivots_of_their_lps(monkeypatch):
         result = run(sets, s)
         assert result.diagnostics.lp_pivots == sum(pivots) > 0
         # Over the same sets the NC games are not solved again, yet their
-        # pivots still count, so the oracle reports the same total.
-        nc_pivots = nc_sro(sets, s).diagnostics.lp_pivots
+        # pivots still count, so the oracle reports the same total.  FC
+        # solves no NC game: a rerun makes the pivots it reports.
+        nc_pivots = nc_sro(sets, s).diagnostics.lp_pivots if starts_from_nc else 0
         del pivots[:]
         again = run(sets, s)
         assert again.diagnostics.lp_pivots == result.diagnostics.lp_pivots
@@ -835,8 +870,9 @@ def test_oracles_count_the_pivots_of_their_lps(monkeypatch):
 
 
 def test_resolve_solves_one_nc_game_per_route_set(monkeypatch):
-    # FC, PC and NC all start from NC, over placements that share positions:
-    # each route set's game is still solved once in the whole resolve.
+    # NC and PC's start solve NC games, over placements that share
+    # positions: each route set's game is still solved once in the whole
+    # resolve.  FC solves no NC game.
     real_respond = pipeline.respond
     nc_games, route_sets = [], {}
 
