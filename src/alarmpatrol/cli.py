@@ -152,7 +152,8 @@ def cmd_mincover(args) -> int:
     payload = fileio.placement_payload(result, setting, metrics)
     payload["manifest"] = manifest
     fileio.write_json(out / "placement.json", payload)
-    print(f"m={len(result.placement)} method={result.method} optimal={result.optimal}")
+    print(f"m={len(result.placement)} method={result.method} optimal={result.optimal} "
+          f"lower_bound={result.lower_bound}")
     return EXIT_TIMEOUT if result.timed_out else EXIT_OK
 
 

@@ -194,6 +194,7 @@ def placement_payload(
         "size": len(result.placement),
         "method": result.method,
         "optimal": result.optimal,
+        "lower_bound": result.lower_bound,
         "metrics": {"eta": metrics.eta, "tau": metrics.tau, "tau_hat": metrics.tau_hat},
     }
 

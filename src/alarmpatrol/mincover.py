@@ -2,21 +2,23 @@
 
 The general problem maps directly onto SET-COVER: the targets are the
 universe and every vertex contributes its row of ``model.reach``.  This
-module provides the greedy approximation with a local-search cleanup, an
-exact depth-first branch-and-bound, the linear-time-ish dynamic program for
-trees (with a cycle reduction on top of it), and the overlap indicators used
-to profile a placement.
+module provides the greedy approximation with a local-search cleanup, one
+search that yields every cover of a given size (the exact minimum cover and
+placement enumeration both use it), the linear-time-ish dynamic program for
+trees (with a cycle reduction on top of it), and the overlap indicators.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .games import RowGame
 from .model import PatrollingSetting, reach, row_masks
 
 INF = math.inf
@@ -45,6 +47,13 @@ class SetCoverInstance:
     masks: dict[int, int]
     full: int
 
+    def covered(self, positions: Iterable[int]) -> int:
+        """The targets the positions cover, as a bitmask."""
+        got = 0
+        for p in positions:
+            got |= self.masks.get(p, 0)
+        return got
+
 
 @dataclass(frozen=True)
 class CoveringPlacement:
@@ -65,13 +74,15 @@ class CoveringPlacement:
 class MinCoverResult:
     """A covering placement and how it was found.
 
-    ``instance`` is the set-cover instance the method searched (None for the
-    tree and cycle methods), so a caller can reuse it.
+    ``lower_bound`` is a proven bound on the minimum size (None for the greedy
+    methods).  ``instance`` is the set-cover instance the method searched
+    (None for the tree and cycle methods), so a caller can reuse it.
     """
 
     placement: CoveringPlacement
     optimal: bool
     method: str
+    lower_bound: int | None = None
     instance: SetCoverInstance | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -138,24 +149,17 @@ def local_search_improve(
     pos = sorted(set(placement.positions))
     candidates = sorted(masks)
 
-    def union(skip: set[int]) -> int:
-        acc = 0
-        for q in pos:
-            if q not in skip:
-                acc |= masks.get(q, 0)
-        return acc
-
     def swap() -> list[int] | None:
         for i, p in enumerate(pos):
             for q in pos[i + 1 :]:
-                exclusive = full & ~union({p, q})
+                exclusive = full & ~instance.covered(x for x in pos if x not in (p, q))
                 for v in candidates:
                     if (v not in pos or v in (p, q)) and masks[v] & exclusive == exclusive:
                         return sorted(set(pos) - {p, q} | {v})
         return None
 
     while True:
-        drop = next((p for p in pos if union({p}) & full == full), None)
+        drop = next((p for p in pos if instance.covered(x for x in pos if x != p) == full), None)
         if drop is not None:
             pos.remove(drop)
         elif (better := swap()) is not None:
@@ -164,64 +168,91 @@ def local_search_improve(
             return CoveringPlacement(tuple(pos))
 
 
+def covers(
+    instance: SetCoverInstance, n: int, size: int, deadline: float | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield every covering set of ``size`` vertices of ``range(n)`` once, sorted.
+
+    Depth first, branching as Knuth's Algorithm X on the uncovered target with
+    the fewest candidates left: one child per candidate, most newly covered
+    targets first (lowest index on ties), each excluding the earlier ones.  A
+    cover of fewer picks is padded in every way from the vertices neither
+    picked nor excluded.  The counting bound cuts nodes.  Raises TimeoutError
+    once ``deadline`` (``time.monotonic``) has passed, checked every 512 nodes.
+    """
+    masks = instance.masks
+    col = row_masks(_rows(instance).T)  # bit v of col[t]: vertex v covers target t
+    stack = [((), instance.full, 0)]  # (picks, uncovered targets, excluded vertices' bits)
+    nodes = 0
+    while stack:
+        if deadline is not None and nodes % 512 == 0 and time.monotonic() > deadline:
+            raise TimeoutError("cover search ran out of time")
+        nodes += 1
+        picks, uncovered, excluded = stack.pop()
+        if not uncovered:
+            free = [v for v in range(n) if v not in picks and not excluded >> v & 1]
+            for pad in itertools.combinations(free, size - len(picks)):
+                yield tuple(sorted(picks + pad))
+            continue
+        gain = max(((m & uncovered).bit_count() for v, m in masks.items()
+                    if not excluded >> v & 1), default=0)
+        if not gain or len(picks) - (-uncovered.bit_count() // gain) > size:
+            continue
+        targets = (t for t in range(uncovered.bit_length()) if uncovered >> t & 1)
+        rest = min((col[t] & ~excluded for t in targets), key=int.bit_count)
+        order = [v for v in range(rest.bit_length()) if rest >> v & 1]
+        order.sort(key=lambda v: -(masks[v] & uncovered).bit_count())
+        for i in reversed(range(len(order))):
+            below = sum(1 << v for v in order[:i])
+            stack.append((picks + (order[i],), uncovered & ~masks[order[i]], excluded | below))
+
+
+def _rows(instance: SetCoverInstance) -> np.ndarray:
+    """The masks unpacked: row v holds vertex v's targets (zero when v is not a key)."""
+    masks, n_targets = instance.masks, instance.full.bit_length()
+    width = (n_targets + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks.values()), np.uint8)
+    R = np.zeros((max(masks, default=-1) + 1, n_targets), dtype=bool)
+    R[list(masks)] = np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n_targets,
+                                   bitorder="little")
+    return R
+
+
+def _root_bound(instance: SetCoverInstance, incumbent: int) -> int:
+    """Counting bound; if below ``incumbent`` and the game of vertices (rows R)
+    against targets solves, also Lovasz's fractional bound: for its attacker y,
+    each cover C has sum_{v in C} (R y)_v >= 1, so |C| >= 1 / max_v (R y)_v."""
+    masks = instance.masks
+    bound = -(-instance.full.bit_count() // max((m.bit_count() for m in masks.values()), default=1))
+    if bound >= incumbent:
+        return bound
+    R = _rows(instance)[list(masks)]
+    try:
+        _, y, _ = RowGame(R.astype(float)).solve()
+    except ArithmeticError:
+        return bound
+    return max(bound, math.ceil(1.0 / float((R @ y).max()) - 1e-9))
+
+
 def exact_cover(
     instance: SetCoverInstance, time_budget: float | None = None
 ) -> MinCoverResult:
-    """Minimum-cardinality cover by depth-first branch and bound.
-
-    Branches include/exclude the vertex with the highest marginal coverage
-    (lowest index on ties), starts from the greedy + local-search incumbent,
-    and prunes with the counting bound ceil(uncovered / best set size).  The
-    search is deterministic; on budget expiry the incumbent is returned with
-    ``optimal=False``.
-    """
-    masks, full = instance.masks, instance.full
-    incumbent = local_search_improve(greedy_cover(instance), instance)
-    best = list(incumbent.positions)
-    best_size = len(best)
+    """Minimum-cardinality cover: from the greedy + local-search incumbent,
+    asks ``covers`` for a cover one position smaller until the root bound is
+    met or none exists.  On budget expiry returns the incumbent, not optimal."""
+    best = local_search_improve(greedy_cover(instance), instance).positions
     deadline = None if time_budget is None else time.monotonic() + float(time_budget)
-    nodes = 0
     timed_out = deadline is not None and time.monotonic() > deadline
-
-    # Depth-first over (chosen, uncovered, candidates) on an explicit stack:
-    # the exclude branch is pushed under the include branch, and each node is
-    # tested when popped, as a recursive search would visit it.
-    stack: list[tuple[tuple[int, ...], int, list[int]]] = (
-        [] if timed_out else [((), full, sorted(masks))]
-    )
-    while stack:
-        chosen, uncovered, candidates = stack.pop()
-        nodes += 1
-        if deadline is not None and nodes % 512 == 0 and time.monotonic() > deadline:
-            timed_out = True
-            break
-        if not uncovered:
-            if len(chosen) < best_size:
-                best = list(chosen)
-                best_size = len(chosen)
-            continue
-        if len(chosen) + 1 >= best_size:
-            continue
-        best_v, best_gain, union = -1, 0, 0
-        for v in candidates:
-            gain = (masks[v] & uncovered).bit_count()
-            union |= masks[v]
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if union & uncovered != uncovered:
-            continue
-        if len(chosen) + math.ceil(uncovered.bit_count() / best_gain) >= best_size:
-            continue
-        rest = [v for v in candidates if v != best_v]
-        stack.append((chosen, uncovered, rest))
-        stack.append((chosen + (best_v,), uncovered & ~masks[best_v], rest))
-
-    return MinCoverResult(
-        placement=CoveringPlacement(tuple(best)),
-        optimal=not timed_out,
-        method="exact",
-        instance=instance,
-    )
+    bound = _root_bound(instance, 0 if timed_out else len(best))  # no game when out of time
+    n = max(instance.masks, default=-1) + 1
+    try:
+        while not timed_out and len(best) > bound and (
+            found := next(covers(instance, n, len(best) - 1, deadline), None)
+        ):
+            best = found
+    except TimeoutError:
+        timed_out = True
+    return MinCoverResult(CoveringPlacement(best), not timed_out, "exact", bound, instance)
 
 
 def _tree_cover(
@@ -324,25 +355,22 @@ def min_cover(
     """Dispatch over the covering-placement methods.
 
     ``auto`` uses the polynomial algorithms when the topology allows and falls
-    back to the exact branch-and-bound under the time budget (whose timeout
+    back to the exact cover search under the time budget (whose timeout
     incumbent is already at least as good as greedy + local search).
     """
     if method == "auto":
         method = "tree" if _is_tree(setting) else "cycle" if _is_cycle(setting) else "exact"
-    if method == "tree":
-        return MinCoverResult(tree_min_cover(setting), True, "tree")
-    if method == "cycle":
-        return MinCoverResult(cycle_min_cover(setting), True, "cycle")
+    if method in ("tree", "cycle"):
+        placement = tree_min_cover(setting) if method == "tree" else cycle_min_cover(setting)
+        return MinCoverResult(placement, True, method, len(placement))
     if method == "exact":
         return exact_cover(to_set_cover(setting, dist), time_budget)
-    if method == "greedy":
+    if method in ("greedy", "greedy+ls"):
         instance = to_set_cover(setting, dist)
-        return MinCoverResult(greedy_cover(instance), False, "greedy", instance)
-    if method == "greedy+ls":
-        instance = to_set_cover(setting, dist)
-        return MinCoverResult(
-            local_search_improve(greedy_cover(instance), instance), False, "greedy+ls", instance
-        )
+        placement = greedy_cover(instance)
+        if method == "greedy+ls":
+            placement = local_search_improve(placement, instance)
+        return MinCoverResult(placement, False, method, instance=instance)
     raise ValueError(f"unknown mincover method {method!r}")
 
 

@@ -3,7 +3,7 @@
 With no false alarms the defender's best pre-signal policy is to park the
 resources on a covering placement and respond to signals from there, so the
 pipeline (1) computes the minimum number of resources, (2) enumerates
-covering placements of exactly that size by local-search moves, and (3) runs
+covering placements of exactly that size, swap moves first, and (3) runs
 the selected signal-response oracles on each placement.  The evaluated
 placements are the report's record; its per-oracle incumbents, trace and
 counts derive from them.  Interrupting at any point leaves a valid report.
@@ -22,6 +22,7 @@ import numpy as np
 from .mincover import (
     CoveringPlacement,
     MinCoverResult,
+    covers,
     greedy_cover,
     local_search_improve,
     min_cover,
@@ -33,10 +34,6 @@ from .mincover import (
 from .model import AlarmSystem, PatrollingSetting, all_pairs_distances, build_alarm, build_setting
 from .oracles import SignalResponse, respond
 from .seeding import stream
-
-# The largest number of combinations enumerate_placements' systematic sweep
-# visits; above it the sweep is skipped and exhaustion is not guaranteed.
-SYSTEMATIC_CAP = 2_000_000
 
 
 class BudgetTooSmall(RuntimeError):
@@ -103,53 +100,38 @@ def enumerate_placements(
     *,
     initial: CoveringPlacement | None = None,
     instance: SetCoverInstance | None = None,
+    deadline: float | None = None,
 ) -> Iterator[CoveringPlacement]:
-    """Yield distinct covering placements of exactly ``m`` positions.
+    """Yield every covering placement of exactly ``m`` positions once.
 
     Sweeps the swap neighborhood (exchange one placed vertex for an unplaced
-    one, keeping coverage) breadth-first; when it dries up, a systematic sweep
-    of the vertex combinations yields the next unseen covering one and the
-    swap search resumes from it.  The sweep runs only when ``_sweeps(n, m)``,
-    and only then is true exhaustion guaranteed.  Never repeats a placement.
-    The first is ``initial`` or else the greedy + local-search cover of the
-    set-cover instance, padded to ``m`` with the lowest unplaced vertices.
-    ``instance`` is ``to_set_cover(setting, dist)`` when the caller has it.
+    one) breadth-first from ``initial`` (else the greedy + local-search cover),
+    padded with the lowest unplaced vertices; when it dries up, ``covers``
+    gives the next unseen cover (raising TimeoutError past ``deadline``) and
+    the sweep resumes from it.  ``instance``, if given, is ``to_set_cover(setting, dist)``.
     """
     n = setting.n
     if not 0 < m <= n:
         raise ValueError(f"cannot place {m} distinct resources on {n} vertices")
     if instance is None:
         instance = to_set_cover(setting, dist)
-    masks, full = instance.masks, instance.full
-
-    def covering(positions: tuple[int, ...]) -> bool:
-        got = 0
-        for p in positions:
-            got |= masks.get(p, 0)
-        return got == full
-
     if initial is None:
-        start = list(local_search_improve(greedy_cover(instance), instance).positions)
-    else:
-        start = list(initial.positions)
-    if len(start) > m:
+        initial = local_search_improve(greedy_cover(instance), instance)
+    if len(initial) > m:
         raise ValueError("initial placement larger than requested size")
-    for v in range(n):
-        if len(start) == m:
-            break
-        if v not in start:
-            start.append(v)
-    first = tuple(sorted(start))
-    if not covering(first):
+    pad = [v for v in range(n) if v not in initial.positions][: m - len(initial)]
+    first = tuple(sorted(initial.positions + tuple(pad)))
+    if instance.covered(first) != instance.full:
         raise ValueError("no covering placement of the requested size found")
 
-    visited: set[tuple[int, ...]] = {first}
-    queue: list[tuple[int, ...]] = [first]
-    yield CoveringPlacement(first)
-
-    sweep = itertools.combinations(range(n), m) if _sweeps(n, m) else ()
-    while True:
-        while queue:
+    visited: set[tuple[int, ...]] = set()
+    for seed in itertools.chain([first], covers(instance, n, m, deadline)):
+        if seed in visited:
+            continue
+        visited.add(seed)
+        queue = [seed]
+        yield CoveringPlacement(seed)
+        while queue:  # the swap neighborhood, breadth first
             base = queue.pop(0)
             inside = set(base)
             for p in base:
@@ -157,25 +139,11 @@ def enumerate_placements(
                     if q in inside:
                         continue
                     cand = tuple(sorted(inside - {p} | {q}))
-                    if cand in visited or not covering(cand):
+                    if cand in visited or instance.covered(cand) != instance.full:
                         continue
                     visited.add(cand)
                     queue.append(cand)
                     yield CoveringPlacement(cand)
-
-        for combo in sweep:
-            if combo not in visited and covering(combo):
-                visited.add(combo)
-                queue.append(combo)
-                yield CoveringPlacement(combo)
-                break
-        else:
-            return
-
-
-def _sweeps(n: int, m: int) -> bool:
-    """Whether enumerate_placements sweeps all C(n, m) combinations."""
-    return math.comb(n, m) <= SYSTEMATIC_CAP
 
 
 @dataclass(frozen=True)
@@ -303,10 +271,14 @@ def resolve(
     route_cache: dict = {}
     # (m - 1)-subset of positions -> (placement index, FC response).
     fc_done: dict[tuple[int, ...], tuple[int, SignalResponse]] = {}
-    gen = enumerate_placements(
-        setting, dist, report.m, initial=mc.placement, instance=mc.instance
-    )
-    for idx, placement in enumerate(gen):
+    placements = enumerate(enumerate_placements(setting, dist, report.m, initial=mc.placement,
+                                                instance=mc.instance, deadline=deadline))
+    while True:
+        try:
+            idx, placement = next(placements)
+        except (StopIteration, TimeoutError) as end:  # TimeoutError: the cover search's deadline
+            report.exhausted = isinstance(end, StopIteration)
+            break
         if time.monotonic() >= deadline or idx == config.max_placements:
             break
         metrics = overlap_metrics(placement, setting, dist)
@@ -338,6 +310,4 @@ def resolve(
         report.placements.append(pe)
         if len(values) + len(failed) < len(config.oracles):  # the deadline hit
             break
-    else:
-        report.exhausted = _sweeps(setting.n, report.m)
     return report

@@ -1,4 +1,5 @@
 import gc
+import time
 
 import pytest
 
@@ -18,16 +19,19 @@ from alarmpatrol import (
     to_set_cover,
     tree_min_cover,
 )
+from alarmpatrol import mincover
 from alarmpatrol.mincover import (
     Infeasible,
     NotACycle,
     NotATree,
     _is_cycle,
     _is_tree,
+    covers,
     is_covering,
 )
 from alarmpatrol.seeding import stream
 from helpers import (
+    brute_covering_placements,
     brute_min_cover_size,
     cycle_setting,
     make_setting,
@@ -178,6 +182,63 @@ def test_exact_cover_timeout_returns_incumbent():
     result = exact_cover(to_set_cover(s, dist), time_budget=0.0)
     assert not result.optimal
     assert is_covering(result.placement.positions, s, dist)
+
+
+def test_covers_and_exact_cover_match_brute_force():
+    # Every covering set of C(n, size), each yielded once: at m + 1 most of
+    # them pad a cover with fewer picks.
+    for trial in range(30):
+        rng = stream(31, "covers", trial)
+        s = random_setting(rng.randrange(6, 26), rng, target_fraction=rng.choice((0.5, 1.0)))
+        dist = all_pairs_distances(s)
+        instance = to_set_cover(s, dist)
+        m = brute_min_cover_size(s, dist)
+        result = exact_cover(instance)
+        assert result.optimal and len(result.placement) == m
+        assert result.lower_bound <= m
+        for size in (m, m + 1):
+            got = list(covers(instance, s.n, size))
+            assert len(got) == len(set(got))
+            assert set(got) == brute_covering_placements(s, dist, size)
+
+
+def test_covers_raises_once_its_deadline_has_passed():
+    s, _ = generate_instance(GeneratorParams(n_targets=30, seed=1))
+    instance = to_set_cover(s, all_pairs_distances(s))
+    with pytest.raises(TimeoutError):
+        next(covers(instance, s.n, 2, deadline=time.monotonic() - 1.0))
+
+
+def test_exact_cover_proves_large_covers_optimal_at_once():
+    # The fractional-cover bound meets m on each, so the search stops at the
+    # first cover of size m.
+    for n, seed, deadline, m in (
+        (80, 3, 2, 10), (100, 1, 2, 10), (150, 11, 3, 6), (100, 42, 2, 13), (120, 0, 2, 15)
+    ):
+        s, _ = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
+        result = min_cover(s, all_pairs_distances(s), "exact", time_budget=20.0)
+        assert result.optimal and len(result.placement) == result.lower_bound == m
+
+
+def test_exact_cover_falls_back_to_the_counting_bound(monkeypatch):
+    class Raising:
+        calls = 0
+
+        def __init__(self, payoff):
+            pass
+
+        def solve(self):
+            Raising.calls += 1
+            raise ArithmeticError("simplex pivot limit exceeded")
+
+    monkeypatch.setattr(mincover, "RowGame", Raising)
+    s, _ = generate_instance(GeneratorParams(n_targets=30, seed=0, deadline=2))
+    dist = all_pairs_distances(s)
+    instance = to_set_cover(s, dist)
+    result = exact_cover(instance)
+    assert Raising.calls == 1
+    assert result.optimal and result.lower_bound == 2  # 30 targets, at most 19 per vertex
+    assert len(result.placement) == brute_min_cover_size(s, dist) == 3
 
 
 def test_exact_cover_leaves_no_reference_cycles():

@@ -627,7 +627,7 @@ def test_fc_exact_finishes_at_deadline_2(monkeypatch):
     # greedy responses drive the rounds and the search only certifies.
     s, _ = generate_instance(GeneratorParams(n_targets=60, seed=1, deadline=2))
     d = all_pairs_distances(s)
-    placement = min_cover(s, d, "exact").placement.positions
+    placement = (1, 6, 8, 16, 19, 20, 21)  # one of the instance's minimum covers
     assert len(placement) == 7
     sets = routes_for(s, d, placement, s.targets)
     searches = _exact_searches(monkeypatch)
@@ -640,8 +640,8 @@ def test_fc_exact_finishes_at_deadline_2(monkeypatch):
 
 def test_fc_exact_finishes_at_deadline_2_with_ten_resources(monkeypatch):
     # Ten resources: the largest minimum cover of the deadline-2 instances.
-    # The placement is min_cover(s, d, "exact")'s, which takes seconds to
-    # prove optimal, so only its covering is checked here.
+    # The placement is one of the instance's minimum covers, listed because
+    # the value below belongs to it; only its covering is checked here.
     s, _ = generate_instance(GeneratorParams(n_targets=80, seed=3, deadline=2))
     d = all_pairs_distances(s)
     placement = (0, 2, 6, 7, 9, 11, 18, 19, 62, 68)
@@ -821,11 +821,13 @@ def test_fc_master_matches_cold_solves_on_benchmark_placements(monkeypatch):
             rounds.append((game.pivots - pivots_so_far.get(id(game), 0), cold.pivots))
             pivots_so_far[id(game)] = game.pivots
 
+    # The placements come first: min cover's own game is no FC round.
+    cases = [(n, seed, *_first_placement_sets(n, seed))
+             for n, seed in ((40, 7), (60, 1), (70, 1), (80, 0), (80, 3))]
     _spy_solves(monkeypatch, checked)
-    for n_targets, seed in ((40, 7), (60, 1), (70, 1), (80, 0), (80, 3)):
+    for n_targets, seed, s, sets in cases:
         del rounds[:]
         pivots_so_far.clear()  # a new master may reuse an old one's id
-        s, sets = _first_placement_sets(n_targets, seed)
         result = fc_sro(sets, s)
         assert result.diagnostics.optimal
         assert len(rounds) == result.diagnostics.iterations >= 10

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from dataclasses import fields
 
 import pytest
@@ -10,6 +11,8 @@ from alarmpatrol import (
     all_pairs_distances,
     enumerate_placements,
     generate_instance,
+    min_cover,
+    reach,
     resolve,
     respond,
 )
@@ -89,7 +92,7 @@ def test_enumerate_matches_exhaustive_and_never_repeats():
         got = [p.positions for p in enumerate_placements(s, d, m)]
         assert len(got) == len(set(got))
         assert set(got) <= expected
-        assert set(got) == expected  # systematic sweep guarantees exhaustion here
+        assert set(got) == expected
 
 
 def test_enumerate_rejects_bad_sizes():
@@ -129,13 +132,28 @@ def test_resolve_path5_fc_matches_exhaustive_placements():
     assert report.placements_evaluated == len(brute_covering_placements(s, d, 2))
 
 
-def test_resolve_not_exhausted_without_sweep(monkeypatch):
-    # Without the systematic sweep the swap search finds 6 of the 8 covering
-    # placements of size 2 on this instance, so exhaustion is not proven.
-    monkeypatch.setattr(pipeline, "SYSTEMATIC_CAP", 0)
+def test_enumerate_reaches_covers_the_swap_search_cannot():
+    # This instance's 500 covers of size 10 fall into two swap components,
+    # of 288 and 212 covers: the swap search from one cover reaches only its
+    # own, and the cover search yields the rest (C(80, 10) = 1.6e12).
+    s, _ = generate_instance(GeneratorParams(n_targets=80, seed=3, deadline=2))
+    d = all_pairs_distances(s)
+    got = [p.positions for p in enumerate_placements(s, d, 10, initial=min_cover(s, d).placement)]
+    assert len(got) == len(set(got)) == 500
+    assert all(reach(s, d)[list(p)].any(axis=0).all() for p in got)
+
+
+def test_resolve_not_exhausted_when_the_cover_search_runs_out_of_time(monkeypatch):
+    # The swap search finds 6 of the 8 covering placements of size 2 here;
+    # the cover search that would yield the other two finds its deadline past.
     s, alarm = generate_instance(GeneratorParams(n_targets=30, seed=1))
-    report = resolve(s, alarm, ResolutionConfig(time_budget=60.0, oracles=("NC",)))
-    assert report.m == 2
+    config = ResolutionConfig(time_budget=60.0, oracles=("NC",))
+    report = resolve(s, alarm, config)
+    assert (report.m, report.placements_evaluated, report.exhausted) == (2, 8, True)
+    real = pipeline.covers
+    monkeypatch.setattr(pipeline, "covers", lambda instance, n, size, deadline:
+                        real(instance, n, size, time.monotonic() - 1.0))
+    report = resolve(s, alarm, config)
     assert report.placements_evaluated == 6
     assert report.exhausted is False
 
