@@ -182,6 +182,7 @@ def covers(
     """
     masks = instance.masks
     col = row_masks(_rows(instance).T)  # bit v of col[t]: vertex v covers target t
+    heaviest = sorted(((m.bit_count(), v) for v, m in masks.items()), reverse=True)
     stack = [((), instance.full, 0)]  # (picks, uncovered targets, excluded vertices' bits)
     nodes = 0
     while stack:
@@ -194,9 +195,19 @@ def covers(
             for pad in itertools.combinations(free, size - len(picks)):
                 yield tuple(sorted(picks + pad))
             continue
-        gain = max(((m & uncovered).bit_count() for v, m in masks.items()
-                    if not excluded >> v & 1), default=0)
-        if not gain or len(picks) - (-uncovered.bit_count() // gain) > size:
+        # Counting bound: ``left`` more picks cover the ``need`` uncovered
+        # targets only if some vertex not excluded covers need / left of them.
+        # Scanned heaviest first, it stops at the first vertex too small even
+        # whole: no vertex after it covers enough.
+        need, left = uncovered.bit_count(), size - len(picks)
+        fits = False
+        for whole, v in heaviest:
+            if left * whole < need:
+                break
+            if not excluded >> v & 1 and left * (masks[v] & uncovered).bit_count() >= need:
+                fits = True
+                break
+        if not fits:
             continue
         targets = (t for t in range(uncovered.bit_length()) if uncovered >> t & 1)
         rest = min((col[t] & ~excluded for t in targets), key=int.bit_count)

@@ -16,17 +16,20 @@ expected utility:
   certifies or improves it to the global team maxmin.
 * FC: maxmin over joint routes via row generation, alternating a
   constant-sum game LP with a best response.  Greedy joint routes drive the
-  rounds; once they find no better row, an exact branch and bound, pruned
-  by the union of the remaining routes and by the sum of each remaining
-  resource's best marginal route, supplies the next row or certifies the
-  value.  Both choose among each resource's coverage classes, its routes
-  grouped by the targets they cover where the attacker's strategy has
-  weight, scan them heaviest first and stop at the first class whose full
-  weight cannot beat what is in hand.  The game LP lives for the whole call
-  and resumes from its last basis each round.  It starts from the greedy
-  joint route against the uniform attacker, or, in ``respond``, from an
-  earlier FC result whose placement shares guard posts with this one
-  (``_seed_rows``).
+  rounds: each resource in turn takes the route adding the most attacker
+  weight, one matrix-vector product over the coverage of the targets the
+  attacker weights.  Once they find no better row, an exact branch and
+  bound, pruned by the union of the remaining routes and by the sum of each
+  remaining resource's best marginal route, supplies the next row or
+  certifies the value.  It chooses among each resource's coverage classes,
+  its routes grouped by the targets they cover where the attacker's
+  strategy has weight, scans them heaviest first and stops at the first
+  class whose full weight cannot beat what is in hand.  The game LP lives
+  for the whole call and resumes from its last basis each round.  It
+  starts from the greedy joint route against the uniform attacker, or, in
+  ``respond``, from an earlier FC result whose placement shares guard posts
+  with this one (``_seed_rows``), plus the greedy joint routes of ten
+  multiplicative-weights steps (``_warmup``).
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -35,9 +38,9 @@ support, which is the set of targets the attacker may choose; coverage is
 NC's games and FC's restricted game pay 1 where a row covers a target and
 1 - pi_t where it does not; PC's response games pay the same with the
 weights pi_t times the other resources' uncovered probabilities in place of
-pi_t; the FC best responses read the same coverage from
-``RouteSet.masks``, one pass per resource and round grouping the routes into
-coverage classes.
+pi_t; FC's greedy responses read ``RouteSet.cover`` too, and its exact
+search reads the same coverage from ``RouteSet.masks``, grouping the routes
+into coverage classes.
 
 Strategies are over route-set rows.  NC and PC return one probability
 array per resource over its route set's rows.  FC knows a joint route as a
@@ -55,6 +58,7 @@ signal realizes, from the results' ``uncovered`` arrays.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -76,6 +80,12 @@ SEARCH_MAX_ROUTES = 4
 SEARCH_GAP = 1e-7
 SEARCH_NODE_CAP = 2000
 BOX_TOL = 1e-12  # rounding slack when testing a box against the simplex
+# FC's warm-up (``_warmup``): WARMUP_STEPS multiplicative-weights steps at
+# rate WARMUP_RATE seed the master with greedy joint routes before its first
+# LP.  On the fc-exact benchmark ten steps cut FC's rounds per pass from 472
+# to 157 and its median evaluation by about a quarter (BENCH_mwfc.json).
+WARMUP_STEPS = 10
+WARMUP_RATE = 1.0
 
 
 @dataclass
@@ -227,7 +237,7 @@ def _weight_bits(w: Sequence[float], mask: int) -> float:
 def _setup(
     route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
 ) -> tuple[list[float], list[list[int]], list[list[int]], list[list[float]], list[list[int]]]:
-    """What both FC best responses read: the weight sigma(t) pi(t) of each
+    """What the exact best response reads: the weight sigma(t) pi(t) of each
     support target, where the attacker's weight lies, and per resource its
     coverage classes.  ``attacker`` holds sigma, one probability per support
     target.
@@ -236,8 +246,8 @@ def _setup(
     covers where the attacker's weight lies.  ``reps`` holds each class's
     lowest route index, and the classes come in increasing ``reps`` order,
     with their masks, full weights and order by weight.  Routes of one class
-    add the same weight to every partial joint route, so the best responses
-    choose among classes, and map a choice back through ``reps``."""
+    add the same weight to every partial joint route, so the search chooses
+    among classes, and maps a choice back through ``reps``."""
     support = _support(route_sets)
     if np.shape(attacker) != (len(support),):
         raise ValueError("attacker needs one probability per support target")
@@ -262,65 +272,97 @@ def _joint(reps: Sequence[Sequence[int]], choice: Sequence[int]) -> tuple[int, .
     return tuple(r[c] for r, c in zip(reps, choice))
 
 
-def _heaviest(
-    w: Sequence[float], ms: Sequence[int], fs: Sequence[float], order: Sequence[int], cur: int
-) -> int:
-    """The class of one resource adding the most weight to the targets
-    ``cur`` covers, lowest index on ties.
+def _live(
+    route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """What the greedy response reads: each resource's coverage of the
+    support targets where ``attacker`` (sigma, one probability per support
+    target) has weight, as a float64 route-by-column matrix, and those
+    columns' weights sigma(t) pi(t)."""
+    support = _support(route_sets)
+    if np.shape(attacker) != (len(support),):
+        raise ValueError("attacker needs one probability per support target")
+    probs = np.asarray(attacker, dtype=float)
+    cols = np.flatnonzero(probs > 0.0)
+    pi = np.array([setting.value[support[j]] for j in cols])
+    return [rs.cover[:, cols].astype(float) for rs in route_sets], probs[cols] * pi
 
-    Classes are scanned heaviest first (``order``) and the scan stops at the
-    first class whose full weight is below the best gain so far, since a
-    class never adds more than its full weight.  A class's index orders it
-    as its representative, the lowest index of its routes, so the choice
-    maps back to the route a scan over all routes would take.
-    """
-    best_j, best_gain = -1, -1.0
-    for j in order:
-        if fs[j] < best_gain:
-            break
-        gain = _weight_bits(w, ms[j] & ~cur)
-        if gain > best_gain or (gain == best_gain and j < best_j):
-            best_j, best_gain = j, gain
-    return best_j
+
+def _in_order(w: np.ndarray, hit: np.ndarray) -> float:
+    """The weight of the columns ``hit``, added in column order as
+    ``_weight_bits`` adds a mask's."""
+    total = 0.0
+    for x in w[hit].tolist():
+        total += x
+    return total
 
 
 def _greedy(
-    masks: Sequence[Sequence[int]],
-    w: Sequence[float],
-    full: Sequence[Sequence[float]],
-    orders: Sequence[Sequence[int]],
-    first: int,
-) -> tuple[list[int], float]:
-    """Greedy joint route (one class index per resource) and its weight.
+    covers: Sequence[np.ndarray], w: np.ndarray, rows: list[int | None], first: int = 0
+) -> np.ndarray:
+    """Fill the open (None) entries of ``rows`` greedily; the columns covered.
 
-    From resource ``first`` round to the one before it, each resource takes
-    its ``_heaviest`` class given the classes taken before it.
+    ``covers`` and ``w`` are ``_live``'s.  From resource ``first`` round to
+    the one before it, each open resource takes the row adding the most
+    weight to the columns its joint route leaves uncovered so far, the rows
+    already in ``rows`` included: one matrix-vector product and an argmax,
+    the lowest row winning ties.
     """
-    choice = [0] * len(masks)
-    cur = 0
-    for i in [*range(first, len(masks)), *range(first)]:
-        choice[i] = _heaviest(w, masks[i], full[i], orders[i], cur)
-        cur |= masks[i][choice[i]]
-    return choice, _weight_bits(w, cur)
+    hit = np.zeros(len(w), dtype=bool)
+    for cover, r in zip(covers, rows):
+        if r is not None:
+            hit |= cover[r] > 0.0
+    for i in [*range(first, len(covers)), *range(first)]:
+        if rows[i] is None:
+            rows[i] = int(np.argmax(covers[i] @ np.where(hit, 0.0, w)))
+            hit |= covers[i][rows[i]] > 0.0
+    return hit
+
+
+def _best_greedy(covers: Sequence[np.ndarray], w: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """The heaviest of the m ``_greedy`` joint routes, one from each start,
+    and its weight; a later start wins only by more than 1e-12."""
+    best, best_w = None, 0.0
+    for first in range(len(covers)):
+        rows: list[int | None] = [None] * len(covers)
+        weight = _in_order(w, _greedy(covers, w, rows, first))
+        if best is None or weight > best_w + 1e-12:
+            best, best_w = tuple(rows), weight
+    return best, best_w
 
 
 def _greedy_response(
-    route_sets: Sequence[RouteSet],
-    attacker: np.ndarray,
-    setting: PatrollingSetting,
-    *,
-    _classes: tuple | None = None,
+    route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
 ) -> tuple[tuple[int, ...], float]:
-    """FC's cheap best response and its objective: the heaviest of the m
-    ``_greedy`` joint routes, a later start winning only by more than 1e-12.
+    """FC's cheap best response and its objective: ``_best_greedy`` over the
+    columns where the attacker has weight."""
+    covers, w = _live(route_sets, attacker, setting)
+    rows, weight = _best_greedy(covers, w)
+    return rows, 1.0 - sum(w.tolist()) + weight
+
+
+def _warmup(covers: Sequence[np.ndarray], pi: np.ndarray) -> list[tuple[int, ...]]:
+    """FC's start rows from WARMUP_STEPS multiplicative-weights steps.
+
+    ``covers`` is every resource's ``RouteSet.cover`` as float64 and ``pi``
+    the support targets' values.  The attacker's weights start uniform; each
+    step takes the ``_greedy`` joint route from the first resource against
+    them and multiplies target t's weight by e^-WARMUP_RATE when that route
+    covers t and by e^-(WARMUP_RATE (1 - pi_t)) otherwise, the attacker's
+    loss being the defender's payoff (Freund & Schapire, 1999).  The weights
+    are not renormalized: the greedy route does not depend on their scale,
+    and ten steps shrink them by at most e^-10.
     """
-    w, reps, masks, full, orders = _classes or _setup(route_sets, attacker, setting)
-    best_choice, best_w = _greedy(masks, w, full, orders, 0)
-    for first in range(1, len(masks)):
-        choice, choice_w = _greedy(masks, w, full, orders, first)
-        if choice_w > best_w + 1e-12:
-            best_choice, best_w = choice, choice_w
-    return _joint(reps, best_choice), 1.0 - sum(w) + best_w
+    hit_factor = math.exp(-WARMUP_RATE)
+    miss_factor = np.array([math.exp(-WARMUP_RATE * (1.0 - p)) for p in pi.tolist()])
+    sigma = np.full(len(pi), 1.0 / len(pi))
+    found = []
+    for _ in range(WARMUP_STEPS):
+        rows: list[int | None] = [None] * len(covers)
+        hit = _greedy(covers, sigma * pi, rows)
+        found.append(tuple(rows))
+        sigma = sigma * np.where(hit, hit_factor, miss_factor)
+    return found
 
 
 def best_response_ilp(
@@ -329,20 +371,21 @@ def best_response_ilp(
     setting: PatrollingSetting,
     *,
     deadline: float | None = None,
-    _classes: tuple | None = None,
 ) -> tuple[tuple[int, ...], float, bool]:
     """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t), exactly.
 
     A depth-first branch and bound over per-resource route choices, with
-    the greedy joint route ``_greedy(..., 0)`` as its incumbent: each
-    resource in turn takes the route adding the most attacker weight, lowest
-    index on ties.  It prunes by the uncovered weight of the union of all
-    remaining routes and by the sum of each remaining resource's best
-    uncovered route weight; the search order and strict improvement fix
-    which optimum is returned.  The subproblem is NP-hard in general, so it
-    honors ``deadline`` and may return a non-optimal incumbent (flagged
-    False).  ``attacker`` is sigma, one probability per support target, and
-    the joint route comes back as one route-set row per resource.
+    the greedy joint route ``_greedy`` from the first resource as its
+    incumbent (each resource in turn takes the route adding the most
+    attacker weight, lowest index on ties), its weight re-summed in bit
+    order as the search sums a mask.  It prunes by the uncovered weight of
+    the union of all remaining routes and by the sum of each remaining
+    resource's best uncovered route weight; the search order and strict
+    improvement fix which optimum is returned.  The subproblem is NP-hard
+    in general, so it honors ``deadline`` and may return a non-optimal
+    incumbent (flagged False).  ``attacker`` is sigma, one probability per
+    support target, and the joint route comes back as one route-set row per
+    resource.
 
     The search runs over each resource's coverage classes (``_setup``), not
     its routes, and returns each chosen class's representative.  That is the
@@ -353,17 +396,20 @@ def best_response_ilp(
     never wins the strict ``> best_w + 1e-12`` test.
 
     Each resource's classes are ranked once by their full weight, heaviest
-    first, and every scan over them (the greedy, the best-marginal bound and
-    the last resource's leaves) stops at the first class whose full weight
+    first, and every scan over them (the best-marginal bound and the last
+    resource's leaves) stops at the first class whose full weight
     cannot beat what is in hand.  The weights are non-negative and summed in
     bit order, so a class's uncovered weight never exceeds its full weight
     in floating point either, and the early exits change no answer.
-
-    ``_classes`` is ``fc_sro``'s ``_setup`` for this attacker, shared with
-    the round's greedy response; the incumbent is computed here all the same.
     """
-    w, reps, masks, full, orders = _classes or _setup(route_sets, attacker, setting)
-    best_choice, best_w = _greedy(masks, w, full, orders, 0)
+    w, reps, masks, full, orders = _setup(route_sets, attacker, setting)
+    covers, live_w = _live(route_sets, attacker, setting)
+    best_rows: list[int | None] = [None] * len(route_sets)
+    _greedy(covers, live_w, best_rows)
+    union = 0
+    for rs, r in zip(route_sets, best_rows):
+        union |= rs.masks[r]
+    best_w = _weight_bits(w, union)  # w is 0 where the attacker has no weight
     n_res = len(route_sets)
 
     suffix = [0] * (n_res + 1)
@@ -421,9 +467,9 @@ def best_response_ilp(
             leaf_w = cur_w + _weight_bits(w, ms[j] & ~cur_mask)
             if leaf_w > best_w + 1e-12:
                 best_w = leaf_w
-                best_choice = [*picked, j]
+                best_rows = _joint(reps, (*picked, j))
 
-    return _joint(reps, best_choice), 1.0 - sum(w) + best_w, not timed_out
+    return tuple(best_rows), 1.0 - sum(w) + best_w, not timed_out
 
 
 def fc_sro(
@@ -436,30 +482,33 @@ def fc_sro(
     """Full coordination: maxmin over joint covering routes by row generation.
 
     Starting from the joint routes ``start`` (route-set rows, one per
-    resource; repeats dropped, first kept), or when it is None from the
-    ``_greedy_response`` to the uniform attacker, each round solves
-    the constant-sum game restricted to the current rows and adds a better
-    row against the attacker's minmax strategy: the cheap
-    ``_greedy_response`` when it is a new row beating the value by more than
-    1e-12, else the exact ``best_response_ilp``'s.  When the exact response
-    is already a row, or its objective does not beat the value by more than
-    1e-12, no joint route beats the value against that attacker, so the
-    value is the FC maxmin over the full joint space and the loop stops.
-    Every other round adds a new joint route, of which there are finitely
-    many, so the loop terminates, and only an exact response ends it (a
-    double oracle with cheap better responses; Jain et al., 2011).  So any
-    valid ``start`` gives a certified value; a good one, such as the
-    support of a related game's solution, saves rounds (McMahan, Gordon &
-    Blum, 2003).
+    resource), or when it is None from the greedy response to the uniform
+    attacker, followed by the ``_warmup``'s rows (repeats dropped, first
+    kept), each round solves the constant-sum game restricted to the
+    current rows and adds a better row against the attacker's minmax
+    strategy: the cheap ``_greedy_response`` when it is a new row beating
+    the value by more than 1e-12, else the exact ``best_response_ilp``'s.
+    When the exact response is already a row, or its objective does not
+    beat the value by more than 1e-12, no joint route beats the value
+    against that attacker, so the value is the FC maxmin over the full
+    joint space and the loop stops.  Every other round adds a new joint
+    route, of which there are finitely many, so the loop terminates, and
+    only an exact response ends it (a double oracle with cheap better
+    responses; Jain et al., 2011).  So any valid ``start`` gives a certified
+    value; a good one, such as the support of a related game's solution or
+    the warm-up's rows, saves rounds (McMahan, Gordon & Blum, 2003).
 
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
     resumes phase 2 from that basis, which stays feasible, so a round costs
-    a few pivots rather than a cold solve.  Each round groups the routes
-    into coverage classes once (``_setup``) for both best responses.  Rows
-    are joint routes as tuples of route-set rows, kept so in the result's
-    ``JointRoute`` records, whose ``covered`` is read from the row's
-    coverage in the master (all rows 0, none covered, on an empty support).
+    a few pivots rather than a cold solve.  The greedy responses read the
+    route sets' coverage matrices; only the exact search groups the routes
+    into coverage classes (``_setup``), which it mostly does once per call,
+    to certify.  On ``fc-exact`` the warm-up leaves 157 rounds per pass,
+    where a start of one row took 472.  Rows are joint routes as tuples of
+    route-set rows, kept so in the result's ``JointRoute`` records, whose
+    ``covered`` is read from the row's coverage in the master (all rows 0,
+    none covered, on an empty support).
     The result's ``attacker`` is the last master's attacker minmax.
 
     ``diagnostics.optimal`` is True only for a converged run over complete
@@ -488,14 +537,17 @@ def fc_sro(
         )
         return np.where(covers[choice], 1.0, 1.0 - pi)
 
+    # Every column's coverage, for the cold start and the warm-up.
+    every = [rs.cover.astype(float) for rs in route_sets]
     if start is None:
-        uniform = np.full(len(targets), 1.0 / len(targets))
-        start = [_greedy_response(route_sets, uniform, setting)[0]]
+        start = [_best_greedy(every, pi * (1.0 / len(targets)))[0]]
     sizes = [len(rs.routes) for rs in route_sets]
-    start = dict.fromkeys(tuple(map(int, row)) for row in start)
+    start = [tuple(map(int, row)) for row in start]
     for row in start:
         if len(row) != len(sizes) or not all(0 <= i < n for i, n in zip(row, sizes)):
             raise ValueError(f"start row {row} is not one route-set row per resource")
+    start = dict.fromkeys(start + _warmup(every, pi))
+    del every  # the rounds read only the live columns
     game = RowGame(np.array([new_row(row) for row in start]))
 
     trace: list[float] = []
@@ -506,11 +558,10 @@ def fc_sro(
         if deadline is not None and time.monotonic() > deadline:
             not_optimal = "timeout"
             break
-        classes = _setup(route_sets, attacker, setting)
-        br, objective = _greedy_response(route_sets, attacker, setting, _classes=classes)
+        br, objective = _greedy_response(route_sets, attacker, setting)
         if br in covers or objective <= value + 1e-12:
             br, objective, certified = best_response_ilp(
-                route_sets, attacker, setting, deadline=deadline, _classes=classes
+                route_sets, attacker, setting, deadline=deadline
             )
             if not certified:
                 not_optimal = "timeout"
@@ -546,8 +597,8 @@ def _seed_rows(
     order.  A resource whose route set is one of ``source_sets`` (the same
     object: the same guard post and signal, from one route cache), each
     matched once, keeps that resource's row.  The others, in resource
-    order, take their ``_heaviest`` class against the source's attacker,
-    given the coverage of the rows already in the joint route.
+    order, take their ``_greedy`` row against the source's attacker, given
+    the coverage of the rows already in the joint route.
     """
     unmatched = list(range(len(source_sets)))
     matched: list[int | None] = []
@@ -556,19 +607,11 @@ def _seed_rows(
         if k is not None:
             unmatched.remove(k)
         matched.append(k)
-    w, reps, masks, full, orders = _setup(route_sets, source.attacker, setting)
+    covers, w = _live(route_sets, source.attacker, setting)
     seeds = []
     for jr in source.joint.probs:
         row = [None if k is None else jr.rows[k] for k in matched]
-        cur = 0
-        for rs, r in zip(route_sets, row):
-            if r is not None:
-                cur |= rs.masks[r]
-        for i, r in enumerate(row):
-            if r is None:
-                c = _heaviest(w, masks[i], full[i], orders[i], cur)
-                row[i] = reps[i][c]
-                cur |= masks[i][c]
+        _greedy(covers, w, row)
         seeds.append(tuple(row))
     return seeds
 

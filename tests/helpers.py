@@ -322,6 +322,32 @@ def brute_best_response_value(route_sets, attacker, setting) -> float:
     return best
 
 
+def joint_upper_bound(route_sets, attacker, setting) -> float:
+    """max over every joint route jr of u(jr, y) = 1 - sum_t y_t pi_t (1 - covered_t).
+
+    ``attacker`` is y, one probability per support target.  For y an
+    attacker minmax of the game over a subset of the joint routes, this
+    bounds the FC maxmin over all of them from above.  Coverage is read
+    from the routes' visits.  All joint routes by numpy at m = 2 and 3: the
+    routes of the last two resources as one matrix product, the others by a
+    product loop.
+    """
+    targets = route_sets[0].targets
+    w = np.asarray(attacker, dtype=float) * np.array([setting.value[t] for t in targets])
+    covers = [np.array([[t in r.visits for t in targets] for r in rs.routes], dtype=bool)
+              for rs in route_sets]
+    *head, a, b = covers
+    best = -math.inf
+    for rows in itertools.product(*(range(len(c)) for c in head)):
+        taken = np.zeros(len(targets), dtype=bool)
+        for c, r in zip(head, rows):
+            taken |= c[r]
+        u = a | taken  # one row per route of the second-to-last resource
+        covered = (u @ w)[:, None] + (np.where(u, 0.0, w) @ b.T.astype(float))
+        best = max(best, float(covered.max()))
+    return 1.0 - float(w.sum()) + best
+
+
 def _dedupe_covers(route_set, support):
     """Distinct, non-dominated coverage vectors of one resource's routes."""
     covers = []

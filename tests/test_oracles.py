@@ -267,8 +267,8 @@ def test_best_response_heuristic_restarts_greedy_from_each_resource():
 
 
 # Reference best responses whose scans visit every route, to pin the early
-# exits of ``best_response_ilp``, ``_greedy`` and ``_greedy_response`` to the
-# same answers.
+# exits of ``best_response_ilp`` and the matrix products of ``_greedy`` and
+# ``_greedy_response`` to the same answers.
 def _full_scan_weight(w, mask):
     total = 0.0
     while mask:
@@ -474,7 +474,8 @@ def test_fc_exact_matches_joint_enumeration():
 
 def test_fc_from_start_rows_skips_nc_and_keeps_the_value(monkeypatch):
     # Any valid start rows give the cold start's certified value; they are
-    # deduplicated in order, NC is not solved, and a bad row is refused.
+    # deduplicated in order together with the warm-up's rows, which follow
+    # them, NC is not solved, and a bad row is refused.
     s, _ = generate_instance(GeneratorParams(n_targets=40, seed=7))
     d = all_pairs_distances(s)
     sets = routes_for(s, d, min_cover(s, d).placement.positions, s.targets)
@@ -488,7 +489,12 @@ def test_fc_from_start_rows_skips_nc_and_keeps_the_value(monkeypatch):
     warm = fc_sro(sets, s, start=start)
     assert warm.diagnostics.optimal
     assert abs(warm.value - cold.value) <= 1e-12
-    assert warm.diagnostics.routes_generated == 2 + warm.diagnostics.iterations - 1
+    warmup = oracles_module._warmup([rs.cover.astype(float) for rs in sets],
+                                    _values(s, s.targets))
+    assert len(warmup) == oracles_module.WARMUP_STEPS
+    rows = dict.fromkeys(start + warmup)
+    assert list(rows)[:2] == start[:2]
+    assert warm.diagnostics.routes_generated == len(rows) + warm.diagnostics.iterations - 1
     assert warm.attacker.shape == (len(s.targets),)
     assert abs(float(warm.attacker.sum()) - 1.0) <= 1e-12
     for bad in ([(0,) * (len(sets) - 1)], [(-1,) + (0,) * (len(sets) - 1)],
@@ -761,10 +767,11 @@ def test_fc_joint_routes_are_route_set_rows():
 
 
 def test_fc_groups_the_routes_once_per_round(monkeypatch):
-    # A round's greedy response and its exact search share one set-up, also
-    # in the round the exact search certifies; the search answers as it does
-    # when it sets up on its own.  The cold start's greedy response against
-    # the uniform attacker sets up once more.
+    # Only the exact search groups the routes into coverage classes: one
+    # set-up per search, at most one search per round, the certifying one
+    # included; the greedy responses, the cold start and the warm-up read
+    # the coverage matrices instead.  The search answers as it does when
+    # called on its own.
     real_setup, real_search = oracles_module._setup, oracles_module.best_response_ilp
     setups, searches = [], []
 
@@ -784,7 +791,7 @@ def test_fc_groups_the_routes_once_per_round(monkeypatch):
         del setups[:], searches[:]
         result = fc_sro(sets, s)
         assert result.diagnostics.optimal
-        assert len(setups) == result.diagnostics.iterations + 1
+        assert len(setups) == len(searches) <= result.diagnostics.iterations
         assert searches
         for args, out in searches:
             assert real_search(*args) == out
@@ -805,6 +812,7 @@ def test_fc_master_matches_cold_solves_on_benchmark_placements(monkeypatch):
     # row the resumed master's value equals a cold solve of the same rows to
     # 1e-12 and both strategies pass the certificate; on 40/s7 the master
     # pivots at most a quarter as often as cold solves of its rounds would.
+    # The warm-up's start rows leave 4-19 rounds per placement.
     real_solve = RowGame.solve
     rounds = []
     pivots_so_far = {}
@@ -830,7 +838,7 @@ def test_fc_master_matches_cold_solves_on_benchmark_placements(monkeypatch):
         pivots_so_far.clear()  # a new master may reuse an old one's id
         result = fc_sro(sets, s)
         assert result.diagnostics.optimal
-        assert len(rounds) == result.diagnostics.iterations >= 10
+        assert len(rounds) == result.diagnostics.iterations >= 4
         warm, cold = map(sum, zip(*rounds))
         assert warm == result.diagnostics.lp_pivots
         if (n_targets, seed) == (40, 7):

@@ -1,8 +1,11 @@
 import itertools
+import json
 import math
 import time
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alarmpatrol import (
@@ -22,10 +25,13 @@ from alarmpatrol.mincover import CoveringPlacement, to_set_cover
 from alarmpatrol.pipeline import BudgetTooSmall
 from alarmpatrol.seeding import stream
 from helpers import (
+    brute_best_response_value,
     brute_covering_placements,
     cycle_setting,
+    joint_upper_bound,
     make_setting,
     random_setting,
+    routes_for,
     single_signal,
 )
 
@@ -365,12 +371,64 @@ def test_resolve_fc_starts_cold_when_its_seed_source_failed(monkeypatch):
     ]
     positions, fc_start, start, resp = calls[1]
     assert fc_start is None and start is None
-    assert resp.value == cold_fc(resp.route_sets["s0"], s).value
+    # The per-signal result, not the aggregate over the alarm system: the same
+    # function on the same route sets, so equal to the last bit.
+    assert resp.per_signal["s0"].value == cold_fc(resp.route_sets["s0"], s).value
     for _, _, _, resp in calls[1:]:
         assert resp.per_signal["s0"].diagnostics.optimal
     for pe, ok in zip(report.placements[1:], clean.placements[1:]):
         assert pe.positions == ok.positions
         assert abs(pe.values["FC"] - ok.values["FC"]) <= 1e-12
+
+
+def test_joint_upper_bound_matches_brute_force():
+    # The numpy bound below against a loop over every joint route, at m = 2
+    # and 3, on attackers with and without zero weights.
+    for trial in range(12):
+        rng = stream(61, "jointbound", trial)
+        s = random_setting(8, rng, deadlines=(1, 2))
+        d = all_pairs_distances(s)
+        sets = routes_for(s, d, [rng.randrange(s.n) for _ in range(2 + trial % 2)], s.targets)
+        weights = [rng.random() if rng.random() < 0.7 else 0.0 for _ in s.targets]
+        weights[0] += 0.01
+        y = np.array(weights) / sum(weights)
+        assert joint_upper_bound(sets, y, s) == pytest.approx(
+            brute_best_response_value(sets, y, s), abs=1e-12)
+
+
+def test_resolve_fc_meets_the_joint_upper_bound_on_fc_exact(monkeypatch):
+    # An optimality certificate independent of the FC best responses: FC's
+    # attacker minmax y bounds its value from above by the best reply to y
+    # over every joint route, found here by brute force.  On the 20
+    # placements of the fc-exact benchmark, as ``resolve`` evaluates them
+    # (warm starts and warm-up included), that bound is FC's value.
+    for n, seed in ((40, 7), (60, 1), (70, 1), (80, 0), (80, 3)):
+        s, alarm = generate_instance(GeneratorParams(n_targets=n, seed=seed))
+        with monkeypatch.context() as mp:
+            calls, _ = _spy_fc(mp)
+            resolve(s, alarm, ResolutionConfig(oracles=("FC",), max_placements=4))
+        assert len(calls) == 4
+        for _, _, _, resp in calls:
+            result, sets = resp.per_signal["s0"], resp.route_sets["s0"]
+            assert result.diagnostics.optimal
+            assert abs(joint_upper_bound(sets, result.attacker, s) - result.value) <= 1e-9
+
+
+RECORDED_FC = json.loads((Path(__file__).parent / "fc_exhaustive_values.json").read_text())
+
+
+@pytest.mark.parametrize("n, seed", [(60, 1), (40, 7)])
+def test_exhaustive_fc_keeps_its_recorded_values(n, seed):
+    # Exhaustive FC (FC alone, no max_placements) at m = 2 (60/s1, 87 covers)
+    # and m = 3 (40/s7, 116 covers): every cover's warm start and warm-up
+    # give the value recorded for that placement.
+    s, alarm = generate_instance(GeneratorParams(n_targets=n, seed=seed))
+    report = resolve(s, alarm, ResolutionConfig(oracles=("FC",)))
+    recorded = RECORDED_FC[f"{n}/s{seed}"]
+    assert report.exhausted
+    assert [list(pe.positions) for pe in report.placements] == [p for p, _ in recorded]
+    for pe, (_, value) in zip(report.placements, recorded):
+        assert abs(pe.values["FC"] - value) <= 1e-12
 
 
 def test_config_validation():
