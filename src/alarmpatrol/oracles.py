@@ -38,8 +38,8 @@ support, which is the set of targets the attacker may choose; coverage is
 NC's games and FC's restricted game pay 1 where a row covers a target and
 1 - pi_t where it does not; PC's response games pay the same with the
 weights pi_t times the other resources' uncovered probabilities in place of
-pi_t; FC's greedy responses read ``RouteSet.cover`` too, and its exact
-search reads the same coverage from ``RouteSet.masks``, grouping the routes
+pi_t; FC's greedy responses and its exact search read ``RouteSet.cover``
+too, the search grouping the routes by their rows of the weighted columns
 into coverage classes.
 
 Strategies are over route-set rows.  NC and PC return one probability
@@ -66,7 +66,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .games import MixedStrategy, RowGame, normalized
-from .model import AlarmSystem, PatrollingSetting
+from .model import AlarmSystem, PatrollingSetting, row_masks
 from .routes import JointRoute, RouteSet, covering_routes
 from .seeding import stream
 
@@ -234,48 +234,36 @@ def _weight_bits(w: Sequence[float], mask: int) -> float:
     return total
 
 
-def _setup(
-    route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
-) -> tuple[list[float], list[list[int]], list[list[int]], list[list[float]], list[list[int]]]:
-    """What the exact best response reads: the weight sigma(t) pi(t) of each
-    support target, where the attacker's weight lies, and per resource its
-    coverage classes.  ``attacker`` holds sigma, one probability per support
-    target.
+def _classes(
+    covers: Sequence[np.ndarray], w: Sequence[float]
+) -> tuple[list[list[int]], list[list[int]], list[list[float]], list[list[int]]]:
+    """Each resource's coverage classes, from ``_live``'s ``covers`` and ``w``.
 
-    A class is one distinct value of ``mask & live``, the targets a route
-    covers where the attacker's weight lies.  ``reps`` holds each class's
-    lowest route index, and the classes come in increasing ``reps`` order,
-    with their masks, full weights and order by weight.  Routes of one class
-    add the same weight to every partial joint route, so the search chooses
-    among classes, and maps a choice back through ``reps``."""
-    support = _support(route_sets)
-    if np.shape(attacker) != (len(support),):
-        raise ValueError("attacker needs one probability per support target")
-    probs = np.asarray(attacker, dtype=float).tolist()
-    w = [p * setting.value[t] if p > 0.0 else 0.0 for p, t in zip(probs, support)]
-    live = sum(1 << j for j, p in enumerate(probs) if p > 0.0)
+    A class is one distinct row of live columns, packed into a byte key
+    (with one spare column, never set, so that a key has a byte even with
+    no live column); its mask has bit k set for live column k.  ``reps``
+    holds each class's lowest route index, and the classes come in
+    increasing ``reps`` order, with their masks, full weights and order by
+    weight.  Routes of one class add the same weight to every partial joint
+    route, so the search chooses among classes."""
     reps, masks = [], []
-    for rs in route_sets:
-        first: dict[int, int] = {}
-        for j, m in enumerate(rs.masks):
-            first.setdefault(m & live, j)
-        masks.append(list(first))
-        reps.append(list(first.values()))
+    for cover in covers:
+        bits = np.zeros((len(cover), len(w) + 1), dtype=bool)
+        np.greater(cover, 0.0, out=bits[:, :-1])
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        reps.append(first.tolist())
+        masks.append(row_masks(bits[first]))
     full = [[_weight_bits(w, m) for m in ms] for ms in masks]
     orders = [sorted(range(len(fs)), key=lambda j: (-fs[j], j)) for fs in full]
-    return w, reps, masks, full, orders
-
-
-def _joint(reps: Sequence[Sequence[int]], choice: Sequence[int]) -> tuple[int, ...]:
-    """The joint route of one class per resource, as route-set rows: each
-    class's representative."""
-    return tuple(r[c] for r, c in zip(reps, choice))
+    return reps, masks, full, orders
 
 
 def _live(
     route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """What the greedy response reads: each resource's coverage of the
+    """What the best responses read: each resource's coverage of the
     support targets where ``attacker`` (sigma, one probability per support
     target) has weight, as a float64 route-by-column matrix, and those
     columns' weights sigma(t) pi(t)."""
@@ -377,7 +365,7 @@ def best_response_ilp(
     A depth-first branch and bound over per-resource route choices, with
     the greedy joint route ``_greedy`` from the first resource as its
     incumbent (each resource in turn takes the route adding the most
-    attacker weight, lowest index on ties), its weight re-summed in bit
+    attacker weight, lowest index on ties), its weight summed in column
     order as the search sums a mask.  It prunes by the uncovered weight of
     the union of all remaining routes and by the sum of each remaining
     resource's best uncovered route weight; the search order and strict
@@ -387,13 +375,14 @@ def best_response_ilp(
     support target, and the joint route comes back as one route-set row per
     resource.
 
-    The search runs over each resource's coverage classes (``_setup``), not
-    its routes, and returns each chosen class's representative.  That is the
-    answer a search over all routes gives: the routes of a class have equal
-    gains, the ``(-full, index)`` order meets a class's representative
-    before its other routes, and an identical sibling's subtree holds no
-    leaf above what its representative's subtree left in ``best_w``, so it
-    never wins the strict ``> best_w + 1e-12`` test.
+    The search runs over each resource's coverage classes (``_classes``, of
+    ``_live``'s columns), not its routes, and returns each chosen class's
+    representative.  That is the answer a search over all routes gives:
+    the routes of a class have equal gains, the ``(-full, index)`` order
+    meets a class's representative before its other routes, and an
+    identical sibling's subtree holds no leaf above what its
+    representative's subtree left in ``best_w``, so it never wins the
+    strict ``> best_w + 1e-12`` test.
 
     Each resource's classes are ranked once by their full weight, heaviest
     first, and every scan over them (the best-marginal bound and the last
@@ -402,14 +391,11 @@ def best_response_ilp(
     bit order, so a class's uncovered weight never exceeds its full weight
     in floating point either, and the early exits change no answer.
     """
-    w, reps, masks, full, orders = _setup(route_sets, attacker, setting)
     covers, live_w = _live(route_sets, attacker, setting)
+    w = live_w.tolist()
+    reps, masks, full, orders = _classes(covers, w)
     best_rows: list[int | None] = [None] * len(route_sets)
-    _greedy(covers, live_w, best_rows)
-    union = 0
-    for rs, r in zip(route_sets, best_rows):
-        union |= rs.masks[r]
-    best_w = _weight_bits(w, union)  # w is 0 where the attacker has no weight
+    best_w = _in_order(live_w, _greedy(covers, live_w, best_rows))
     n_res = len(route_sets)
 
     suffix = [0] * (n_res + 1)
@@ -419,7 +405,7 @@ def best_response_ilp(
             union |= m
         suffix[i] = suffix[i + 1] | union
 
-    # Depth-first over (resource, mask, weight, picks) on an explicit stack:
+    # Depth-first over (resource, mask, weight, rows) on an explicit stack:
     # children are pushed in reverse so they pop in ``orders`` order, and each
     # node is tested when popped, as a recursive search would visit it.  The
     # last resource's leaves would pop next, in that order, so they are
@@ -454,7 +440,7 @@ def best_response_ilp(
         if i < last:
             for j in reversed(orders[i]):
                 gain = _weight_bits(w, ms[j] & ~cur_mask)
-                stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (j,)))
+                stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (reps[i][j],)))
             continue
         # A leaf weighs at most cur_w plus its route's full weight.
         for j in orders[i]:
@@ -467,7 +453,7 @@ def best_response_ilp(
             leaf_w = cur_w + _weight_bits(w, ms[j] & ~cur_mask)
             if leaf_w > best_w + 1e-12:
                 best_w = leaf_w
-                best_rows = _joint(reps, (*picked, j))
+                best_rows = (*picked, reps[i][j])
 
     return tuple(best_rows), 1.0 - sum(w) + best_w, not timed_out
 
@@ -503,7 +489,7 @@ def fc_sro(
     resumes phase 2 from that basis, which stays feasible, so a round costs
     a few pivots rather than a cold solve.  The greedy responses read the
     route sets' coverage matrices; only the exact search groups the routes
-    into coverage classes (``_setup``), which it mostly does once per call,
+    into coverage classes (``_classes``), which it mostly does once per call,
     to certify.  On ``fc-exact`` the warm-up leaves 157 rounds per pass,
     where a start of one row took 472.  Rows are joint routes as tuples of
     route-set rows, kept so in the result's ``JointRoute`` records, whose

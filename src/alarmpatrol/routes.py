@@ -14,11 +14,10 @@ targets, so each level is sorted and its ties resolved as a bitmask DP
 would.  A set is maximal when it is no set of the next level minus one
 target, which one sort merging the two finds.
 
-Every route set carries its coverage once, built with the set: as a
-read-only boolean matrix with one row per route and one column per support
-target, from which the oracles derive their payoff matrices, LP
-coefficients and unprotected probabilities, and as one integer bitmask per
-route for the FC best response's bit search.
+Every route set carries its coverage once, built with the set: a read-only
+boolean matrix with one row per route and one column per support target,
+from which the oracles derive their payoff matrices, LP coefficients,
+unprotected probabilities and best responses.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import PatrollingSetting, row_masks
+from .model import PatrollingSetting
 
 # Up to this many reachable support targets the DP is exact; beyond it the
 # per-level state set is truncated to BEAM_WIDTH states.
@@ -72,9 +71,9 @@ class RouteSet:
     ``complete`` is False when the beam-limited search had to drop states and
     the set may be missing maximal routes.  ``targets`` is the sorted signal
     support and ``cover[i, j]`` says whether ``routes[i]`` covers
-    ``targets[j]``; bit j of ``masks[i]`` says the same.  Both are built
-    here, and the matrix is read-only.  ``_nc`` is the oracles' memo of this
-    resource's NC game, so it lives exactly as long as the set.
+    ``targets[j]``; it is the set's one record of its coverage, built here
+    and read-only.  ``_nc`` is the oracles' memo of this resource's NC game,
+    so it lives exactly as long as the set.
     """
 
     routes: tuple[CoveringRoute, ...]
@@ -82,7 +81,6 @@ class RouteSet:
     complete: bool
     targets: tuple[int, ...] = field(compare=False)
     cover: np.ndarray = field(init=False, compare=False, repr=False)
-    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _nc: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -92,7 +90,6 @@ class RouteSet:
         cover[rows, np.searchsorted(self.targets, visits)] = True
         cover.flags.writeable = False
         object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "masks", tuple(row_masks(cover)))
 
 
 def covering_routes(

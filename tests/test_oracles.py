@@ -35,6 +35,7 @@ from alarmpatrol import oracles as oracles_module
 from alarmpatrol import pipeline
 from alarmpatrol.fileio import oracle_payload
 from alarmpatrol.games import VALUE_TOL, normalized
+from alarmpatrol.model import row_masks
 from alarmpatrol.oracles import SEARCH_MAX_ROUTES, _greedy_response
 from alarmpatrol.routes import CoveringRoute, RouteSet
 from alarmpatrol.seeding import stream
@@ -249,7 +250,7 @@ def test_best_response_matches_brute_force_many_resources():
         ), abs=1e-12)
 
 
-def test_best_response_heuristic_restarts_greedy_from_each_resource():
+def test_greedy_response_restarts_from_each_resource():
     # Greedy from resource 0 takes its {0, 1} route, which resource 1 can only
     # repeat; the pass starting from resource 1 finds the exact response.
     s = make_setting(3, [(0, 1), (1, 2)])
@@ -292,7 +293,7 @@ def _full_scan_weights(route_sets, attacker, setting):
     support = route_sets[0].targets
     w = [p * setting.value[t] if p > 0.0 else 0.0 for p, t in zip(attacker.tolist(), support)]
     live = sum(1 << j for j, p in enumerate(attacker) if p > 0.0)
-    return w, [[m & live for m in rs.masks] for rs in route_sets]
+    return w, [[m & live for m in row_masks(rs.cover)] for rs in route_sets]
 
 
 def _full_scan_greedy_response(route_sets, attacker, setting):
@@ -381,10 +382,31 @@ def test_best_response_early_exits_match_full_scan_on_generator_instances():
                 _assert_pinned(sets, attacker, s)
 
 
+def _assert_classes(sets, attacker, s):
+    """``_classes`` on ``_live``'s columns gives a class per distinct
+    ``mask & live`` of the route masks, represented by its lowest route
+    index, in increasing representative order; returns the representatives
+    and the class masks, spread back to support positions."""
+    covers, w = oracles_module._live(sets, attacker, s)
+    reps, masks, _, _ = oracles_module._classes(covers, w.tolist())
+    cols = np.flatnonzero(np.asarray(attacker) > 0.0).tolist()
+    live = sum(1 << c for c in cols)
+    spread = []
+    for rs, rep, ms in zip(sets, reps, masks):
+        assert all(m >> len(cols) == 0 for m in ms)
+        ms = [sum(1 << c for k, c in enumerate(cols) if m >> k & 1) for m in ms]
+        route_masks = row_masks(rs.cover)
+        assert sorted(ms) == sorted({m & live for m in route_masks})
+        assert rep == sorted(rep)
+        assert rep == [min(j for j, m in enumerate(route_masks) if m & live == c) for c in ms]
+        spread.append(ms)
+    return reps, spread
+
+
 def test_setup_groups_routes_into_coverage_classes():
-    # A class per distinct ``mask & live``, represented by its lowest route
-    # index, in increasing representative order; with weight on every
-    # target, each route of a maximal route set is its own class.
+    # With weight on every target, each route of a maximal route set is its
+    # own class.  The uniform attacker on 150/s11 and 80/s3-d2 weights more
+    # than 64 targets, so a packed key spans more than eight bytes.
     s, _ = generate_instance(GeneratorParams(n_targets=60, seed=1, deadline=2))
     d = all_pairs_distances(s)
     sets = routes_for(s, d, min_cover(s, d, "exact").placement.positions, s.targets)
@@ -393,16 +415,36 @@ def test_setup_groups_routes_into_coverage_classes():
     for k in (1, 3, 8, len(support)):
         focus = rng.sample(list(support), k)
         attacker = on_support(sets, dict(zip(focus, normalized([rng.random() + 0.01 for _ in focus]))))
-        live = sum(1 << j for j, t in enumerate(support) if t in focus)
-        _, reps, masks, _, _ = oracles_module._setup(sets, attacker, s)
-        for rs, rep, ms in zip(sets, reps, masks):
-            assert sorted(ms) == sorted({m & live for m in rs.masks})
-            assert rep == sorted(rep)
-            assert rep == [min(j for j, m in enumerate(rs.masks) if m & live == c) for c in ms]
-            if k == len(support):
-                assert rep == list(range(len(rs.routes)))
+        reps, masks = _assert_classes(sets, attacker, s)
+        if k == len(support):
+            assert all(rep == list(range(len(rs.routes))) for rs, rep in zip(sets, reps))
         if k == 1:
+            # One live target: a class of the routes missing it and one of
+            # those covering it, where there are any.
             assert any(len(rep) < len(rs.routes) for rs, rep in zip(sets, reps))
+            j = support.index(focus[0])
+            for rs, rep, ms in zip(sets, reps, masks):
+                hits = rs.cover[:, j].tolist()
+                assert sorted(ms) == sorted({1 << j if h else 0 for h in hits})
+                assert set(rep) == {hits.index(h) for h in set(hits)}
+    for n, seed, deadline in ((150, 11, None), (80, 3, 2)):
+        s, _ = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
+        d = all_pairs_distances(s)
+        sets = routes_for(s, d, min_cover(s, d, "exact").placement.positions, s.targets)
+        assert len(sets[0].targets) > 64
+        reps, _ = _assert_classes(sets, np.full(len(s.targets), 1.0 / len(s.targets)), s)
+        assert all(rep == list(range(len(rs.routes))) for rs, rep in zip(sets, reps))
+
+
+def test_best_response_to_an_attacker_without_weight():
+    # No live column: one class per resource, row 0, and every joint route
+    # weighs nothing, so the search answers row 0 of each with objective 1.
+    s, _ = generate_instance(GeneratorParams(n_targets=40, seed=7))
+    d = all_pairs_distances(s)
+    sets = routes_for(s, d, min_cover(s, d, "exact").placement.positions, s.targets)
+    nothing = np.zeros(len(s.targets))
+    assert _assert_classes(sets, nothing, s) == ([[0]] * len(sets), [[0]] * len(sets))
+    assert best_response_ilp(sets, nothing, s) == ((0,) * len(sets), 1.0, True)
 
 
 def test_best_response_early_exits_match_full_scan_on_random_instances():
@@ -772,19 +814,19 @@ def test_fc_groups_the_routes_once_per_round(monkeypatch):
     # included; the greedy responses, the cold start and the warm-up read
     # the coverage matrices instead.  The search answers as it does when
     # called on its own.
-    real_setup, real_search = oracles_module._setup, oracles_module.best_response_ilp
+    real_classes, real_search = oracles_module._classes, oracles_module.best_response_ilp
     setups, searches = [], []
 
-    def setup(*args):
+    def classes(*args):
         setups.append(args)
-        return real_setup(*args)
+        return real_classes(*args)
 
     def search(*args, **kwargs):
         out = real_search(*args, **kwargs)
         searches.append((args, out))
         return out
 
-    monkeypatch.setattr(oracles_module, "_setup", setup)
+    monkeypatch.setattr(oracles_module, "_classes", classes)
     monkeypatch.setattr(oracles_module, "best_response_ilp", search)
     for n_targets, seed in ((40, 7), (60, 1)):
         s, sets = _first_placement_sets(n_targets, seed)

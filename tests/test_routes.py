@@ -140,19 +140,6 @@ def test_cover_matrix_matches_covered_sets():
             _cover_matches_routes(covering_routes(s, d, start, support), support)
 
 
-def test_masks_match_cover_matrix():
-    for trial in range(20):
-        rng = stream(24, "masks", trial)
-        s = random_setting(9, rng, deadlines=(1, 2, 3), target_fraction=0.7)
-        d = all_pairs_distances(s)
-        support = tuple(t for t in s.targets if rng.random() < 0.8) or s.targets
-        rs = covering_routes(s, d, rng.randrange(s.n), support)
-        assert len(rs.masks) == len(rs.routes)
-        for row, mask in zip(rs.cover, rs.masks):
-            assert [bool(mask >> j & 1) for j in range(len(rs.targets))] == row.tolist()
-            assert mask >> len(rs.targets) == 0
-
-
 def test_deterministic_output():
     rng = stream(29, "det")
     s = random_setting(9, rng, deadlines=(1, 2))
