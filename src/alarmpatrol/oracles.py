@@ -15,21 +15,20 @@ expected utility:
   scale a spatial branch and bound over one resource's strategy simplex then
   certifies or improves it to the global team maxmin.
 * FC: maxmin over joint routes via row generation, alternating a
-  constant-sum game LP with a best response.  Greedy joint routes drive the
-  rounds: each resource in turn takes the route adding the most attacker
+  constant-sum game LP with a best response.  A greedy joint route drives
+  the rounds: each resource in turn takes the route adding the most attacker
   weight, one matrix-vector product over the coverage of the targets the
-  attacker weights.  Once they find no better row, an exact branch and
-  bound, pruned by the union of the remaining routes and by the sum of each
+  attacker weights.  Once it finds no better row, an exact branch and bound,
+  pruned by the union of the remaining routes and by the sum of each
   remaining resource's best marginal route, supplies the next row or
   certifies the value.  It chooses among each resource's coverage classes,
-  its routes grouped by the targets they cover where the attacker's
-  strategy has weight, scans them heaviest first and stops at the first
-  class whose full weight cannot beat what is in hand.  The game LP lives
-  for the whole call and resumes from its last basis each round.  It
-  starts from the greedy joint route against the uniform attacker, or, in
-  ``respond``, from an earlier FC result whose placement shares guard posts
-  with this one (``_seed_rows``), plus the greedy joint routes of ten
-  multiplicative-weights steps (``_warmup``).
+  its routes grouped by the targets they cover where the attacker's strategy
+  has weight, scans them heaviest first and stops at the first class whose
+  full weight cannot beat what is in hand.  The game LP lives for the whole
+  call and resumes from its last basis each round.  It starts from the
+  greedy joint routes of ten multiplicative-weights steps (``_warmup``),
+  after, in ``respond``, the rows of an earlier FC result whose placement
+  shares guard posts with this one (``_seed_rows``).
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -285,48 +284,34 @@ def _in_order(w: np.ndarray, hit: np.ndarray) -> float:
     return total
 
 
-def _greedy(
-    covers: Sequence[np.ndarray], w: np.ndarray, rows: list[int | None], first: int = 0
-) -> np.ndarray:
+def _greedy(covers: Sequence[np.ndarray], w: np.ndarray, rows: list[int | None]) -> np.ndarray:
     """Fill the open (None) entries of ``rows`` greedily; the columns covered.
 
-    ``covers`` and ``w`` are ``_live``'s.  From resource ``first`` round to
-    the one before it, each open resource takes the row adding the most
-    weight to the columns its joint route leaves uncovered so far, the rows
-    already in ``rows`` included: one matrix-vector product and an argmax,
-    the lowest row winning ties.
+    ``covers`` and ``w`` are ``_live``'s.  In resource order, each open
+    resource takes the row adding the most weight to the columns its joint
+    route leaves uncovered so far, the rows already in ``rows`` included:
+    one matrix-vector product and an argmax, the lowest row winning ties.
     """
     hit = np.zeros(len(w), dtype=bool)
     for cover, r in zip(covers, rows):
         if r is not None:
             hit |= cover[r] > 0.0
-    for i in [*range(first, len(covers)), *range(first)]:
+    for i, cover in enumerate(covers):
         if rows[i] is None:
-            rows[i] = int(np.argmax(covers[i] @ np.where(hit, 0.0, w)))
-            hit |= covers[i][rows[i]] > 0.0
+            rows[i] = int(np.argmax(cover @ np.where(hit, 0.0, w)))
+            hit |= cover[rows[i]] > 0.0
     return hit
-
-
-def _best_greedy(covers: Sequence[np.ndarray], w: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """The heaviest of the m ``_greedy`` joint routes, one from each start,
-    and its weight; a later start wins only by more than 1e-12."""
-    best, best_w = None, 0.0
-    for first in range(len(covers)):
-        rows: list[int | None] = [None] * len(covers)
-        weight = _in_order(w, _greedy(covers, w, rows, first))
-        if best is None or weight > best_w + 1e-12:
-            best, best_w = tuple(rows), weight
-    return best, best_w
 
 
 def _greedy_response(
     route_sets: Sequence[RouteSet], attacker: np.ndarray, setting: PatrollingSetting
 ) -> tuple[tuple[int, ...], float]:
-    """FC's cheap best response and its objective: ``_best_greedy`` over the
-    columns where the attacker has weight."""
+    """FC's cheap best response and its objective: the ``_greedy`` joint
+    route over the columns where the attacker has weight."""
     covers, w = _live(route_sets, attacker, setting)
-    rows, weight = _best_greedy(covers, w)
-    return rows, 1.0 - sum(w.tolist()) + weight
+    rows: list[int | None] = [None] * len(covers)
+    hit = _greedy(covers, w, rows)
+    return tuple(rows), 1.0 - sum(w.tolist()) + _in_order(w, hit)
 
 
 def _warmup(covers: Sequence[np.ndarray], pi: np.ndarray) -> list[tuple[int, ...]]:
@@ -334,12 +319,12 @@ def _warmup(covers: Sequence[np.ndarray], pi: np.ndarray) -> list[tuple[int, ...
 
     ``covers`` is every resource's ``RouteSet.cover`` as float64 and ``pi``
     the support targets' values.  The attacker's weights start uniform; each
-    step takes the ``_greedy`` joint route from the first resource against
-    them and multiplies target t's weight by e^-WARMUP_RATE when that route
-    covers t and by e^-(WARMUP_RATE (1 - pi_t)) otherwise, the attacker's
-    loss being the defender's payoff (Freund & Schapire, 1999).  The weights
-    are not renormalized: the greedy route does not depend on their scale,
-    and ten steps shrink them by at most e^-10.
+    step takes the ``_greedy`` joint route against them and multiplies
+    target t's weight by e^-WARMUP_RATE when that route covers t and by
+    e^-(WARMUP_RATE (1 - pi_t)) otherwise, the attacker's loss being the
+    defender's payoff (Freund & Schapire, 1999).  The weights are not
+    renormalized: the greedy route does not depend on their scale, and ten
+    steps shrink them by at most e^-10.
     """
     hit_factor = math.exp(-WARMUP_RATE)
     miss_factor = np.array([math.exp(-WARMUP_RATE * (1.0 - p)) for p in pi.tolist()])
@@ -362,18 +347,17 @@ def best_response_ilp(
 ) -> tuple[tuple[int, ...], float, bool]:
     """Joint route maximizing 1 - sum_t sigma(t) pi(t) (1 - y_t), exactly.
 
-    A depth-first branch and bound over per-resource route choices, with
-    the greedy joint route ``_greedy`` from the first resource as its
-    incumbent (each resource in turn takes the route adding the most
-    attacker weight, lowest index on ties), its weight summed in column
-    order as the search sums a mask.  It prunes by the uncovered weight of
-    the union of all remaining routes and by the sum of each remaining
-    resource's best uncovered route weight; the search order and strict
-    improvement fix which optimum is returned.  The subproblem is NP-hard
-    in general, so it honors ``deadline`` and may return a non-optimal
-    incumbent (flagged False).  ``attacker`` is sigma, one probability per
-    support target, and the joint route comes back as one route-set row per
-    resource.
+    A depth-first branch and bound over per-resource route choices, with the
+    greedy joint route ``_greedy`` as its incumbent (each resource in turn
+    takes the route adding the most attacker weight, lowest index on ties),
+    its weight summed in column order as the search sums a mask.  It prunes
+    by the uncovered weight of the union of all remaining routes and by the
+    sum of each remaining resource's best uncovered route weight; the search
+    order and strict improvement fix which optimum is returned.  The
+    subproblem is NP-hard in general, so it honors ``deadline`` and may
+    return a non-optimal incumbent (flagged False).  ``attacker`` is sigma,
+    one probability per support target, and the joint route comes back as
+    one route-set row per resource.
 
     The search runs over each resource's coverage classes (``_classes``, of
     ``_live``'s columns), not its routes, and returns each chosen class's
@@ -463,26 +447,26 @@ def fc_sro(
     setting: PatrollingSetting,
     *,
     deadline: float | None = None,
-    start: Sequence[Sequence[int]] | None = None,
+    start: Sequence[Sequence[int]] | None = (),
 ) -> OracleResult:
     """Full coordination: maxmin over joint covering routes by row generation.
 
     Starting from the joint routes ``start`` (route-set rows, one per
-    resource), or when it is None from the greedy response to the uniform
-    attacker, followed by the ``_warmup``'s rows (repeats dropped, first
-    kept), each round solves the constant-sum game restricted to the
-    current rows and adds a better row against the attacker's minmax
-    strategy: the cheap ``_greedy_response`` when it is a new row beating
-    the value by more than 1e-12, else the exact ``best_response_ilp``'s.
-    When the exact response is already a row, or its objective does not
-    beat the value by more than 1e-12, no joint route beats the value
-    against that attacker, so the value is the FC maxmin over the full
-    joint space and the loop stops.  Every other round adds a new joint
-    route, of which there are finitely many, so the loop terminates, and
-    only an exact response ends it (a double oracle with cheap better
-    responses; Jain et al., 2011).  So any valid ``start`` gives a certified
-    value; a good one, such as the support of a related game's solution or
-    the warm-up's rows, saves rounds (McMahan, Gordon & Blum, 2003).
+    resource; None gives none, as the default does) followed by the
+    ``_warmup``'s rows (repeats dropped, first kept), each round solves the
+    constant-sum game restricted to the current rows and adds a better row
+    against the attacker's minmax strategy: the cheap ``_greedy_response``
+    when it is a new row beating the value by more than 1e-12, else the
+    exact ``best_response_ilp``'s.  When the exact response is already a
+    row, or its objective does not beat the value by more than 1e-12, no
+    joint route beats the value against that attacker, so the value is the
+    FC maxmin over the full joint space and the loop stops.  Every other
+    round adds a new joint route, of which there are finitely many, so the
+    loop terminates, and only an exact response ends it (a double oracle
+    with cheap better responses; Jain et al., 2011).  So any valid ``start``
+    gives a certified value; a good one, such as the support of a related
+    game's solution or the warm-up's rows, saves rounds (McMahan, Gordon &
+    Blum, 2003).
 
     The restricted game is one ``RowGame`` for the whole call: a new joint
     route is one new LP column, priced against the solved basis, and the LP
@@ -490,11 +474,10 @@ def fc_sro(
     a few pivots rather than a cold solve.  The greedy responses read the
     route sets' coverage matrices; only the exact search groups the routes
     into coverage classes (``_classes``), which it mostly does once per call,
-    to certify.  On ``fc-exact`` the warm-up leaves 157 rounds per pass,
-    where a start of one row took 472.  Rows are joint routes as tuples of
-    route-set rows, kept so in the result's ``JointRoute`` records, whose
-    ``covered`` is read from the row's coverage in the master (all rows 0,
-    none covered, on an empty support).
+    to certify.  Rows are joint routes as tuples of route-set rows, kept so
+    in the result's ``JointRoute`` records, whose ``covered`` is read from
+    the row's coverage in the master (all rows 0, none covered, on an empty
+    support).
     The result's ``attacker`` is the last master's attacker minmax.
 
     ``diagnostics.optimal`` is True only for a converged run over complete
@@ -523,17 +506,13 @@ def fc_sro(
         )
         return np.where(covers[choice], 1.0, 1.0 - pi)
 
-    # Every column's coverage, for the cold start and the warm-up.
-    every = [rs.cover.astype(float) for rs in route_sets]
-    if start is None:
-        start = [_best_greedy(every, pi * (1.0 / len(targets)))[0]]
     sizes = [len(rs.routes) for rs in route_sets]
-    start = [tuple(map(int, row)) for row in start]
+    start = [tuple(map(int, row)) for row in start or ()]
     for row in start:
         if len(row) != len(sizes) or not all(0 <= i < n for i, n in zip(row, sizes)):
             raise ValueError(f"start row {row} is not one route-set row per resource")
-    start = dict.fromkeys(start + _warmup(every, pi))
-    del every  # the rounds read only the live columns
+    # The warm-up reads every column's coverage; the rounds only the live ones.
+    start = dict.fromkeys(start + _warmup([rs.cover.astype(float) for rs in route_sets], pi))
     game = RowGame(np.array([new_row(row) for row in start]))
 
     trace: list[float] = []

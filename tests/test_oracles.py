@@ -250,21 +250,25 @@ def test_best_response_matches_brute_force_many_resources():
         ), abs=1e-12)
 
 
-def test_greedy_response_restarts_from_each_resource():
+def test_greedy_response_is_one_pass_in_resource_order():
     # Greedy from resource 0 takes its {0, 1} route, which resource 1 can only
-    # repeat; the pass starting from resource 1 finds the exact response.
+    # repeat, so the one pass misses target 2.  The exact response covers
+    # every target, and FC, which certifies with it, reaches value 1.
     s = make_setting(3, [(0, 1), (1, 2)])
     sets = (
         RouteSet((_r(0, 0, 1), _r(0, 2)), 0, True, (0, 1, 2)),
         RouteSet((_r(1, 0, 1),), 1, True, (0, 1, 2)),
     )
     attacker = np.array([0.3, 0.3, 0.4])
-    exact_jr, exact_obj, ok = best_response_ilp(sets, attacker, s)
     jr, obj = _greedy_response(sets, attacker, s)
+    assert jr == (0, 0)
+    assert obj == pytest.approx(0.6)
+    _, exact_obj, ok = best_response_ilp(sets, attacker, s)
     assert ok
     assert exact_obj == pytest.approx(1.0)
-    assert obj == pytest.approx(exact_obj)
-    assert jr == exact_jr
+    result = fc_sro(sets, s)
+    assert result.diagnostics.optimal
+    assert result.value == pytest.approx(1.0)
 
 
 # Reference best responses whose scans visit every route, to pin the early
@@ -279,11 +283,10 @@ def _full_scan_weight(w, mask):
     return total
 
 
-def _full_scan_greedy(masks, w, first):
+def _full_scan_greedy(masks, w):
     choice = [0] * len(masks)
     cur = 0
-    for i in [*range(first, len(masks)), *range(first)]:
-        ms = masks[i]
+    for i, ms in enumerate(masks):
         choice[i] = min(range(len(ms)), key=lambda j: (-_full_scan_weight(w, ms[j] & ~cur), j))
         cur |= ms[choice[i]]
     return choice, _full_scan_weight(w, cur)
@@ -298,19 +301,15 @@ def _full_scan_weights(route_sets, attacker, setting):
 
 def _full_scan_greedy_response(route_sets, attacker, setting):
     w, masks = _full_scan_weights(route_sets, attacker, setting)
-    best_choice, best_w = _full_scan_greedy(masks, w, 0)
-    for first in range(1, len(masks)):
-        choice, choice_w = _full_scan_greedy(masks, w, first)
-        if choice_w > best_w + 1e-12:
-            best_choice, best_w = choice, choice_w
-    return tuple(best_choice), 1.0 - sum(w) + best_w
+    choice, choice_w = _full_scan_greedy(masks, w)
+    return tuple(choice), 1.0 - sum(w) + choice_w
 
 
 def _full_scan_best_response(route_sets, attacker, setting):
     w, masks = _full_scan_weights(route_sets, attacker, setting)
     total_w = sum(w)
     n_res = len(route_sets)
-    best_choice, best_w = _full_scan_greedy(masks, w, 0)
+    best_choice, best_w = _full_scan_greedy(masks, w)
     orders = [
         sorted(range(len(ms)), key=lambda i: (-_full_scan_weight(w, ms[i]), i)) for ms in masks
     ]
@@ -546,11 +545,11 @@ def test_fc_from_start_rows_skips_nc_and_keeps_the_value(monkeypatch):
 
 
 def test_cold_fc_solves_no_nc_game_and_keeps_the_value(monkeypatch):
-    # With no start rows FC starts from the greedy joint route against the
-    # uniform attacker, and solves no NC game.  On the first placements of
-    # the fc-exact benchmark instances and on small random settings its
-    # value is certified, and equals both the FC started from each
-    # resource's most likely NC route and the game over every joint route.
+    # With no start rows FC starts from the warm-up's rows alone, and solves
+    # no NC game.  On the first placements of the fc-exact benchmark
+    # instances and on small random settings its value is certified, and
+    # equals both the FC started from each resource's most likely NC route
+    # and the game over every joint route.
     benchmark = ((40, 7), (60, 1), (70, 1), (80, 0), (80, 3))
     cases = [_first_placement_sets(n_targets, seed) for n_targets, seed in benchmark]
     for trial in range(40):
@@ -572,6 +571,10 @@ def test_cold_fc_solves_no_nc_game_and_keeps_the_value(monkeypatch):
             cold = fc_sro(sets, s)
         from_nc = fc_sro(sets, s, start=nc_start)
         assert cold.diagnostics.optimal and from_nc.diagnostics.optimal
+        warmup = oracles_module._warmup([rs.cover.astype(float) for rs in sets],
+                                        _values(s, sets[0].targets))
+        assert cold.diagnostics.routes_generated == (
+            len(dict.fromkeys(warmup)) + cold.diagnostics.iterations - 1)
         assert abs(cold.value - from_nc.value) <= 1e-12
         expected, _ = joint_enumeration_value(sets, s, sets[0].targets)
         assert abs(cold.value - expected) <= 1e-12

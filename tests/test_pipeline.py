@@ -417,14 +417,16 @@ def test_resolve_fc_meets_the_joint_upper_bound_on_fc_exact(monkeypatch):
 RECORDED_FC = json.loads((Path(__file__).parent / "fc_exhaustive_values.json").read_text())
 
 
-@pytest.mark.parametrize("n, seed", [(60, 1), (40, 7)])
-def test_exhaustive_fc_keeps_its_recorded_values(n, seed):
-    # Exhaustive FC (FC alone, no max_placements) at m = 2 (60/s1, 87 covers)
-    # and m = 3 (40/s7, 116 covers): every cover's warm start and warm-up
-    # give the value recorded for that placement.
-    s, alarm = generate_instance(GeneratorParams(n_targets=n, seed=seed))
+@pytest.mark.parametrize("n, seed, deadline", [(60, 1, None), (40, 7, None), (70, 1, 2)],
+                         ids=["60-1", "40-7", "70-1-d2"])
+def test_exhaustive_fc_keeps_its_recorded_values(n, seed, deadline):
+    # Exhaustive FC (FC alone, no max_placements) at m = 2 (60/s1, 87 covers),
+    # m = 3 (40/s7, 116 covers) and m = 8 (70/s1 at deadline 2, 196 covers):
+    # every cover's warm start and warm-up give the value recorded for that
+    # placement.
+    s, alarm = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
     report = resolve(s, alarm, ResolutionConfig(oracles=("FC",)))
-    recorded = RECORDED_FC[f"{n}/s{seed}"]
+    recorded = RECORDED_FC[f"{n}/s{seed}" + (f"-d{deadline}" if deadline else "")]
     assert report.exhausted
     assert [list(pe.positions) for pe in report.placements] == [p for p, _ in recorded]
     for pe, (_, value) in zip(report.placements, recorded):
