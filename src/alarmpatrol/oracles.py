@@ -19,16 +19,16 @@ expected utility:
   the rounds: each resource in turn takes the route adding the most attacker
   weight, one matrix-vector product over the coverage of the targets the
   attacker weights.  Once it finds no better row, an exact branch and bound,
-  pruned by the union of the remaining routes and by the sum of each
-  remaining resource's best marginal route, supplies the next row or
-  certifies the value.  It chooses among each resource's coverage classes,
-  its routes grouped by the targets they cover where the attacker's strategy
-  has weight, scans them heaviest first and stops at the first class whose
-  full weight cannot beat what is in hand.  The game LP lives for the whole
-  call and resumes from its last basis each round.  It starts from the
-  greedy joint routes of ten multiplicative-weights steps (``_warmup``),
-  after, in ``respond``, the rows of an earlier FC result whose placement
-  shares guard posts with this one (``_seed_rows``).
+  pruned by the sum of each remaining resource's best marginal route,
+  supplies the next row or certifies the value.  It chooses among each
+  resource's coverage classes, its routes grouped by the targets they cover
+  where the attacker's strategy has weight, and tries them heaviest first;
+  the bound's scan stops at the first class whose full weight cannot beat
+  what is in hand.  The game LP lives for the whole call and resumes from
+  its last basis each round.  It starts from the greedy joint routes of ten
+  multiplicative-weights steps (``_warmup``), after, in ``respond``, the
+  rows of an earlier FC result whose placement shares guard posts with this
+  one (``_seed_rows``).
 
 The route sets are the oracles' only coverage input.  All route sets of one
 call are built for the same signal and so share ``targets``, the signal's
@@ -351,9 +351,8 @@ def best_response_ilp(
     greedy joint route ``_greedy`` as its incumbent (each resource in turn
     takes the route adding the most attacker weight, lowest index on ties),
     its weight summed in column order as the search sums a mask.  It prunes
-    by the uncovered weight of the union of all remaining routes and by the
-    sum of each remaining resource's best uncovered route weight; the search
-    order and strict improvement fix which optimum is returned.  The
+    by the sum of each remaining resource's best uncovered route weight; the
+    search order and strict improvement fix which optimum is returned.  The
     subproblem is NP-hard in general, so it honors ``deadline`` and may
     return a non-optimal incumbent (flagged False).  ``attacker`` is sigma,
     one probability per support target, and the joint route comes back as
@@ -369,11 +368,12 @@ def best_response_ilp(
     strict ``> best_w + 1e-12`` test.
 
     Each resource's classes are ranked once by their full weight, heaviest
-    first, and every scan over them (the best-marginal bound and the last
-    resource's leaves) stops at the first class whose full weight
-    cannot beat what is in hand.  The weights are non-negative and summed in
-    bit order, so a class's uncovered weight never exceeds its full weight
-    in floating point either, and the early exits change no answer.
+    first, which is the order its children are searched in.  The bound's
+    scan over them stops at the first class whose full weight cannot beat
+    the best uncovered weight found so far.  The weights are non-negative
+    and summed in bit order, so a class's uncovered weight never exceeds its
+    full weight in floating point either, and the early exit changes no
+    answer.
     """
     covers, live_w = _live(route_sets, attacker, setting)
     w = live_w.tolist()
@@ -382,29 +382,22 @@ def best_response_ilp(
     best_w = _in_order(live_w, _greedy(covers, live_w, best_rows))
     n_res = len(route_sets)
 
-    suffix = [0] * (n_res + 1)
-    for i in range(n_res - 1, -1, -1):
-        union = 0
-        for m in masks[i]:
-            union |= m
-        suffix[i] = suffix[i + 1] | union
-
     # Depth-first over (resource, mask, weight, rows) on an explicit stack:
     # children are pushed in reverse so they pop in ``orders`` order, and each
-    # node is tested when popped, as a recursive search would visit it.  The
-    # last resource's leaves would pop next, in that order, so they are
-    # scanned in place instead; each counts as a node.
-    last = n_res - 1
+    # node is tested when popped, as a recursive search would visit it.
     nodes = 0
     timed_out = False
     stack: list[tuple[int, int, float, tuple[int, ...]]] = [(0, 0, 0.0, ())]
-    while stack and not timed_out:
+    while stack:
         i, cur_mask, cur_w, picked = stack.pop()
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             timed_out = True
             break
-        if cur_w + _weight_bits(w, suffix[i] & ~cur_mask) <= best_w + 1e-12:
+        if i == n_res:
+            if cur_w > best_w + 1e-12:
+                best_w = cur_w
+                best_rows = picked
             continue
         # Summed in the order a leaf sums its gains, so never below any leaf.
         bound = cur_w
@@ -420,24 +413,10 @@ def best_response_ilp(
             bound += top
         if bound <= best_w + 1e-12:
             continue
-        ms, fs = masks[i], full[i]
-        if i < last:
-            for j in reversed(orders[i]):
-                gain = _weight_bits(w, ms[j] & ~cur_mask)
-                stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (reps[i][j],)))
-            continue
-        # A leaf weighs at most cur_w plus its route's full weight.
-        for j in orders[i]:
-            if cur_w + fs[j] <= best_w + 1e-12:
-                break
-            nodes += 1
-            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                timed_out = True
-                break
-            leaf_w = cur_w + _weight_bits(w, ms[j] & ~cur_mask)
-            if leaf_w > best_w + 1e-12:
-                best_w = leaf_w
-                best_rows = (*picked, reps[i][j])
+        ms = masks[i]
+        for j in reversed(orders[i]):
+            gain = _weight_bits(w, ms[j] & ~cur_mask)
+            stack.append((i + 1, cur_mask | ms[j], cur_w + gain, picked + (reps[i][j],)))
 
     return tuple(best_rows), 1.0 - sum(w) + best_w, not timed_out
 

@@ -271,9 +271,9 @@ def test_greedy_response_is_one_pass_in_resource_order():
     assert result.value == pytest.approx(1.0)
 
 
-# Reference best responses whose scans visit every route, to pin the early
-# exits of ``best_response_ilp`` and the matrix products of ``_greedy`` and
-# ``_greedy_response`` to the same answers.
+# Reference best responses whose scans visit every route, to pin the coverage
+# classes and the bound's early exit of ``best_response_ilp`` and the matrix
+# products of ``_greedy`` and ``_greedy_response`` to the same answers.
 def _full_scan_weight(w, mask):
     total = 0.0
     while mask:
@@ -444,6 +444,24 @@ def test_best_response_to_an_attacker_without_weight():
     nothing = np.zeros(len(s.targets))
     assert _assert_classes(sets, nothing, s) == ([[0]] * len(sets), [[0]] * len(sets))
     assert best_response_ilp(sets, nothing, s) == ((0,) * len(sets), 1.0, True)
+
+
+def test_best_response_past_deadline_keeps_its_incumbent():
+    # The uniform attacker on 8 and 10 resources of 80/s3-d2's minimum cover:
+    # each search passes 2,048 nodes, so it reaches its deadline check and
+    # returns the best joint route found by then, flagged not optimal.
+    s, _ = generate_instance(GeneratorParams(n_targets=80, seed=3, deadline=2))
+    d = all_pairs_distances(s)
+    all_sets = routes_for(s, d, min_cover(s, d, "exact").placement.positions, s.targets)
+    uniform = np.full(len(s.targets), 1.0 / len(s.targets))
+    pi = _values(s, all_sets[0].targets)
+    for m in (8, len(all_sets)):
+        sets = all_sets[:m]
+        rows, obj, certified = best_response_ilp(sets, uniform, s, deadline=time.monotonic() - 1.0)
+        assert certified is False
+        assert _greedy_response(sets, uniform, s)[1] <= obj <= best_response_ilp(sets, uniform, s)[1]
+        covered = np.any([rs.cover[r] for rs, r in zip(sets, rows, strict=True)], axis=0)
+        assert obj == pytest.approx(1.0 - float(uniform @ (pi * ~covered)), abs=1e-12)
 
 
 def test_best_response_early_exits_match_full_scan_on_random_instances():
@@ -673,9 +691,10 @@ def _exact_searches(monkeypatch) -> list:
 
 
 def test_fc_exact_finishes_at_deadline_2(monkeypatch):
-    # Seven resources with 8-19 routes each: the suffix-union bound alone
-    # lets the exact best response run past a 30-s budget here, so the
-    # greedy responses drive the rounds and the search only certifies.
+    # Seven resources with 8-19 routes each: the greedy responses drive the
+    # rounds and the search only certifies.  Its best-marginal bound is what
+    # keeps it fast: without it, the 209 searches of exhaustive FC on 70/s1
+    # at deadline 2 (m = 8) took 5.05 s instead of 0.06 s.
     s, _ = generate_instance(GeneratorParams(n_targets=60, seed=1, deadline=2))
     d = all_pairs_distances(s)
     placement = (1, 6, 8, 16, 19, 20, 21)  # one of the instance's minimum covers
