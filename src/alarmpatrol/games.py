@@ -15,7 +15,12 @@ the rows and the columns.
 
 Every LP the oracles solve is a ``RowGame``'s (NC's games, PC's response
 games, FC's master): zero-rhs rows, sum x = 1 and payoffs shifted to be
-non-negative, the form ``lp_solve`` starts from one pivot.
+non-negative, the form ``lp_solve`` starts from one pivot.  The LP has a
+column per payoff row and a row per payoff column, so NC's and PC's games,
+hundreds of routes against at most 150 targets, are wide programs, pivoted
+on a partial tableau bit for bit as on a full one (``lp``); FC's master, a
+few joint routes, is narrow and keeps the full tableau that prices each new
+row.  ``solve`` writes ``A_ub`` column-major, a contiguous copy of the rows.
 """
 
 from __future__ import annotations
@@ -101,9 +106,12 @@ class RowGame:
         U = self.payoff
         n_rows, n_cols = U.shape
         if self._tableau is None:
-            # maximize v  s.t.  v - sum_r U[r,t] x_r <= 0 per column, sum x = 1
-            Us = U - self.shift
-            A_ub = np.hstack([-Us.T, np.ones((n_cols, 1))])
+            # maximize v  s.t.  v - sum_r U[r,t] x_r <= 0 per column, sum x = 1:
+            # A_ub is [-(U - shift).T, 1], written in place (module docstring).
+            A_ub = np.empty((n_cols, n_rows + 1), order="F")
+            Us = np.subtract(U.T, self.shift, out=A_ub[:, :-1])
+            np.negative(Us, out=Us)
+            A_ub[:, -1] = 1.0
             A_eq = np.hstack([np.ones((1, n_rows)), np.zeros((1, 1))])
             c = np.zeros(n_rows + 1)
             c[-1] = 1.0

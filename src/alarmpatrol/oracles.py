@@ -56,6 +56,7 @@ signal realizes, from the results' ``uncovered`` arrays.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import time
@@ -238,22 +239,27 @@ def _classes(
 ) -> tuple[list[list[int]], list[list[int]], list[list[float]], list[list[int]]]:
     """Each resource's coverage classes, from ``_live``'s ``covers`` and ``w``.
 
-    A class is one distinct row of live columns, packed into a byte key
-    (with one spare column, never set, so that a key has a byte even with
-    no live column); its mask has bit k set for live column k.  ``reps``
-    holds each class's lowest route index, and the classes come in
-    increasing ``reps`` order, with their masks, full weights and order by
-    weight.  Routes of one class add the same weight to every partial joint
-    route, so the search chooses among classes."""
-    reps, masks = [], []
-    for cover in covers:
-        bits = np.zeros((len(cover), len(w) + 1), dtype=bool)
-        np.greater(cover, 0.0, out=bits[:, :-1])
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        reps.append(first.tolist())
-        masks.append(row_masks(bits[first]))
+    A class is one distinct row of live columns; its mask has bit k set for
+    live column k.  ``reps`` holds each class's lowest route index, and the
+    classes come in increasing ``reps`` order, with their masks, full
+    weights and order by weight.  Routes of one class add the same weight to
+    every partial joint route, so the search chooses among classes.  Every
+    resource's rows are packed into byte keys together, each with one more
+    bit set for its resource, so one ``np.unique`` finds all the classes."""
+    live = len(w)
+    offsets = np.cumsum([0] + [len(cover) for cover in covers]).tolist()
+    bits = np.zeros((offsets[-1], live + len(covers)), dtype=bool)
+    for k, cover in enumerate(covers):
+        np.greater(cover, 0.0, out=bits[offsets[k] : offsets[k + 1], :live])
+        bits[offsets[k] : offsets[k + 1], live + k] = True
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    found = row_masks(bits[first, :live])
+    first = first.tolist()
+    cuts = [bisect.bisect_left(first, o) for o in offsets]
+    reps = [[j - o for j in first[a:b]] for o, a, b in zip(offsets, cuts, cuts[1:])]
+    masks = [found[a:b] for a, b in zip(cuts, cuts[1:])]
     full = [[_weight_bits(w, m) for m in ms] for ms in masks]
     orders = [sorted(range(len(fs)), key=lambda j: (-fs[j], j)) for fs in full]
     return reps, masks, full, orders

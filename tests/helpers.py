@@ -19,7 +19,7 @@ from alarmpatrol import (
     build_alarm,
     build_setting,
 )
-from alarmpatrol.lp import LinearProgram
+from alarmpatrol.lp import PIVOT_TOL, LinearProgram, LinearProgramSolution
 
 
 # -- builders ----------------------------------------------------------------
@@ -473,8 +473,172 @@ def payoff_matrix(covered, targets, value) -> np.ndarray:
     return U
 
 
+# -- the full-tableau simplex, the reference for ``lp``'s partial tableau -----
+
+
+def full_lp_solve(lp: LinearProgram) -> LinearProgramSolution:
+    """``lp.lp_solve`` as it was when every pivot updated every row.
+
+    It, ``FullTableau``, ``full_pivot`` and ``full_run`` are that simplex
+    verbatim, renamed: the reference ``lp_solve`` must match bit for bit,
+    pivots and tableau bytes included.
+    """
+    c = np.asarray(lp.c, dtype=float)
+    A_ub, b_ub, A_eq = (np.asarray(a, dtype=float) for a in (lp.A_ub, lp.b_ub, lp.A_eq))
+    n, m1 = c.shape[0], b_ub.shape[0]
+    if not all(np.all(np.isfinite(a)) for a in (c, A_ub, b_ub, A_eq)):
+        raise ValueError("linear program coefficients must be finite")
+    if np.any(b_ub < 0):
+        raise ValueError("right-hand sides must be non-negative")
+    if (n == 0 or A_ub.shape != (m1, n) or A_eq.shape != (1, n)
+            or A_eq[0, 0] <= PIVOT_TOL or np.any(A_ub[:, 0] > 0)):
+        raise ValueError("not a game's LP: x_0 must be positive in the one equality row only")
+
+    m = m1 + 1
+    # Row i's slack (an A_ub row) or artificial (the equality row) is column
+    # n + i and starts basic.
+    ncols = n + m
+    basis = n + np.arange(m)
+    # Column-major, so a pivot's update gathers and writes whole columns.
+    T = np.zeros((m, ncols + 1), order="F")
+    T[:m1, :n] = A_ub
+    T[m1, :n] = A_eq
+    T[:m1, -1] = b_ub
+    T[m1, -1] = 1.0
+    T[np.arange(m), basis] = 1.0
+    # Every starting basic column costs 0, so the costs are the reduced costs.
+    r = np.zeros(ncols + 1)
+    r[:n] = c
+
+    state = FullTableau(T=T, basis=basis, r=r)
+    state.c, state.m1, state.start = c, m1, basis.copy()
+    full_pivot(state, m1, 0)  # phase 1 (module docstring)
+    return state.optimize()
+
+
+class FullTableau:
+    """A tableau, its basis and the reduced-cost row its pivots update.
+
+    ``lp_solve`` also sets ``c`` (the structural costs), ``m1`` (the number
+    of ``A_ub`` rows) and ``start`` (each row's starting basic column), which
+    ``optimize`` and ``add_column`` read.
+    """
+
+    def __init__(self, T: np.ndarray, basis: np.ndarray, r: np.ndarray):
+        self.T = T
+        self.basis = basis
+        self.r = r
+        self.pivots = self.degenerate = 0
+        self.bland = False
+
+    def optimize(self) -> LinearProgramSolution:
+        """Run phase 2 afresh from the current feasible basis; read the solution."""
+        self.pivots = self.degenerate = 0
+        self.bland = False
+        self.switch = 10 * (self.start.shape[0] + self.T.shape[1] - 1)
+        full_run(self)
+        n, m1 = self.c.shape[0], self.m1
+        x = np.zeros(n)
+        structural = self.basis < n
+        x[self.basis[structural]] = self.T[structural, -1]
+        # A basic value rounded below zero reads as 0, and -0.0 as 0.0 (module
+        # docstring).
+        x = np.maximum(x, 0.0) + 0.0
+        # Dual of inequality row i is minus the final reduced cost of its slack
+        # column.  Subtracting from 0.0 leaves no -0.0.
+        duals = 0.0 - self.r[n : n + m1]
+        return LinearProgramSolution(x=x, duals=duals, pivots=self.pivots, tableau=self)
+
+    def add_column(self, a: np.ndarray, cost: float, at: int) -> None:
+        """Insert structural column ``at`` priced against the current basis.
+
+        ``a`` holds the column's coefficients in the program's rows (``A_ub``
+        rows, then the equality row) and ``cost`` its objective coefficient.
+        The column enters nonbasic, at zero level (module docstring).
+        """
+        a = np.asarray(a, dtype=float)
+        self.T = _full_with_column(self.T, at, self.T[:, self.start] @ a)
+        self.r = _full_with_column(self.r, at, cost + self.r[self.start] @ a)
+        self.c = _full_with_column(self.c, at, cost)
+        self.basis[self.basis >= at] += 1
+        self.start = self.start + (self.start >= at)
+
+
+def _full_with_column(A: np.ndarray, at: int, v) -> np.ndarray:
+    """Column-major copy of ``A`` with ``v`` inserted at index ``at`` of its last axis."""
+    out = np.empty(A.shape[:-1] + (A.shape[-1] + 1,), order="F")
+    out[..., :at] = A[..., :at]
+    out[..., at] = v
+    out[..., at + 1 :] = A[..., at:]
+    return out
+
+
+def full_pivot(state: FullTableau, i: int, q: int) -> None:
+    T = state.T
+    T[i] /= T[i, q]
+    factor = T[:, q].copy()
+    factor[i] = 0.0
+    # Only the pivot row's nonzero columns change (module docstring).
+    nz = T[i].nonzero()[0]
+    T.T[nz] -= T[i, nz][:, None] * factor
+    T[:, q] = 0.0
+    T[i, q] = 1.0
+    r = state.r
+    if r[q] != 0.0:
+        r -= r[q] * T[i]
+        r[q] = 0.0
+    state.basis[i] = q
+
+
+def full_run(state: FullTableau) -> None:
+    """Pivot, pricing with ``state.r``, until no column improves.
+
+    Prices every column but the last two, the artificial and the rhs.
+    """
+    r = state.r
+    while True:
+        if state.pivots > 100_000:
+            raise ArithmeticError("simplex pivot limit exceeded")
+        cols = r[:-2]
+        if state.bland:
+            pos = np.nonzero(cols > PIVOT_TOL)[0]
+            if pos.size == 0:
+                return
+            q = int(pos[0])
+        else:
+            q = int(np.argmax(cols))
+            if cols[q] <= PIVOT_TOL:
+                return
+        T = state.T
+        col = T[:, q]
+        rows = np.nonzero(col > PIVOT_TOL)[0]
+        if rows.size == 0:
+            raise ArithmeticError("unbounded LP: an improving column has no positive entry")
+        ratios = T[rows, -1] / col[rows]
+        best = ratios.min()
+        tied = rows[np.nonzero(ratios <= best + PIVOT_TOL)[0]]
+        i = int(tied[np.argmin(state.basis[tied])])
+        before = -r[-1]
+        full_pivot(state, i, q)
+        state.pivots += 1
+        if -r[-1] - before < 1e-12:
+            state.degenerate += 1
+            if state.degenerate > state.switch:
+                state.bland = True
+        else:
+            state.degenerate = 0
+
+
+def tableau(state) -> np.ndarray:
+    """The dense tableau of a ``FullTableau`` or an ``lp`` state, every row
+    as a full update holds it (a partial tableau's replayed)."""
+    if state.T is not None:
+        return state.T
+    return np.array([state.row(i) for i in range(len(state.basis))])
+
+
 def dense_pivot(state, i: int, q: int) -> None:
-    """``lp._pivot`` as a full-tableau rank-1 update with ``np.outer``.
+    """``full_pivot`` as a full-tableau rank-1 update with ``np.outer``.
 
     The simplex pivot as it was before it skipped the pivot row's zero
     columns; the reference its results must match bit for bit.
@@ -500,11 +664,10 @@ def rowwise_lp_solve(prog):
     built before it was written with array assignments, and phase 1 run to its
     end rather than started from its one pivot, so it also solves programs
     outside the game form.  Phase 2 prices its cost row against the basis
-    phase 1 ends at.  The pivot and the pivoting loop are the module's own,
-    and ``pivots`` counts both phases.
+    phase 1 ends at.  The pivot and the pivoting loop are the full-tableau
+    simplex's (``full_pivot``, ``full_run``), and ``pivots`` counts both
+    phases.
     """
-    from alarmpatrol import lp
-
     c = np.asarray(prog.c, dtype=float)
     n = c.shape[0]
     A_ub, b_ub = np.asarray(prog.A_ub, dtype=float), np.asarray(prog.b_ub, dtype=float)
@@ -526,14 +689,14 @@ def rowwise_lp_solve(prog):
     c1 = np.zeros(ncols + 1)
     c1[n + m1] = -1.0
     r1 = c1 - c1[n + m1] * T[m1]
-    state = lp._SimplexState(T=T, basis=basis, r=r1)
+    state = FullTableau(T=T, basis=basis, r=r1)
     state.switch = 10 * (m + ncols)  # as ``optimize`` sets it, once for both phases
-    lp._run(state)
+    full_run(state)
     assert r1[-1] <= 1e-7, "infeasible"
     if basis[m1] == n + m1:
         # The artificial is still basic, at zero level: pivot it out.
-        (cols,) = np.nonzero(np.abs(T[m1, : n + m1]) > lp.PIVOT_TOL)
-        lp._pivot(state, m1, cols[0])
+        (cols,) = np.nonzero(np.abs(T[m1, : n + m1]) > PIVOT_TOL)
+        full_pivot(state, m1, cols[0])
         state.pivots += 1
 
     r2 = np.zeros(ncols + 1)
@@ -542,13 +705,13 @@ def rowwise_lp_solve(prog):
         if basis[i] < n and c[basis[i]] != 0.0:
             r2 -= c[basis[i]] * T[i]
     state.r = r2
-    lp._run(state)
+    full_run(state)
     x = np.zeros(n)
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = max(T[i, -1], 0.0) + 0.0
     duals = 0.0 - r2[n : n + m1]
-    return lp.LinearProgramSolution(x=x, duals=duals, pivots=state.pivots)
+    return LinearProgramSolution(x=x, duals=duals, pivots=state.pivots)
 
 
 def routes_for(setting, dist, positions, support):

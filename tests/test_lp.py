@@ -16,7 +16,8 @@ from alarmpatrol import (
 )
 from alarmpatrol import lp as lp_module
 from alarmpatrol.lp import LinearProgram, lp_solve
-from helpers import dense_pivot, routes_for, rowwise_lp_solve
+import helpers
+from helpers import dense_pivot, full_lp_solve, routes_for, rowwise_lp_solve, tableau
 
 # Beale's classic cycling example for Dantzig's rule, behind an x_0 that is
 # nonzero in the equality row only: the start pivot makes x_0 basic at 1 and
@@ -223,11 +224,12 @@ def test_matches_highs_with_duals_certifying_optimality():
 
 
 def _same_as_dense_pivot(prog: LinearProgram):
-    """Solve ``prog`` with the dense reference pivot and with ``lp._pivot``;
-    assert the two agree bit for bit and return the latter's solution."""
+    """Solve ``prog`` with the full-tableau reference pivoting by the dense
+    reference pivot, and with ``lp_solve``; assert the two agree bit for bit
+    and return the latter's solution."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_module, "_pivot", dense_pivot)
-        ref = lp_solve(prog)
+        mp.setattr(helpers, "full_pivot", dense_pivot)
+        ref = full_lp_solve(prog)
     got = lp_solve(prog)
     _assert_bit_equal(got, ref)
     return got
@@ -253,9 +255,9 @@ def test_pivot_matches_dense_update_past_bland_switch():
     rules = []
     pivot = lp_module._pivot
 
-    def spy(state, i, q):
+    def spy(state, i, q, col):
         rules.append(state.bland)
-        pivot(state, i, q)
+        pivot(state, i, q, col)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_module, "_pivot", spy)
@@ -290,7 +292,9 @@ def _placement_lps(monkeypatch, n_targets, seed, sros):
 
 @pytest.mark.parametrize("n_targets, seed", [(150, 11), (100, 42)])
 def test_pivot_matches_dense_update_on_pc_and_nc_lps(n_targets, seed, monkeypatch):
-    # The response games and NC games PC solves, one cold LP each.
+    # The response games and NC games PC solves, one cold LP each: 87-1,306
+    # route columns by 61-150 target rows, so every tableau is partial and
+    # also matches the full tableau's bytes.
     real, responses = oracles._response_game, []
 
     def count(I, weights):
@@ -302,20 +306,82 @@ def test_pivot_matches_dense_update_on_pc_and_nc_lps(n_targets, seed, monkeypatc
     assert len(responses) >= 2 and len(programs) > len(responses)
     for prog in programs:
         _same_as_dense_pivot(prog)
+        assert _same_as_full_tableau(prog).tableau.T is None
+
+
+def _same_as_full_tableau(prog: LinearProgram):
+    """Solve ``prog`` with ``lp_solve`` and with the full-tableau reference;
+    assert the two agree bit for bit, solved tableau, basis and reduced-cost
+    row included, and that only a wide program's tableau is partial; return
+    ``lp_solve``'s solution."""
+    got, ref = lp_solve(prog), full_lp_solve(prog)
+    _assert_bit_equal(got, ref)
+    state = got.tableau
+    assert (state.T is None) == (len(prog.c) > len(prog.b_ub) + 1)
+    assert tableau(state).tobytes() == ref.tableau.T.tobytes()
+    assert state.basis.tobytes() == ref.tableau.basis.tobytes()
+    assert state.r.tobytes() == ref.tableau.r.tobytes()
+    return got
+
+
+def test_partial_tableau_matches_the_full_tableau_on_random_lps():
+    rng = np.random.default_rng(17)
+    wide = 0
+    for trial in range(300):
+        prog = _game_lp(_random_game(rng, GAME_KINDS[trial % 4], 9, 9))
+        wide += _same_as_full_tableau(prog).tableau.T is None
+    _same_as_full_tableau(BEALE)
+    assert 100 <= wide <= 200
+
+
+@pytest.mark.parametrize("n_targets, seed", [(40, 7), (60, 1), (70, 1), (80, 0), (80, 3)])
+def test_resumed_fc_master_matches_the_full_tableau(n_targets, seed, monkeypatch):
+    # fc-exact's instances at their first placement: FC's master is one LP,
+    # solved cold once, then given a row (``add_column``) and resumed
+    # (``optimize``) each round.  On ``lp``'s tableau and on the full-tableau
+    # reference every solve agrees bit for bit, tableau included.
+    setting, alarm = generate_instance(GeneratorParams(n_targets=n_targets, seed=seed))
+    dist = all_pairs_distances(setting)
+    cover = min_cover(setting, dist).placement
+    placement = next(enumerate_placements(setting, dist, len(cover.positions), initial=cover))
+    (signal,) = alarm.signals
+    support = alarm.signal_support(signal)
+    runs = []
+    for cold, cls in ((lp_solve, lp_module._SimplexState), (full_lp_solve, helpers.FullTableau)):
+        solves = []
+        optimize = cls.optimize
+
+        def spy(state, optimize=optimize, solves=solves):
+            sol = optimize(state)
+            solves.append((sol.x.tobytes(), sol.duals.tobytes(), sol.pivots,
+                           tableau(state).tobytes(), state.basis.tobytes(), state.r.tobytes()))
+            return sol
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cls, "optimize", spy)
+            mp.setattr(games, "lp_solve", cold)
+            result = fc_sro(routes_for(setting, dist, placement.positions, support), setting)
+        runs.append((solves, result.value, result.diagnostics))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == runs[0][2].iterations >= 2
 
 
 def _phase_starts(solve, prog):
     """Solve ``prog`` with ``solve``; also return, for each run of the pivoting
-    loop, the bytes of the tableau, basis and reduced-cost row it starts from."""
+    loop (``lp``'s or the full-tableau reference's), the bytes of the
+    tableau, basis and reduced-cost row it starts from."""
     starts = []
-    run = lp_module._run
 
-    def spy(state):
-        starts.append((state.T.tobytes(), state.basis.tobytes(), state.r.tobytes()))
-        return run(state)
+    def spying(run):
+        def spy(state):
+            starts.append((tableau(state).tobytes(), state.basis.tobytes(), state.r.tobytes()))
+            return run(state)
+
+        return spy
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_module, "_run", spy)
+        mp.setattr(lp_module, "_run", spying(lp_module._run))
+        mp.setattr(helpers, "full_run", spying(helpers.full_run))
         return solve(prog), starts
 
 
@@ -389,9 +455,9 @@ def test_added_columns_resume_to_the_cold_optimum():
     pivot = lp_module._pivot
     calls = []
 
-    def spy(state, i, q):
+    def spy(state, i, q, col):
         calls.append(q)
-        pivot(state, i, q)
+        pivot(state, i, q, col)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_module, "_pivot", spy)
@@ -420,6 +486,27 @@ def test_added_columns_resume_to_the_cold_optimum():
     assert resumed >= 600 and moved >= 200
 
 
+
+def test_columns_added_to_a_partial_tableau_resume_as_on_the_full_tableau():
+    # A partial tableau replays every row before it takes a column; from then
+    # on it is the full tableau's, bit for bit.
+    rng = np.random.default_rng(18)
+    partial = 0
+    for trial in range(200):
+        prog = _game_lp(_random_game(rng, GAME_KINDS[trial % 4], 9, 9))
+        n = len(prog.c) - 1  # the rows; column n is the value
+        if n < 2:
+            continue
+        j = int(rng.integers(1, n))
+        sub = _columns(prog, [k for k in range(n + 1) if k != j])
+        got, ref = lp_solve(sub).tableau, full_lp_solve(sub).tableau
+        partial += got.T is None
+        for state in (got, ref):
+            state.add_column(_rows_of(prog, j), prog.c[j], j)
+        _assert_bit_equal(got.optimize(), ref.optimize())
+        assert tableau(got).tobytes() == ref.T.tobytes()
+    assert partial >= 40
+
 def test_columns_added_to_the_starting_basis_resume_bit_for_bit():
     # The one-pivot start leaves x_0 basic and every slack; so does a solve
     # of the program over x_0 alone.  Adding every other column in order and
@@ -431,9 +518,9 @@ def test_columns_added_to_the_starting_basis_resume_bit_for_bit():
     rules = []
     pivot = lp_module._pivot
 
-    def spy(state, i, q):
+    def spy(state, i, q, col):
         rules.append(state.bland)
-        pivot(state, i, q)
+        pivot(state, i, q, col)
 
     for prog in programs:
         n = len(prog.c)

@@ -426,6 +426,10 @@ def test_setup_groups_routes_into_coverage_classes():
                 hits = rs.cover[:, j].tolist()
                 assert sorted(ms) == sorted({1 << j if h else 0 for h in hits})
                 assert set(rep) == {hits.index(h) for h in set(hits)}
+    # A guard post staffed twice: its two resources share one route set, and
+    # each keeps every class of it.
+    reps, masks = _assert_classes((sets[1], sets[0], sets[1]), attacker, s)
+    assert reps[0] == reps[2] and masks[0] == masks[2] and len(reps[0]) > 1
     for n, seed, deadline in ((150, 11, None), (80, 3, 2)):
         s, _ = generate_instance(GeneratorParams(n_targets=n, seed=seed, deadline=deadline))
         d = all_pairs_distances(s)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -432,6 +433,30 @@ def test_exhaustive_fc_keeps_its_recorded_values(n, seed, deadline):
     for pe, (_, value) in zip(report.placements, recorded):
         assert abs(pe.values["FC"] - value) <= 1e-12
 
+
+
+RECORDED_NC_PC = json.loads((Path(__file__).parent / "nc_pc_values.json").read_text())
+
+
+@pytest.mark.parametrize("n, seed", [(150, 11), (100, 42)], ids=["150-11", "100-42"])
+def test_nc_and_pc_keep_their_recorded_answers(n, seed, monkeypatch):
+    # sweep-large's instances, whose game LPs are wide: at the first two
+    # placements, NC's and PC's values, pivots and strategy bytes are those
+    # recorded, bit for bit.
+    s, alarm = generate_instance(GeneratorParams(n_targets=n, seed=seed))
+    real, answers = pipeline.respond, []
+
+    def spy(setting, dist, alarm, positions, scheme, **kwargs):
+        resp = real(setting, dist, alarm, positions, scheme, **kwargs)
+        (result,) = resp.per_signal.values()
+        strategy = b"".join(x.tobytes() for x in result.per_resource) + result.uncovered.tobytes()
+        answers.append([list(positions), scheme, result.value, result.diagnostics.lp_pivots,
+                        hashlib.sha256(strategy).hexdigest()])
+        return resp
+
+    monkeypatch.setattr(pipeline, "respond", spy)
+    resolve(s, alarm, ResolutionConfig(oracles=("PC", "NC"), max_placements=2))
+    assert answers == RECORDED_NC_PC[f"{n}/s{seed}"]
 
 def test_config_validation():
     with pytest.raises(ValueError):
